@@ -31,6 +31,16 @@ def _parse_parts(text):
         raise UsageError("bad partition %r" % text) from e
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _emit(args, payload):
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -187,23 +197,23 @@ def build_parser():
         choices=["cauchy", "square", "symmetry", "all"],
         default="all",
     )
-    sp.add_argument("--weight", type=int, default=8)
+    sp.add_argument("--weight", type=_positive_int, default=8)
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("pfaffian-check", help="two-alphabet Pfaffian identity")
     sp.add_argument("--r", required=True)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--degree", type=int, default=10)
+    sp.add_argument("--n", type=_positive_int, default=2)
+    sp.add_argument("--degree", type=_positive_int, default=10)
     common(sp)
     sp.set_defaults(func=cmd_pfaffian_check)
 
     sp = sub.add_parser("linear-check", help="one-point linear constraint")
     sp.add_argument("--r", required=True)
     sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--order", type=int, default=8)
-    sp.add_argument("--weight", type=int, default=8)
+    sp.add_argument("--order", type=_positive_int, default=8)
+    sp.add_argument("--weight", type=_positive_int, default=8)
     common(sp)
     sp.set_defaults(func=cmd_linear_check)
 

@@ -5,11 +5,9 @@ shift followed by a diagonal weight.  Used for the single-point form of the
 linear constraint on the tau function.
 """
 
-from fractions import Fraction
-
 from .gseries import OddSeries
 from .qschur import h_k
-from .tau import TauReport
+from .tau import TauReport, compare_series
 
 
 class XSeries:
@@ -99,17 +97,13 @@ def check_linear_eq_N1(spec, m, n_max, W):
     rhs = apply_x_r_negD(tau, spec, power=m)
     params = {"r": repr(spec), "m": m, "order": n_max, "weight": W}
     for n in range(n_max + 1):
-        diff = lhs.coeffs[n] - rhs.coeffs[n]
-        if not diff.is_zero():
-            mono = min(diff.terms)
-            return TauReport(
-                "linear-eq-N1",
-                params,
-                False,
-                (
-                    "x^%d %s" % (n, dict(mono)),
-                    lhs.coeffs[n].terms.get(mono, Fraction(0)),
-                    rhs.coeffs[n].terms.get(mono, Fraction(0)),
-                ),
-            )
+        rep = compare_series(
+            "linear-eq-N1",
+            params,
+            lhs.coeffs[n],
+            rhs.coeffs[n],
+            lambda mono: "x^%d %s" % (n, dict(mono)),
+        )
+        if not rep.passed:
+            return rep
     return TauReport("linear-eq-N1", params, True)

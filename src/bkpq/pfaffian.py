@@ -9,11 +9,12 @@ oracle, not assumed.
 """
 
 from fractions import Fraction
+from operator import add
 
-from .gseries import OddSeries
+from .gseries import GradedSeries, OddSeries
 from .partitions import enumerate_strict
 from .qschur import XPoint, delta, eval_at_x, q_lambda
-from .tau import TauReport, tau_bkp
+from .tau import compare_series, tau_bkp
 
 
 class SkewMatrix:
@@ -108,80 +109,43 @@ def det_fraction_free(rows):
     return sign * a[n - 1][n - 1]
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial with a total-degree cutoff."""
+class MultiPoly(GradedSeries):
+    """Sparse multivariate polynomial with a total-degree cutoff.
 
-    __slots__ = ("nvars", "cutoff", "terms")
+    A monomial is a tuple of nvars exponents.
+    """
+
+    __slots__ = ()
 
     def __init__(self, nvars, cutoff, terms=None):
-        self.nvars = nvars
-        self.cutoff = cutoff
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c and sum(mono) <= cutoff:
-                    clean[mono] = clean.get(mono, Fraction(0)) + c
-            clean = {m: c for m, c in clean.items() if c}
-        self.terms = clean
+        super().__init__((cutoff,), (0,) * nvars, terms)
+
+    @staticmethod
+    def grade(mono):
+        return (sum(mono),)
+
+    @staticmethod
+    def mono_mul(a, b):
+        return tuple(map(add, a, b))
+
+    __mul__ = __rmul__ = GradedSeries.__mul__
+
+    @property
+    def nvars(self):
+        return len(self.unit)
+
+    @property
+    def cutoff(self):
+        return self.caps[0]
 
     @classmethod
     def constant(cls, nvars, cutoff, value=1):
-        return cls(nvars, cutoff, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, cutoff, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars, cutoff, index, power=1):
         mono = tuple(power if k == index else 0 for k in range(nvars))
-        return cls(nvars, cutoff, {mono: Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, self.cutoff, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, self.cutoff, other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return MultiPoly(self.nvars, self.cutoff, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, self.cutoff, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, self.cutoff, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(
-                self.nvars, self.cutoff, {m: c * other for m, c in self.terms.items()}
-            )
-        terms = {}
-        cutoff = self.cutoff
-        for ma, ca in self.terms.items():
-            da = sum(ma)
-            for mb, cb in other.terms.items():
-                if da + sum(mb) > cutoff:
-                    continue
-                key = tuple(a + b for a, b in zip(ma, mb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return MultiPoly(self.nvars, self.cutoff, terms)
-
-    __rmul__ = __mul__
+        return cls(nvars, cutoff, {mono: 1})
 
     def __repr__(self):
         return "MultiPoly(nvars=%d, cutoff=%d, %d terms)" % (
@@ -352,19 +316,7 @@ def check_two_alphabet_pfaffian(spec, N, D):
     rhs = rhs * _vandermonde_numerator(N, nvars, D, N)
 
     params = {"r": repr(spec), "N": N, "degree": D}
-    if lhs == rhs:
-        return TauReport("pfaffian-two-alphabet", params, True)
-    keys = set(lhs.terms) | set(rhs.terms)
-    bad = min(
-        (k for k in keys if lhs.terms.get(k, 0) != rhs.terms.get(k, 0)),
-        key=lambda k: (sum(k), k),
-    )
-    return TauReport(
-        "pfaffian-two-alphabet",
-        params,
-        False,
-        (str(bad), lhs.terms.get(bad, Fraction(0)), rhs.terms.get(bad, Fraction(0))),
-    )
+    return compare_series("pfaffian-two-alphabet", params, lhs, rhs, str)
 
 
 def tau_at_xpoint(spec, x, W):
@@ -421,13 +373,6 @@ def check_xpoint_pfaffian(spec, x, W):
         "weight": W,
         "x": [str(v) for v in x.values],
     }
-    if lhs == rhs:
-        return TauReport("pfaffian-one-alphabet", params, True)
-    keys = set(lhs.terms) | set(rhs.terms)
-    bad = min(k for k in keys if lhs.terms.get(k, 0) != rhs.terms.get(k, 0))
-    return TauReport(
-        "pfaffian-one-alphabet",
-        params,
-        False,
-        (str(dict(bad)), lhs.terms.get(bad, Fraction(0)), rhs.terms.get(bad, Fraction(0))),
+    return compare_series(
+        "pfaffian-one-alphabet", params, lhs, rhs, lambda m: str(dict(m))
     )

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .gseries import OddSeries, mono_weight
+from .gseries import OddSeries
 from .partitions import StrictPartition, enumerate_strict
 
 
@@ -42,13 +42,13 @@ class XPoint:
 
 
 @lru_cache(maxsize=None)
-def _h_table(kmax, W):
-    """h_0..h_kmax of e^{sum_{odd m} t_m z^m}, each weight-homogeneous.
+def _h_table(W):
+    """h_0..h_W of e^{sum_{odd m} t_m z^m}, each weight-homogeneous.
 
     Recurrence k h_k = sum_{odd m <= k} m t_m h_{k-m}.
     """
     table = [OddSeries.constant(W)]
-    for k in range(1, kmax + 1):
+    for k in range(1, W + 1):
         acc = OddSeries(W)
         for m in range(1, k + 1, 2):
             acc = acc + OddSeries.variable(W, m) * table[k - m] * Fraction(m)
@@ -62,7 +62,7 @@ def h_k(k, W):
         return OddSeries(W)
     if k > W:
         raise ValueError("h_%d exceeds truncation weight %d" % (k, W))
-    return _h_table(k, W)[k]
+    return _h_table(W)[k]
 
 
 def q_row(n, W):
@@ -86,27 +86,6 @@ def _q_two_row(a, b, W):
     return acc
 
 
-def _pfaffian_series(entries, W):
-    """First-row Pfaffian expansion of a small skew matrix of OddSeries."""
-    n = len(entries)
-    if n == 0:
-        return OddSeries.constant(W)
-
-    def pf(idx):
-        if not idx:
-            return OddSeries.constant(W)
-        first = idx[0]
-        acc = OddSeries(W)
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            rest = idx[1:pos] + idx[pos + 1 :]
-            sign = Fraction((-1) ** (pos - 1))
-            acc = acc + entries[first][j] * pf(rest) * sign
-        return acc
-
-    return pf(tuple(range(n)))
-
-
 @lru_cache(maxsize=None)
 def _q_lambda_cached(parts, W):
     if not parts:
@@ -115,10 +94,14 @@ def _q_lambda_cached(parts, W):
     k = len(padded)
     if k == 2:
         return _q_two_row(padded[0], padded[1], W)
-    entries = [
-        [_q_two_row(padded[i], padded[j], W) for j in range(k)] for i in range(k)
-    ]
-    return _pfaffian_series(entries, W)
+    from .pfaffian import SkewMatrix, pfaffian  # pfaffian imports this module
+
+    upper = {
+        (i, j): _q_two_row(padded[i], padded[j], W)
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    return pfaffian(SkewMatrix(k, upper, OddSeries(W)), one=OddSeries.constant(W))
 
 
 def q_lambda(lam, W):
@@ -136,11 +119,12 @@ def schur_s(mu, W):
     k = len(parts)
     if k == 0:
         return OddSeries.constant(W)
-    table = _h_table(mu.weight + k, W)
+    table = _h_table(W)
 
     def entry(i, j):
+        # h_d is homogeneous of weight d, so it vanishes at truncation W < d
         d = parts[i] - (i + 1) + (j + 1)
-        if d < 0:
+        if d < 0 or d > W:
             return OddSeries(W)
         return table[d]
 

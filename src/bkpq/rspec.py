@@ -124,17 +124,6 @@ class SymmetricRational(RSpec):
             den *= s - bk * bk
         return num / den
 
-    def r_value(self, n):
-        # defined directly at every integer; reflection holds identically
-        s = (Fraction(n) - Fraction(1, 2)) ** 2
-        num = Fraction(1)
-        for ak in self.alpha:
-            num *= s - ak * ak
-        den = Fraction(1)
-        for bk in self.beta:
-            den *= s - bk * bk
-        return num / den
-
     def __repr__(self):
         return "SymmetricRational(alpha=[%s], beta=[%s])" % (
             ",".join(map(str, self.alpha)),
@@ -204,23 +193,8 @@ class Product(RSpec):
     def _r_positive(self, n):
         return self.left.r_value(n) * self.right.r_value(n)
 
-    def r_value(self, n):
-        return self.left.r_value(n) * self.right.r_value(n)
-
     def __repr__(self):
         return "Product(%r, %r)" % (self.left, self.right)
-
-
-def r_value(spec, n):
-    return spec.r_value(n)
-
-
-def check_reflection(spec, n_max=20):
-    return spec.check_reflection(n_max)
-
-
-def r_lambda(spec, lam):
-    return spec.r_lambda(lam)
 
 
 def pochhammer(a, n):
@@ -314,6 +288,8 @@ def parse_rspec(text):
         return Ones()
     if name == "cutoff":
         kv = _parse_kv(body)
+        if "M" not in kv:
+            raise ValueError("cutoff needs the field M, as in cutoff:M=3")
         return Cutoff(int(kv["M"]))
     if name == "ratps":
         kv = _parse_kv(body)

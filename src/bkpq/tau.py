@@ -45,44 +45,22 @@ class TauReport:
         return "TauReport(%s, %s)" % (self.name, "pass" if self.passed else "FAIL")
 
 
-def _mono_str(mono):
-    if isinstance(mono, tuple) and len(mono) == 2 and all(
-        isinstance(p, tuple) for p in mono
-    ):
-        mt, ms = mono
-        return "t:%s t*:%s" % (dict(mt), dict(ms))
-    return str(dict(mono))
+def _bi_label(mono):
+    mt, ms = mono
+    return "t:%s t*:%s" % (dict(mt), dict(ms))
 
 
-def _compare_bi(name, params, lhs, rhs):
-    if lhs == rhs:
+def compare_series(name, params, lhs, rhs, label=_bi_label):
+    """Report lhs == rhs.  A failure's witness is their first differing
+    monomial, written out by label (the default suits BiSeries)."""
+    bad = lhs.first_difference(rhs)
+    if bad is None:
         return TauReport(name, params, True)
-    keys = set(lhs.terms) | set(rhs.terms)
-    bad = min(
-        (k for k in keys if lhs.terms.get(k, 0) != rhs.terms.get(k, 0)),
-        key=lambda k: (mono_weight(k[0]) + mono_weight(k[1]), k),
-    )
     return TauReport(
         name,
         params,
         False,
-        (_mono_str(bad), lhs.terms.get(bad, Fraction(0)), rhs.terms.get(bad, Fraction(0))),
-    )
-
-
-def _compare_odd(name, params, lhs, rhs):
-    if lhs == rhs:
-        return TauReport(name, params, True)
-    keys = set(lhs.terms) | set(rhs.terms)
-    bad = min(
-        (k for k in keys if lhs.terms.get(k, 0) != rhs.terms.get(k, 0)),
-        key=lambda k: (mono_weight(k), k),
-    )
-    return TauReport(
-        name,
-        params,
-        False,
-        (_mono_str(bad), lhs.terms.get(bad, Fraction(0)), rhs.terms.get(bad, Fraction(0))),
+        (label(bad), lhs.terms.get(bad, Fraction(0)), rhs.terms.get(bad, Fraction(0))),
     )
 
 
@@ -136,13 +114,13 @@ def check_cauchy(W):
 
     lhs = tau_bkp(Ones(), W, W)
     rhs = vacuum_kernel(W, W)
-    return _compare_bi("cauchy", {"weight": W}, lhs, rhs)
+    return compare_series("cauchy", {"weight": W}, lhs, rhs)
 
 
 def check_square(spec, W):
     """tau_bkp^2 = tau_kp coefficientwise to joint weight W."""
     t = tau_bkp(spec, W, W)
-    return _compare_bi("square", {"r": repr(spec), "weight": W}, t * t, tau_kp(spec, W, W))
+    return compare_series("square", {"r": repr(spec), "weight": W}, t * t, tau_kp(spec, W, W))
 
 
 def check_symmetry_scaling(spec, a, W):
@@ -151,10 +129,10 @@ def check_symmetry_scaling(spec, a, W):
     if not a:
         raise ValueError("scale must be nonzero")
     t = tau_bkp(spec, W, W)
-    rep = _compare_bi("symmetry-swap", {"r": repr(spec), "weight": W}, t.swap(), t)
+    rep = compare_series("symmetry-swap", {"r": repr(spec), "weight": W}, t.swap(), t)
     if not rep.passed:
         return rep
-    return _compare_bi(
+    return compare_series(
         "symmetry-scaling",
         {"r": repr(spec), "weight": W, "a": str(a)},
         t.substitute_scaled(a),

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 from bkpq import cli
@@ -94,6 +95,55 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, ["hyper", "--b", "0", "--order", "3"])[0] == 2
     assert run(capsys, ["qfun", "--lambda", "1,2", "--weight", "4"])[0] == 2
+    code, _, err = run(capsys, ["tau", "--r", "cutoff:", "--weight", "4"])
+    assert code == 2 and "field M" in err
+    for argv, flag in [
+        (["verify", "--weight", "0"], "--weight"),
+        (["verify", "--weight", "-1"], "--weight"),
+        (["pfaffian-check", "--r", "ones", "--n", "0"], "--n"),
+        (["pfaffian-check", "--r", "ones", "--degree", "0"], "--degree"),
+        (["linear-check", "--r", "ones", "--order", "0"], "--order"),
+        (["linear-check", "--r", "ones", "--weight", "0"], "--weight"),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out and "argument %s:" % flag in err, argv
+
+
+GOLDEN_SHA256 = [
+    (
+        "verify --suite all --weight 8 --seed 0 --json",
+        "4916f20c2f72f995cdcf7303375241f5774897dc14a22f058939c6f7e4545498",
+    ),
+    (
+        "tau --r symrat:alpha=1/3 --weight 8 --json",
+        "0e99944b690d2ecebb33bb28f3bfa585b77b461594ec3bd0edea8a4f1b6634c9",
+    ),
+    (
+        "qfun --lambda 4,2,1 --weight 10 --json",
+        "f4ce9b1a0da16eca4f2da50d3189c78607cbbc5634a5bdf0acf109c4855f1db7",
+    ),
+    (
+        "schur --mu 3,2,1 --weight 8 --json",
+        "d093b7acff114092b2db02a3b1ed96a73b97085cf4fdb696e46a8acb59fe7def",
+    ),
+    (
+        "pfaffian-check --r ratps:a=1/2,3;b=5/2 --n 3 --degree 6 --json",
+        "6a2014f26900b36e18936caf2960d1996c240d09fce21383f3b8755917c2f37b",
+    ),
+    (
+        "hyper --a 1/2 --b 3/2 --order 6 --weight 6 --json",
+        "0a0dd51fec53022fd10736d74784bb92af7eae13d2c45339517d72b5413f7623",
+    ),
+]
+
+
+def test_outputs_byte_identical(capsys):
+    # digests of the stdout of the initial implementation; the same under
+    # any PYTHONHASHSEED
+    for command, digest in GOLDEN_SHA256:
+        code, out, _ = run(capsys, command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_failed_identity_exits_1(capsys, monkeypatch):

@@ -169,6 +169,9 @@ def test_biseries_exp_and_swap():
     assert e.coefficient(((3, 1),), ((3, 1),)) == Fraction(3, 2)
     assert e.coefficient(((1, 2),), ((1, 2),)) == Fraction(1, 8)
     assert (e - e.swap()) == BiSeries(W, W)
+    # exp(t_1 + t*_1) at caps (1, 1) keeps t_1 t*_1, of total weight 2
+    g = BiSeries(1, 1, {(((1, 1),), ()): 1, ((), ((1, 1),)): 1}).exp()
+    assert g.coefficient(((1, 1),), ((1, 1),)) == 1
 
 
 def test_biseries_scaling():
@@ -181,3 +184,29 @@ def test_biseries_scaling():
     # balanced monomials are fixed
     h = pair_term(W, 3).substitute_scaled(a)
     assert h == pair_term(W, 3)
+
+
+def test_first_difference_is_lowest_weight():
+    from bkpq.pfaffian import MultiPoly
+
+    W = 8
+    t1, t3 = OddSeries.variable(W, 1), OddSeries.variable(W, 3)
+    f = t1 * t1 * t1 * 2 + t3 + t1 * t1 * t1 * t3
+    t1_4 = t1 * t1 * t1 * t1
+    # t1^4 is the least monomial but weighs more than t3
+    assert f.first_difference(f - t3 + t1_4) == ((3, 1),)
+    # equal weights fall back to monomial order
+    assert f.first_difference(f + t3 * t1 + t1_4) == ((1, 1), (3, 1))
+    assert f.first_difference(f * 1) is None
+
+    bi = BiSeries(W, W, {(((1, 1),), ((1, 1),)): 1, (((3, 1),), ()): 2})
+    other = BiSeries(W, W, {(((1, 1),), ((1, 1),)): 1, ((), ((5, 1),)): 5})
+    assert bi.first_difference(other) == (((3, 1),), ())
+    assert bi.first_difference(BiSeries(W, W, bi.terms)) is None
+
+    p = MultiPoly(2, 6, {(2, 0): 1, (0, 3): 1, (1, 1): 4})
+    q = MultiPoly(2, 6, {(2, 0): 1, (3, 0): 1, (1, 1): 3})
+    assert p.first_difference(q) == (1, 1)
+    assert p.first_difference(p + 0) is None
+    with pytest.raises(TruncationError):
+        p.first_difference(MultiPoly(2, 5))
