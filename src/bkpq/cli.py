@@ -14,11 +14,7 @@ from fractions import Fraction
 from . import ops, pfaffian, rspec, tau
 from .partitions import Partition, StrictPartition, count_shifted_syt
 from .qschur import XPoint, q_lambda, schur_s
-from .rspec import hook_star, parse_rspec
-
-
-class UsageError(Exception):
-    pass
+from .rspec import hook_star, parse_rational_list, parse_rspec
 
 
 def _parse_parts(text):
@@ -28,17 +24,22 @@ def _parse_parts(text):
     try:
         return [int(p) for p in text.split(",")]
     except ValueError as e:
-        raise UsageError("bad partition %r" % text) from e
+        raise ValueError("bad partition %r" % text) from e
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _int_at_least(low):
+    """An argparse type for integers no less than low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return parse
 
 
 def _emit(args, payload):
@@ -68,8 +69,8 @@ def cmd_tau(args):
 
 
 def cmd_hyper(args):
-    a = [Fraction(v) for v in args.a.split(",")] if args.a else []
-    b = [Fraction(v) for v in args.b.split(",")] if args.b else []
+    a = parse_rational_list(args.a)
+    b = parse_rational_list(args.b)
     coeffs = tau.hyper_one_var(a, b, args.order)
     payload = {"coefficients": [str(c) for c in coeffs]}
     if args.weight:
@@ -161,28 +162,30 @@ def build_parser():
 
     sp = sub.add_parser("qfun", help="projective Schur function Q_lambda(t/2)")
     sp.add_argument("--lambda", dest="lam", required=True, help="parts, e.g. 2,1")
-    sp.add_argument("--weight", type=int, required=True)
+    sp.add_argument("--weight", type=_int_at_least(0), required=True)
     common(sp)
     sp.set_defaults(func=cmd_qfun)
 
     sp = sub.add_parser("schur", help="Schur function s_mu at odd times")
     sp.add_argument("--mu", required=True, help="parts, e.g. 3,1")
-    sp.add_argument("--weight", type=int, required=True)
+    sp.add_argument("--weight", type=_int_at_least(0), required=True)
     common(sp)
     sp.set_defaults(func=cmd_schur)
 
     sp = sub.add_parser("tau", help="BKP hypergeometric tau-function series")
     sp.add_argument("--r", required=True, help="weight-function spec, e.g. cutoff:M=3")
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--wstar", type=int, default=None)
+    sp.add_argument("--weight", type=_int_at_least(0), required=True)
+    sp.add_argument("--wstar", type=_int_at_least(0), default=None)
     common(sp)
     sp.set_defaults(func=cmd_tau)
 
     sp = sub.add_parser("hyper", help="generalized hypergeometric coefficients")
     sp.add_argument("--a", default="", help="comma list of a parameters")
     sp.add_argument("--b", default="", help="comma list of b parameters")
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--weight", type=int, default=0, help="also emit the t_inf tau")
+    sp.add_argument("--order", type=_int_at_least(0), required=True)
+    sp.add_argument(
+        "--weight", type=_int_at_least(0), default=0, help="also emit the t_inf tau"
+    )
     common(sp)
     sp.set_defaults(func=cmd_hyper)
 
@@ -197,23 +200,23 @@ def build_parser():
         choices=["cauchy", "square", "symmetry", "all"],
         default="all",
     )
-    sp.add_argument("--weight", type=_positive_int, default=8)
+    sp.add_argument("--weight", type=_int_at_least(1), default=8)
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("pfaffian-check", help="two-alphabet Pfaffian identity")
     sp.add_argument("--r", required=True)
-    sp.add_argument("--n", type=_positive_int, default=2)
-    sp.add_argument("--degree", type=_positive_int, default=10)
+    sp.add_argument("--n", type=_int_at_least(1), default=2)
+    sp.add_argument("--degree", type=_int_at_least(1), default=10)
     common(sp)
     sp.set_defaults(func=cmd_pfaffian_check)
 
     sp = sub.add_parser("linear-check", help="one-point linear constraint")
     sp.add_argument("--r", required=True)
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--order", type=_positive_int, default=8)
-    sp.add_argument("--weight", type=_positive_int, default=8)
+    sp.add_argument("--m", type=_int_at_least(1), default=3)
+    sp.add_argument("--order", type=_int_at_least(1), default=8)
+    sp.add_argument("--weight", type=_int_at_least(1), default=8)
     common(sp)
     sp.set_defaults(func=cmd_linear_check)
 
@@ -228,7 +231,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

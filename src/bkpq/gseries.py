@@ -3,7 +3,8 @@
 `GradedSeries` is the one sparse core: a dict from monomials to nonzero
 Fractions, truncated grade by grade.  A subclass says how to grade a
 monomial (one weight per cap) and how to multiply two monomials; the ring
-operations, exp, equality and the first differing monomial live here once.
+operations, exp, substitution, equality and the first differing monomial
+live here once.
 
 `OddSeries` is one alphabet of odd times t_1, t_3, t_5, ... with weight m
 for t_m, and `BiSeries` is two such alphabets t and t* with a cap each.
@@ -64,7 +65,8 @@ class GradedSeries:
     `terms` maps monomials to nonzero coefficients, `caps` holds one weight
     cap per grade and `unit` is the monomial of the constant term.  A
     subclass defines `grade(mono)`, the tuple of the monomial's weights in
-    the order of `caps`, and `mono_mul(a, b)`.
+    the order of `caps`, and `mono_mul(a, b)`; one that `substitute` serves
+    also defines `variables(mono)`.
     """
 
     __slots__ = ("caps", "unit", "terms")
@@ -192,6 +194,28 @@ class GradedSeries:
             result = result + power * Fraction(1, factorial(k))
         return result
 
+    def substitute(self, image, one):
+        """The ring map that sends each variable v to image(v).
+
+        The target ring has unit `one` (a Fraction, MultiPoly, OddSeries ...);
+        `variables(mono)` names the variables of a monomial with their
+        exponents.  Each image is computed once per call and its powers are
+        built from the previous one.
+        """
+        powers = {}
+        total = one * 0
+        for mono, c in self.terms.items():
+            term = c
+            for v, e in self.variables(mono):
+                p = powers.get(v)
+                if p is None:
+                    p = powers[v] = [one, image(v)]
+                while len(p) <= e:
+                    p.append(p[-1] * p[1])
+                term = p[e] * term
+            total = total + term
+        return total
+
     def first_difference(self, other):
         """The monomial whose coefficients differ, or None if there is none.
 
@@ -220,6 +244,11 @@ class OddSeries(GradedSeries):
         return (mono_weight(mono),)
 
     mono_mul = staticmethod(mono_mul)
+
+    @staticmethod
+    def variables(mono):
+        """(m, exponent) for each t_m of the monomial."""
+        return mono
 
     # bound in each class body so that tools wrapping a class's own methods
     # (the perfbench tracer) see every series class separately
@@ -318,6 +347,12 @@ class BiSeries(GradedSeries):
     @staticmethod
     def mono_mul(a, b):
         return (mono_mul(a[0], b[0]), mono_mul(a[1], b[1]))
+
+    @staticmethod
+    def variables(mono):
+        """((0, m), exponent) for each t_m and ((1, m), exponent) for each t*_m."""
+        mt, ms = mono
+        return [((0, m), e) for m, e in mt] + [((1, m), e) for m, e in ms]
 
     __mul__ = __rmul__ = GradedSeries.__mul__
     exp = GradedSeries.exp

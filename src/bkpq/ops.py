@@ -90,8 +90,8 @@ def tau_x_series(spec, n_max, W):
 
 def check_linear_eq_N1(spec, m, n_max, W):
     """(d/dt*_m - (x r(-D))^m) tau_r(t(x), t*) = 0, one-point case."""
-    if m % 2 == 0:
-        raise ValueError("m must be odd")
+    if m < 1 or m % 2 == 0:
+        raise ValueError("m must be odd and at least 1, got %d" % m)
     tau = tau_x_series(spec, n_max, W)
     lhs = tau.partial_tstar(m)
     rhs = apply_x_r_negD(tau, spec, power=m)

@@ -147,32 +147,27 @@ def schur_s(mu, W):
     return minor(0, tuple(range(k)))
 
 
-def power_sum_at_x(x, m):
-    """sum_k x_k^m over the points of x."""
-    return sum((v ** m for v in x.values), Fraction(0))
+def miwa(power_sum):
+    """The Miwa map t_m = (2/m) p_m, as an image for GradedSeries.substitute.
+
+    power_sum(m) is the m-th power sum p_m of the points in the target ring.
+    """
+    return lambda m: power_sum(m) * Fraction(2, m)
+
+
+def t_infinity(m):
+    """The principal specialization t_infinity: t_1 = 1, t_m = 0 for m > 1."""
+    return Fraction(m == 1)
 
 
 def eval_at_x(a, x):
     """Substitute t_m = (2/m) sum_k x_k^m into an OddSeries; exact rational."""
-    cache = {}
-    total = Fraction(0)
-    for mono, c in a.terms.items():
-        prod = c
-        for m, e in mono:
-            if m not in cache:
-                cache[m] = Fraction(2, m) * power_sum_at_x(x, m)
-            prod *= cache[m] ** e
-        total += prod
-    return total
+    return a.substitute(miwa(lambda m: sum(v ** m for v in x.values)), Fraction(1))
 
 
 def eval_at_tinfty(a):
-    """Substitute t_1 = 1, t_m = 0 for m > 1."""
-    total = Fraction(0)
-    for mono, c in a.terms.items():
-        if all(m == 1 for m, _ in mono):
-            total += c
-    return total
+    """Substitute t = t_infinity into an OddSeries."""
+    return a.substitute(t_infinity, Fraction(1))
 
 
 def delta(x):

@@ -257,11 +257,20 @@ def rho_check(spec, rho, lam, orientation="i-j"):
     return spec.r_lambda(lam) == rho_content_product(rho, double(lam), orientation)
 
 
-def _parse_rational_list(text):
+def parse_rational(text):
+    """An exact rational from text such as 3, -1/2 or 0.25."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("bad rational %r" % text) from None
+
+
+def parse_rational_list(text):
+    """A comma list of rationals; empty text is the empty list."""
     text = text.strip()
     if not text:
         return []
-    return [Fraction(v) for v in text.split(",")]
+    return [parse_rational(v) for v in text.split(",")]
 
 
 def _parse_kv(body):
@@ -294,14 +303,14 @@ def parse_rspec(text):
     if name == "ratps":
         kv = _parse_kv(body)
         return RationalPS(
-            _parse_rational_list(kv.get("a", "")),
-            _parse_rational_list(kv.get("b", "")),
+            parse_rational_list(kv.get("a", "")),
+            parse_rational_list(kv.get("b", "")),
         )
     if name == "symrat":
         kv = _parse_kv(body)
         return SymmetricRational(
-            _parse_rational_list(kv.get("alpha", "")),
-            _parse_rational_list(kv.get("beta", "")),
+            parse_rational_list(kv.get("alpha", "")),
+            parse_rational_list(kv.get("beta", "")),
         )
     if name == "tparam":
         exp_values = {}
@@ -312,10 +321,10 @@ def parse_rspec(text):
             key = key.strip()
             if not key.startswith("T"):
                 raise ValueError("bad tparam field %r" % field)
-            exp_values[int(key[1:])] = Fraction(val.strip())
+            exp_values[int(key[1:])] = parse_rational(val)
         return TParam(exp_values)
     if name == "table":
-        return Table(_parse_rational_list(body))
+        return Table(parse_rational_list(body))
     if name == "prod":
         if not body.startswith("(") or not body.endswith(")"):
             raise ValueError("prod wants prod:(spec),(spec)")

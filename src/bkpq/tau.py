@@ -8,19 +8,18 @@ truncated series coefficientwise and reports the first failing monomial.
 from fractions import Fraction
 from math import factorial
 
-from .gseries import BiSeries, OddSeries, mono_weight
-from .partitions import StrictPartition, enumerate_partitions, enumerate_strict
+from .gseries import BiSeries, OddSeries
+from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import (
     XPoint,
-    eval_at_tinfty,
     eval_at_x,
-    h_k,
     q_expand,
     q_lambda,
     scalar_product,
     schur_s,
+    t_infinity,
 )
-from .rspec import hook_star, pochhammer, pochhammer_lambda
+from .rspec import content_product_kp, hook_star, pochhammer, pochhammer_lambda
 
 
 class TauReport:
@@ -64,39 +63,49 @@ def compare_series(name, params, lhs, rhs, label=_bi_label):
     )
 
 
+def tau_terms(spec, W, max_length=None):
+    """(2^{-l} r_lambda, Q_lambda(t/2)) over the nonzero strict partitions of
+    weight <= W, and length <= max_length if given, with r_lambda != 0.
+
+    Q_lambda is truncated at W.  tau_r is 1 plus the sum of these terms
+    with Q_lambda(t*/2) as a third factor.
+    """
+    for lam in enumerate_strict(W):
+        if max_length is not None and lam.length > max_length:
+            continue
+        rl = spec.r_lambda(lam)
+        if rl:
+            yield rl / Fraction(2) ** lam.length, q_lambda(lam, W)
+
+
+def _diagonal_sum(terms, W, Wstar):
+    """1 + sum of c f(t) f(t*) over the (c, f) in terms, as a BiSeries."""
+    out = {((), ()): Fraction(1)}
+    for c, f in terms:
+        for mt, ct in f.terms.items():
+            cct = c * ct
+            for ms, cs in f.terms.items():
+                key = (mt, ms)
+                out[key] = out.get(key, 0) + cct * cs
+    return BiSeries(W, Wstar, out)
+
+
 def tau_bkp(spec, W, Wstar):
     """BKP tau function of hypergeometric type, truncated per alphabet."""
-    terms = {((), ()): Fraction(1)}
-    bound = min(W, Wstar)
-    for lam in enumerate_strict(bound):
-        rl = spec.r_lambda(lam)
-        if not rl:
-            continue
-        weight = rl / Fraction(2) ** lam.length
-        q = q_lambda(lam, bound)
-        for mt, ct in q.terms.items():
-            for ms, cs in q.terms.items():
-                key = (mt, ms)
-                terms[key] = terms.get(key, Fraction(0)) + weight * ct * cs
-    return BiSeries(W, Wstar, terms)
+    return _diagonal_sum(tau_terms(spec, min(W, Wstar)), W, Wstar)
 
 
 def tau_kp(spec, W, Wstar):
     """KP tau function of hypergeometric type at odd times."""
-    from .rspec import content_product_kp
-
-    terms = {((), ()): Fraction(1)}
     bound = min(W, Wstar)
-    for mu in enumerate_partitions(bound):
-        rmu = content_product_kp(spec, mu)
-        if not rmu:
-            continue
-        s = schur_s(mu, bound)
-        for mt, ct in s.terms.items():
-            for ms, cs in s.terms.items():
-                key = (mt, ms)
-                terms[key] = terms.get(key, Fraction(0)) + rmu * ct * cs
-    return BiSeries(W, Wstar, terms)
+
+    def terms():
+        for mu in enumerate_partitions(bound):
+            rmu = content_product_kp(spec, mu)
+            if rmu:
+                yield rmu, schur_s(mu, bound)
+
+    return _diagonal_sum(terms(), W, Wstar)
 
 
 def vacuum_kernel(W, Wstar):
@@ -141,12 +150,27 @@ def check_symmetry_scaling(spec, a, W):
 
 
 def substitute_tstar_tinfty(bi):
-    """Collapse the t* alphabet of a BiSeries at t* = (1, 0, 0, ...)."""
-    terms = {}
-    for (mt, ms), c in bi.terms.items():
-        if all(m == 1 for m, _ in ms):
-            terms[mt] = terms.get(mt, Fraction(0)) + c
-    return OddSeries(bi.truncation_weight, terms)
+    """Collapse the t* alphabet of a BiSeries at t* = t_infinity."""
+    W = bi.truncation_weight
+
+    def image(v):
+        alphabet, m = v
+        return t_infinity(m) if alphabet else OddSeries.variable(W, m)
+
+    return bi.substitute(image, OddSeries.constant(W))
+
+
+def _pochhammer_ratio(a_list, b_list, poch, arg):
+    """prod poch(a_k, arg) / prod poch(b_k, arg); a zero denominator is refused."""
+    c = Fraction(1)
+    for a in a_list:
+        c *= poch(a, arg)
+    for b in b_list:
+        den = poch(b, arg)
+        if not den:
+            raise ValueError("b parameter %s is a nonpositive integer" % b)
+        c /= den
+    return c
 
 
 def tau_hyper_tinfty(a_list, b_list, W):
@@ -158,31 +182,25 @@ def tau_hyper_tinfty(a_list, b_list, W):
     b_list = [Fraction(b) for b in b_list]
     acc = OddSeries.constant(W)
     for lam in enumerate_strict(W):
-        c = Fraction(1) / hook_star(lam) / Fraction(2) ** lam.length
-        for a in a_list:
-            c *= pochhammer_lambda(a, lam)
-        for b in b_list:
-            c /= pochhammer_lambda(b, lam)
+        c = _pochhammer_ratio(a_list, b_list, pochhammer_lambda, lam)
+        c = c / hook_star(lam) / Fraction(2) ** lam.length
         if c:
             acc = acc + q_lambda(lam, W) * c
     return acc
 
 
 def tau_symmetric_hyper(alpha, beta, W):
-    """tau_bkp for the symmetric-rational weight with t* = t_infinity."""
-    alpha = [Fraction(a) for a in alpha]
-    beta = [Fraction(b) for b in beta]
+    """tau_bkp for the symmetric-rational weight with t* = t_infinity.
+
+    (n - 1/2)^2 - alpha^2 = (alpha + 1/2 + n - 1)(-alpha + 1/2 + n - 1), so
+    this is tau_hyper_tinfty with the parameters +-alpha + 1/2, +-beta + 1/2.
+    """
     half = Fraction(1, 2)
-    acc = OddSeries.constant(W)
-    for lam in enumerate_strict(W):
-        c = Fraction(1) / hook_star(lam) / Fraction(2) ** lam.length
-        for a in alpha:
-            c *= pochhammer_lambda(a + half, lam) * pochhammer_lambda(-a + half, lam)
-        for b in beta:
-            c /= pochhammer_lambda(b + half, lam) * pochhammer_lambda(-b + half, lam)
-        if c:
-            acc = acc + q_lambda(lam, W) * c
-    return acc
+
+    def shifted(values):
+        return [s * Fraction(v) + half for v in values for s in (1, -1)]
+
+    return tau_hyper_tinfty(shifted(alpha), shifted(beta), W)
 
 
 def hyper_one_var(a_list, b_list, order):
@@ -192,18 +210,10 @@ def hyper_one_var(a_list, b_list, order):
     """
     a_list = [Fraction(a) for a in a_list]
     b_list = [Fraction(b) for b in b_list]
-    out = []
-    for n in range(order + 1):
-        c = Fraction(1, factorial(n))
-        for a in a_list:
-            c *= pochhammer(a, n)
-        for b in b_list:
-            poch = pochhammer(b, n)
-            if not poch:
-                raise ValueError("b parameter %s is a nonpositive integer" % b)
-            c /= poch
-        out.append(c)
-    return out
+    return [
+        _pochhammer_ratio(a_list, b_list, pochhammer, n) / factorial(n)
+        for n in range(order + 1)
+    ]
 
 
 def tau_single_x_coefficients(spec, order):
@@ -212,18 +222,9 @@ def tau_single_x_coefficients(spec, order):
     A weight-n homogeneous t-polynomial evaluates at a single point x to
     (value at x=1) x^n, so coefficients group by t-weight.
     """
-    bi = tau_bkp(spec, order, order)
-    one = XPoint([Fraction(1)])
-    out = [Fraction(0)] * (order + 1)
-    for (mt, ms), c in bi.terms.items():
-        w = mono_weight(mt)
-        if w > order or any(m != 1 for m, _ in ms):
-            continue
-        val = Fraction(1)
-        for m, e in mt:
-            val *= Fraction(2, m) ** e
-        out[w] += c * val
-    return out
+    tau_x = substitute_tstar_tinfty(tau_bkp(spec, order, order))
+    one = XPoint([1])
+    return [eval_at_x(tau_x.weight_component(n), one) for n in range(order + 1)]
 
 
 def scalar_product_r(f, g, spec):
@@ -251,17 +252,6 @@ def _exp_kernel(t_values, W):
     return OddSeries(W, terms).exp()
 
 
-def _eval_bi(bi, t_values, tstar_values):
-    total = Fraction(0)
-    for (mt, ms), c in bi.terms.items():
-        for m, e in mt:
-            c *= Fraction(t_values.get(m, 0)) ** e
-        for m, e in ms:
-            c *= Fraction(tstar_values.get(m, 0)) ** e
-        total += c
-    return total
-
-
 def check_tau_scalar(spec, W, t_values, tstar_values):
     """tau_bkp equals the r-pairing of the two exponential kernels.
 
@@ -273,7 +263,10 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
     f = _exp_kernel(t_values, W)
     g = _exp_kernel(tstar_values, W)
     lhs = scalar_product_r(f, g, spec)
-    rhs = _eval_bi(tau_bkp(spec, W, W), t_values, tstar_values)
+    values = (t_values, tstar_values)
+    rhs = tau_bkp(spec, W, W).substitute(
+        lambda v: Fraction(values[v[0]].get(v[1], 0)), Fraction(1)
+    )
     params = {
         "r": repr(spec),
         "weight": W,

@@ -104,9 +104,26 @@ def test_usage_errors_exit_2(capsys):
         (["pfaffian-check", "--r", "ones", "--degree", "0"], "--degree"),
         (["linear-check", "--r", "ones", "--order", "0"], "--order"),
         (["linear-check", "--r", "ones", "--weight", "0"], "--weight"),
+        (["linear-check", "--r", "ones", "--m", "-1"], "--m"),
+        (["tau", "--r", "ones", "--weight", "-2"], "--weight"),
+        (["tau", "--r", "ones", "--weight", "2", "--wstar", "-1"], "--wstar"),
+        (["qfun", "--lambda", "1", "--weight", "-1"], "--weight"),
+        (["schur", "--mu", "1", "--weight", "-1"], "--weight"),
+        (["hyper", "--a", "1", "--order", "-1"], "--order"),
+        (["hyper", "--a", "1", "--order", "2", "--weight", "-1"], "--weight"),
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and "argument %s:" % flag in err, argv
+    for argv, text in [
+        (["tau", "--r", "table:1/0", "--weight", "4"], "'1/0'"),
+        (["tau", "--r", "tparam:T1=2/0", "--weight", "4"], "'2/0'"),
+        (["hyper", "--a", "1/0", "--order", "2"], "'1/0'"),
+        (["hyper", "--b", "x", "--order", "2"], "'x'"),
+        # (-1)_1 is nonzero, but (-1)_2 is zero in the t_infinity series
+        (["hyper", "--b", "-1", "--order", "1", "--weight", "3"], "-1"),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out and text in err and "Traceback" not in err, argv
 
 
 GOLDEN_SHA256 = [

@@ -210,3 +210,43 @@ def test_first_difference_is_lowest_weight():
     assert p.first_difference(p + 0) is None
     with pytest.raises(TruncationError):
         p.first_difference(MultiPoly(2, 5))
+
+
+def test_substitute_is_a_ring_map():
+    from bkpq.pfaffian import MultiPoly
+
+    rng = random.Random(31)
+    W, low = 8, 4  # weights <= low each, so no product loses a term to W
+
+    def rand_bi():
+        t, ts = rand_series(rng, low), rand_series(rng, low)
+        terms = {((), ()): Fraction(rng.randint(-3, 3))}
+        terms.update(((mt, ()), c) for mt, c in t.terms.items())
+        for mt, ct in t.terms.items():
+            for ms, cs in ts.terms.items():
+                if rng.random() < 0.5:
+                    terms[(mt, ms)] = ct * cs
+        return BiSeries(W, W, terms)
+
+    values = {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for m in (1, 3, 5, 7)}
+    # t_m goes to a degree-m polynomial in x, y; t*_m to one in y alone
+    poly = MultiPoly.constant(2, 2 * W)
+    x = [MultiPoly.variable(2, 2 * W, k, m) for k in (0, 1) for m in range(8)]
+    odd_targets = [
+        (lambda m: values[m], Fraction(1)),
+        (lambda m: x[m] * 2 - x[8 + m], poly),
+    ]
+    bi_targets = [
+        (lambda v: values[v[1]] * (1 - 2 * v[0]), Fraction(1)),
+        (lambda v: x[8 * v[0] + v[1]] + x[8 + v[1]] * 3, poly),
+    ]
+    cases = [
+        ([rand_series(rng, low).retruncate(W) + k for k in (1, -2)], odd_targets),
+        ([rand_bi(), rand_bi()], bi_targets),
+    ]
+    for (a, b), targets in cases:
+        for image, one in targets:
+            sa, sb = a.substitute(image, one), b.substitute(image, one)
+            assert (a * b).substitute(image, one) == sa * sb
+            assert (a + b).substitute(image, one) == sa + sb
+            assert sa != 0 and sb != 0

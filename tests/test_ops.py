@@ -92,8 +92,11 @@ def test_linear_equation_one_point():
 
 
 def test_linear_equation_rejects_even_m():
-    with pytest.raises(ValueError):
-        check_linear_eq_N1(Ones(), 2, 6, 6)
+    # a negative odd m is refused too: partial(-1) is zero and (x r(-D))^-1
+    # applies no step, so it would read as a failed identity
+    for m in (2, 0, -1, -3):
+        with pytest.raises(ValueError):
+            check_linear_eq_N1(Ones(), m, 6, 6)
 
 
 class NoReflection(RSpec):

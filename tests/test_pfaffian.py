@@ -1,11 +1,15 @@
 """Pfaffians over generic rings and the two Pfaffian representations of the
 tau series: the two-alphabet matrix identity and the x-point matrix."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bkpq
 from bkpq.gseries import OddSeries
 from bkpq.partitions import StrictPartition, enumerate_strict
 from bkpq.pfaffian import (
@@ -116,6 +120,41 @@ def test_two_alphabet_pfaffian_identity():
     assert check_two_alphabet_pfaffian(Cutoff(2), 2, 6).passed
     assert check_two_alphabet_pfaffian(RationalPS([1], [2]), 2, 6).passed
     assert check_two_alphabet_pfaffian(SymmetricRational([F(1, 3)], []), 1, 6).passed
+
+
+# counts the term pairs of every MultiPoly product in one two-alphabet check
+PAIR_COUNT = """
+from bkpq import pfaffian, rspec
+pairs = 0
+mul = pfaffian.MultiPoly.__mul__
+def counting(a, b):
+    global pairs
+    if isinstance(b, pfaffian.MultiPoly):
+        pairs += len(a.terms) * len(b.terms)
+    return mul(a, b)
+pfaffian.MultiPoly.__mul__ = counting
+assert pfaffian.check_two_alphabet_pfaffian(rspec.Cutoff(3), 3, 8).passed
+print(pairs)
+"""
+
+
+def test_two_alphabet_work_is_hash_seed_independent():
+    # the clearing factors are multiplied in a fixed order, so the work does
+    # not follow the iteration order of a set of string-keyed tuples
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bkpq.__file__)))
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", PAIR_COUNT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        counts.append(int(run.stdout))
+    assert counts[0] == counts[1] > 0
 
 
 def test_tau_at_xpoint_matches_direct_sum():
