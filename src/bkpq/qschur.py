@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 
 from .gseries import OddSeries
-from .partitions import StrictPartition, enumerate_strict
+from .partitions import conjugate, enumerate_strict
 
 
 class XPoint:
@@ -111,11 +111,9 @@ def q_lambda(lam, W):
     return _q_lambda_cached(lam.parts, W)
 
 
-def schur_s(mu, W):
-    """Schur function s_mu(t_1, 0, t_3, 0, ...) via the Jacobi-Trudi determinant."""
-    if mu.weight > W:
-        raise ValueError("partition weight %d exceeds truncation %d" % (mu.weight, W))
-    parts = mu.parts
+@lru_cache(maxsize=None)
+def _schur_cached(parts, W):
+    """Jacobi-Trudi det(h_{parts_i - i + j}) by minor expansion down the rows."""
     k = len(parts)
     if k == 0:
         return OddSeries.constant(W)
@@ -145,6 +143,20 @@ def schur_s(mu, W):
         return acc
 
     return minor(0, tuple(range(k)))
+
+
+def schur_s(mu, W):
+    """Schur function s_mu(t_1, 0, t_3, 0, ...) via the Jacobi-Trudi determinant.
+
+    At odd times the involution omega fixes every power sum, so s_mu equals
+    s_mu' (Macdonald, Symmetric Functions, I.2-I.3); the determinant is
+    expanded on whichever of mu and mu' has fewer rows (mu on a tie).
+    """
+    if mu.weight > W:
+        raise ValueError("partition weight %d exceeds truncation %d" % (mu.weight, W))
+    parts = mu.parts
+    conj = conjugate(mu).parts
+    return _schur_cached(conj if len(conj) < len(parts) else parts, W)
 
 
 def miwa(power_sum):

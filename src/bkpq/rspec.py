@@ -273,13 +273,20 @@ def parse_rational_list(text):
     return [parse_rational(v) for v in text.split(",")]
 
 
-def _parse_kv(body):
+def _parse_kv(name, body, fields):
+    """The key=value fields of an r-spec body; an unknown or repeated key is refused."""
     out = {}
     for field in body.split(";"):
         if not field:
             continue
         key, _, val = field.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in fields:
+            known = ", ".join(fields)
+            raise ValueError("%s has no field %r; its fields are %s" % (name, key, known))
+        if key in out:
+            raise ValueError("%s field %s given twice" % (name, key))
+        out[key] = val.strip()
     return out
 
 
@@ -294,20 +301,22 @@ def parse_rspec(text):
     name, _, body = text.partition(":")
     name = name.strip().lower()
     if name == "ones":
+        if body.strip():
+            raise ValueError("ones takes no fields, got %r" % body)
         return Ones()
     if name == "cutoff":
-        kv = _parse_kv(body)
+        kv = _parse_kv(name, body, ("M",))
         if "M" not in kv:
             raise ValueError("cutoff needs the field M, as in cutoff:M=3")
         return Cutoff(int(kv["M"]))
     if name == "ratps":
-        kv = _parse_kv(body)
+        kv = _parse_kv(name, body, ("a", "b"))
         return RationalPS(
             parse_rational_list(kv.get("a", "")),
             parse_rational_list(kv.get("b", "")),
         )
     if name == "symrat":
-        kv = _parse_kv(body)
+        kv = _parse_kv(name, body, ("alpha", "beta"))
         return SymmetricRational(
             parse_rational_list(kv.get("alpha", "")),
             parse_rational_list(kv.get("beta", "")),
@@ -319,9 +328,12 @@ def parse_rspec(text):
                 continue
             key, _, val = field.partition("=")
             key = key.strip()
-            if not key.startswith("T"):
+            if not key.startswith("T") or not key[1:].isdigit():
                 raise ValueError("bad tparam field %r" % field)
-            exp_values[int(key[1:])] = parse_rational(val)
+            n = int(key[1:])
+            if n in exp_values:
+                raise ValueError("tparam field T%d given twice" % n)
+            exp_values[n] = parse_rational(val)
         return TParam(exp_values)
     if name == "table":
         return Table(parse_rational_list(body))

@@ -8,7 +8,7 @@ truncated series coefficientwise and reports the first failing monomial.
 from fractions import Fraction
 from math import factorial
 
-from .gseries import BiSeries, OddSeries
+from .gseries import BiSeries, OddSeries, mono_weight
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import (
     XPoint,
@@ -227,19 +227,28 @@ def tau_single_x_coefficients(spec, order):
     return [eval_at_x(tau_x.weight_component(n), one) for n in range(order + 1)]
 
 
-def scalar_product_r(f, g, spec):
-    """Deformed pairing sum over lambda of c_lambda(f) c_lambda(g) 2^l r_lambda.
+def scalar_product_r_by_weight(f, g, spec):
+    """scalar_product_r split by partition weight: {|lambda|: sum of its terms}.
 
-    Includes the empty partition through the constant terms.
+    The constant terms give the entry at weight 0.
     """
-    total = f.constant_term() * g.constant_term()
+    out = {0: f.constant_term() * g.constant_term()}
     cf = q_expand(f)
     cg = q_expand(g)
     for lam, a in cf.items():
         b = cg.get(lam)
         if b:
-            total += a * b * Fraction(2) ** lam.length * spec.r_lambda(lam)
-    return total
+            w = lam.weight
+            out[w] = out.get(w, 0) + a * b * Fraction(2) ** lam.length * spec.r_lambda(lam)
+    return out
+
+
+def scalar_product_r(f, g, spec):
+    """Deformed pairing sum over lambda of c_lambda(f) c_lambda(g) 2^l r_lambda.
+
+    Includes the empty partition through the constant terms.
+    """
+    return sum(scalar_product_r_by_weight(f, g, spec).values())
 
 
 def _exp_kernel(t_values, W):
@@ -262,11 +271,15 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
     """
     f = _exp_kernel(t_values, W)
     g = _exp_kernel(tstar_values, W)
-    lhs = scalar_product_r(f, g, spec)
+    lhs_by_weight = scalar_product_r_by_weight(f, g, spec)
+    lhs = sum(lhs_by_weight.values())
     values = (t_values, tstar_values)
-    rhs = tau_bkp(spec, W, W).substitute(
-        lambda v: Fraction(values[v[0]].get(v[1], 0)), Fraction(1)
-    )
+
+    def image(v):
+        return Fraction(values[v[0]].get(v[1], 0))
+
+    bkp = tau_bkp(spec, W, W)
+    rhs = bkp.substitute(image, Fraction(1))
     params = {
         "r": repr(spec),
         "weight": W,
@@ -275,4 +288,14 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
     }
     if lhs == rhs:
         return TauReport("tau-scalar", params, True)
-    return TauReport("tau-scalar", params, False, ("<kernels>", lhs, rhs))
+
+    # Q_lambda(t/2) Q_lambda(t*/2) has t-weight |lambda|: the lowest weight
+    # whose two parts differ is the witness
+    def rhs_at(w):
+        part = {m: c for m, c in bkp.terms.items() if mono_weight(m[0]) == w}
+        return BiSeries(W, W, part).substitute(image, Fraction(1))
+
+    for w in range(W + 1):
+        lhs_w, rhs_w = lhs_by_weight.get(w, Fraction(0)), rhs_at(w)
+        if lhs_w != rhs_w:
+            return TauReport("tau-scalar", params, False, ("weight %d" % w, lhs_w, rhs_w))

@@ -121,6 +121,11 @@ def test_usage_errors_exit_2(capsys):
         (["hyper", "--b", "x", "--order", "2"], "'x'"),
         # (-1)_1 is nonzero, but (-1)_2 is zero in the t_infinity series
         (["hyper", "--b", "-1", "--order", "1", "--weight", "3"], "-1"),
+        (["tau", "--r", "symrat:alpha=1/3;bta=1/5", "--weight", "4"], "'bta'"),
+        (["tau", "--r", "ratps:a=1;c=2", "--weight", "4"], "'c'"),
+        (["tau", "--r", "tparam:T1=2,T1=3", "--weight", "4"], "T1"),
+        (["tau", "--r", "cutoff:M=3;M=4", "--weight", "4"], "field M"),
+        (["tau", "--r", "ones:garbage", "--weight", "4"], "'garbage'"),
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and text in err and "Traceback" not in err, argv
@@ -150,6 +155,15 @@ GOLDEN_SHA256 = [
     (
         "hyper --a 1/2 --b 3/2 --order 6 --weight 6 --json",
         "0a0dd51fec53022fd10736d74784bb92af7eae13d2c45339517d72b5413f7623",
+    ),
+    (
+        # mu' = (5, 1, 1, 1) is shorter than mu, so s_mu is expanded on mu'
+        "schur --mu 4,1,1,1,1 --weight 10 --json",
+        "de44ce2ccdd588d6439f9d43b99bd3476686d71d8b7510f89a6596cdf2e34963",
+    ),
+    (
+        "verify --suite square --weight 12 --seed 0 --json",
+        "606ffe9b812e9150aa196bb2f2a1f47c1881cc95bf796c57866722d8bb57f04b",
     ),
 ]
 

@@ -10,7 +10,9 @@ from bkpq.gseries import OddSeries
 from bkpq.partitions import (
     Partition,
     StrictPartition,
+    conjugate,
     double,
+    enumerate_partitions,
     enumerate_strict,
 )
 from bkpq.qschur import (
@@ -78,6 +80,43 @@ def test_schur_frozen_values():
     assert (schur_s(Partition([1]), W) - t1).is_zero()
     s21 = schur_s(Partition([2, 1]), W)
     assert (s21 - (t1 * t1 * t1 * F(1, 3) - t3)).is_zero()
+
+
+def _jacobi_trudi_full_rows(mu, W):
+    """Reference s_mu: Jacobi-Trudi on all the rows of mu, no cache, no conjugate."""
+    parts = mu.parts
+    k = len(parts)
+
+    def entry(i, j):
+        d = parts[i] - i + j
+        if d < 0 or d > W:
+            return OddSeries(W)
+        return h_k(d, W)
+
+    memo = {}
+
+    def minor(row, cols):
+        if row == k:
+            return OddSeries.constant(W)
+        key = (row, cols)
+        if key not in memo:
+            acc = OddSeries(W)
+            for pos, j in enumerate(cols):
+                sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
+                acc = acc + entry(row, j) * sub * F((-1) ** pos)
+            memo[key] = acc
+        return memo[key]
+
+    return minor(0, tuple(range(k)))
+
+
+def test_schur_matches_full_row_jacobi_trudi_on_mu_and_conjugate():
+    # s_mu = s_mu' at odd times; schur_s expands only the shorter of the two
+    W = 8
+    for mu in [Partition([])] + enumerate_partitions(W):
+        got = schur_s(mu, W)
+        assert got == _jacobi_trudi_full_rows(mu, W), mu
+        assert got == _jacobi_trudi_full_rows(conjugate(mu), W), mu
 
 
 def test_square_identity_small():

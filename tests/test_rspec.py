@@ -208,3 +208,17 @@ def test_parse_rspec_errors():
         parse_rspec("prod:cutoff:M=2,ones")
     with pytest.raises(RValueError):
         parse_rspec("symrat:alpha=;beta=1/2")
+    # unknown, repeated and stray fields are refused by name, not dropped
+    for text, named in [
+        ("symrat:alpha=1/3;bta=1/5", "'bta'"),
+        ("ratps:a=1;c=2", "'c'"),
+        ("tparam:T1=2,T1=3", "T1"),
+        ("cutoff:M=3;M=4", "M"),
+        ("ones:garbage", "'garbage'"),
+        ("tparam:Tx=2", "'Tx=2'"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            parse_rspec(text)
+    # missing optional fields stay valid
+    assert parse_rspec("symrat:alpha=1/3").beta == ()
+    assert parse_rspec("ratps:a=1;b=").b == ()

@@ -9,6 +9,7 @@ from bkpq.gseries import BiSeries, OddSeries
 from bkpq.partitions import StrictPartition, enumerate_strict
 from bkpq.qschur import q_lambda, scalar_product
 from bkpq.rspec import Cutoff, Ones, RationalPS, SymmetricRational, TParam
+from bkpq import tau as tau_module
 from bkpq.tau import (
     check_cauchy,
     check_square,
@@ -170,6 +171,27 @@ def test_check_tau_scalar_dual_route():
     sv = {1: F(1, 5), 3: F(-1, 7)}
     for spec in (Ones(), Cutoff(2), RationalPS([1], [2])):
         assert check_tau_scalar(spec, 6, tv, sv).passed
+
+
+def test_check_tau_scalar_witness_names_lowest_failing_weight(monkeypatch):
+    # extra t_3 t*_3 and t_1^2 t_3 t*_1^2 t*_3 terms on the series side break
+    # the identity at partition weights 3 and 5; weights 0-2 still agree
+    real = tau_module.tau_bkp
+    w5 = ((1, 2), (3, 1))
+    extra = {(((3, 1),), ((3, 1),)): F(1), (w5, w5): F(1)}
+
+    def broken(spec, W, Wstar):
+        return real(spec, W, Wstar) + BiSeries(W, Wstar, extra)
+
+    monkeypatch.setattr(tau_module, "tau_bkp", broken)
+    tv = {1: F(1, 2), 3: F(1, 3)}
+    sv = {1: F(1, 5), 3: F(-1, 7)}
+    rep = check_tau_scalar(Ones(), 6, tv, sv)
+    assert not rep.passed
+    label, lhs, rhs = rep.witness
+    assert label == "weight 3"
+    assert rhs - lhs == F(1, 3) * F(-1, 7)
+    assert rep.to_json()["witness"]["monomial"] == "weight 3"
 
 
 def pair_tstar_against(bi, g):
