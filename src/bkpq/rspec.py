@@ -15,7 +15,11 @@ class RValueError(ValueError):
 
 
 class RSpec:
-    """Base for weight-function variants.  Subclasses define r at n >= 1."""
+    """Base for weight-function variants.  Subclasses define r at n >= 1.
+
+    A spec must not be changed once built: r_prefix keeps the products it
+    has computed on the instance.
+    """
 
     def _r_positive(self, n):
         raise NotImplementedError
@@ -27,13 +31,16 @@ class RSpec:
         return self._r_positive(n)
 
     def r_prefix(self, n):
-        """The telescoped product r(1) r(2) ... r(n)."""
-        out = Fraction(1)
-        for k in range(1, n + 1):
-            out *= self.r_value(k)
-            if not out:
-                return out
-        return out
+        """The telescoped product r(1) r(2) ... r(n), 1 for n <= 0.
+
+        The products for 0..n are kept on the spec and extended on demand;
+        once a product is 0, later ones are 0 without asking r for a value.
+        """
+        prefixes = self.__dict__.setdefault("_prefixes", [Fraction(1)])
+        while len(prefixes) <= n:
+            last = prefixes[-1]
+            prefixes.append(last * self.r_value(len(prefixes)) if last else last)
+        return prefixes[max(n, 0)]
 
     def r_lambda(self, lam):
         """prod_i r(1)...r(n_i) over the parts of a strict partition."""
@@ -57,10 +64,15 @@ class Ones(RSpec):
 
 
 class Cutoff(RSpec):
-    """r(n) = 1 for n < M and 0 for n >= M; yields rational solutions."""
+    """r(n) = 1 for n < M and 0 for n >= M; yields rational solutions.
+
+    M = 1 is the trivial tau = 1; M < 1 is refused, as it is no separate case.
+    """
 
     def __init__(self, M):
         self.M = int(M)
+        if self.M < 1:
+            raise RValueError("cutoff M must be at least 1, got M=%d" % self.M)
 
     def _r_positive(self, n):
         return Fraction(1) if n < self.M else Fraction(0)

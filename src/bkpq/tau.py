@@ -6,7 +6,7 @@ truncated series coefficientwise and reports the first failing monomial.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .gseries import BiSeries, OddSeries, mono_weight
 from .partitions import enumerate_partitions, enumerate_strict
@@ -79,15 +79,28 @@ def tau_terms(spec, W, max_length=None):
 
 
 def _diagonal_sum(terms, W, Wstar):
-    """1 + sum of c f(t) f(t*) over the (c, f) in terms, as a BiSeries."""
-    out = {((), ()): Fraction(1)}
+    """1 + sum of c f(t) f(t*) over the (c, f) in terms, as a BiSeries.
+
+    Summed in integers: each f becomes integer numerators over the lcm of its
+    denominators, every term is scaled to one common denominator L, and each
+    output coefficient is divided by L once.  Every f is truncated at
+    min(W, Wstar), so every product lies within the caps.
+    """
+    scaled = []
     for c, f in terms:
-        for mt, ct in f.terms.items():
-            cct = c * ct
-            for ms, cs in f.terms.items():
+        den_f = lcm(*(v.denominator for v in f.terms.values()))
+        nums = [(m, v.numerator * (den_f // v.denominator)) for m, v in f.terms.items()]
+        scaled.append((c.numerator, c.denominator * den_f * den_f, nums))
+    L = lcm(1, *(d for _, d, _ in scaled))
+    out = {((), ()): L}
+    for k, d, nums in scaled:
+        k *= L // d
+        for mt, a in nums:
+            ka = k * a
+            for ms, b in nums:
                 key = (mt, ms)
-                out[key] = out.get(key, 0) + cct * cs
-    return BiSeries(W, Wstar, out)
+                out[key] = out.get(key, 0) + ka * b
+    return BiSeries(W, Wstar)._like({m: Fraction(v, L) for m, v in out.items()})
 
 
 def tau_bkp(spec, W, Wstar):

@@ -126,6 +126,11 @@ def test_usage_errors_exit_2(capsys):
         (["tau", "--r", "tparam:T1=2,T1=3", "--weight", "4"], "T1"),
         (["tau", "--r", "cutoff:M=3;M=4", "--weight", "4"], "field M"),
         (["tau", "--r", "ones:garbage", "--weight", "4"], "'garbage'"),
+        (["pfaffian-check", "--r", "cutoff:M=-3", "--n", "2", "--degree", "4", "--json"], "M=-3"),
+        (
+            ["linear-check", "--r", "cutoff:M=0", "--m", "1", "--order", "4", "--weight", "4", "--json"],
+            "M=0",
+        ),
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and text in err and "Traceback" not in err, argv
@@ -164,6 +169,16 @@ GOLDEN_SHA256 = [
     (
         "verify --suite square --weight 12 --seed 0 --json",
         "606ffe9b812e9150aa196bb2f2a1f47c1881cc95bf796c57866722d8bb57f04b",
+    ),
+    (
+        # unequal caps and large common denominators in the integer tau sum
+        "tau --r ratps:a=3/4,5/2;b=2/3 --weight 10 --wstar 6 --json",
+        "ec47589a3fbabd6fdf5fc24f08bb925d581a54c432a30801793c7d9c9e56e532",
+    ),
+    (
+        # the zero r(3) ends every prefix before r(5) is asked of the table
+        "tau --r table:1,1/2,0,3 --weight 7 --json",
+        "9d4ccbd39826c376e5f7e94f0d3eb7b058a891cc9f1dd61e95600b8d72105eec",
     ),
 ]
 

@@ -10,6 +10,7 @@ from bkpq.rspec import (
     Ones,
     Product,
     RationalPS,
+    RSpec,
     RValueError,
     SymmetricRational,
     Table,
@@ -41,6 +42,10 @@ def test_cutoff():
     assert spec.check_reflection()
     assert spec.r_lambda(StrictPartition([2, 1])) == 1
     assert spec.r_lambda(StrictPartition([3, 1])) == 0
+    assert Cutoff(1).r_prefix(1) == 0
+    for M in (0, -3):
+        with pytest.raises(RValueError, match="M=%d" % M):
+            Cutoff(M)
 
 
 def test_rational_ps_values():
@@ -57,6 +62,50 @@ def test_rational_ps_prefix_is_pochhammer_quotient():
     for n in range(9):
         want = pochhammer(F(1, 2), n) * pochhammer(3, n) / pochhammer(F(5, 2), n)
         assert spec.r_prefix(n) == want
+
+
+def _fresh_prefix(spec, n):
+    out = F(1)
+    for k in range(1, n + 1):
+        out *= spec.r_value(k)
+    return out
+
+
+class Shifted(RSpec):
+    """Overrides r_value itself, as a user subclass may."""
+
+    def r_value(self, n):
+        return F(n + 5)
+
+
+def test_r_prefix_memo_matches_fresh_product():
+    makers = [
+        lambda: RationalPS([F(1, 2), 3], [F(5, 2)]),
+        lambda: SymmetricRational([F(1, 3)], [F(1, 5)]),
+        lambda: Product(Cutoff(4), RationalPS([2], [F(1, 3)])),
+        Shifted,
+    ]
+    for make in makers:
+        for order in (range(9, -1, -1), range(10), (3, 7, 2, 9, 0, 5)):
+            spec, oracle = make(), make()
+            for n in order:
+                assert spec.r_prefix(n) == _fresh_prefix(oracle, n), (spec, n)
+    assert Shifted().r_prefix(3) == 6 * 7 * 8
+
+
+def test_r_prefix_past_a_zero_asks_no_further_value():
+    spec = Table([1, 0])
+    assert spec.r_prefix(5) == 0
+    assert spec.r_prefix(1) == 1
+
+
+def test_r_prefix_out_of_range_raises_every_time():
+    spec = Table([1, 2])
+    for _ in range(2):
+        with pytest.raises(RValueError):
+            spec.r_prefix(4)
+    assert spec.r_prefix(2) == 2
+    assert spec.r_prefix(1) == 1
 
 
 def test_rational_ps_rejects_vanishing_denominator():
@@ -216,6 +265,9 @@ def test_parse_rspec_errors():
         ("cutoff:M=3;M=4", "M"),
         ("ones:garbage", "'garbage'"),
         ("tparam:Tx=2", "'Tx=2'"),
+        # M < 1 would give tau = 1 like M = 1: no separate case
+        ("cutoff:M=0", "M=0"),
+        ("cutoff:M=-3", "M=-3"),
     ]:
         with pytest.raises(ValueError, match=named):
             parse_rspec(text)

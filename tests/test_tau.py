@@ -6,9 +6,17 @@ from fractions import Fraction
 import pytest
 
 from bkpq.gseries import BiSeries, OddSeries
-from bkpq.partitions import StrictPartition, enumerate_strict
-from bkpq.qschur import q_lambda, scalar_product
-from bkpq.rspec import Cutoff, Ones, RationalPS, SymmetricRational, TParam
+from bkpq.partitions import StrictPartition, enumerate_partitions, enumerate_strict
+from bkpq.qschur import q_lambda, scalar_product, schur_s
+from bkpq.rspec import (
+    Cutoff,
+    Ones,
+    RationalPS,
+    SymmetricRational,
+    Table,
+    TParam,
+    content_product_kp,
+)
 from bkpq import tau as tau_module
 from bkpq.tau import (
     check_cauchy,
@@ -23,6 +31,7 @@ from bkpq.tau import (
     tau_kp,
     tau_single_x_coefficients,
     tau_symmetric_hyper,
+    tau_terms,
     vacuum_kernel,
 )
 
@@ -78,6 +87,50 @@ def test_square_identity():
     for spec in SPECS:
         rep = check_square(spec, 6)
         assert rep.passed, rep.to_json()
+
+
+def _fraction_diagonal_sum(terms, W, Wstar):
+    """Reference for tau._diagonal_sum: one Fraction product and sum per pair."""
+    out = {((), ()): Fraction(1)}
+    for c, f in terms:
+        for mt, ct in f.terms.items():
+            cct = c * ct
+            for ms, cs in f.terms.items():
+                key = (mt, ms)
+                out[key] = out.get(key, 0) + cct * cs
+    return BiSeries(W, Wstar, out)
+
+
+def _kp_terms(spec, bound):
+    for mu in enumerate_partitions(bound):
+        rmu = content_product_kp(spec, mu)
+        if rmu:
+            yield rmu, schur_s(mu, bound)
+
+
+ORACLE_SPECS = [
+    Ones,
+    lambda: Cutoff(2),
+    lambda: Cutoff(3),
+    lambda: SymmetricRational([F(1, 3)], [F(1, 5)]),
+    lambda: RationalPS([F(3, 4), F(5, 2)], [F(2, 3)]),
+    lambda: TParam({n: F(n * n + 1, n + 2) for n in range(1, 9)}),
+    # r(3) = 0 ends every prefix before r(5) is asked of the table
+    lambda: Table([1, F(1, 2), 0, 3]),
+]
+
+
+@pytest.mark.parametrize("W, Wstar", [(8, 8), (8, 5), (5, 8)])
+def test_integer_tau_sum_matches_fraction_sum(W, Wstar):
+    bound = min(W, Wstar)
+    for make in ORACLE_SPECS:
+        for got, want in [
+            (tau_bkp(make(), W, Wstar), _fraction_diagonal_sum(tau_terms(make(), bound), W, Wstar)),
+            (tau_kp(make(), W, Wstar), _fraction_diagonal_sum(_kp_terms(make(), bound), W, Wstar)),
+        ]:
+            assert got == want, make()
+            assert got.to_json() == want.to_json(), make()
+            assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_tau_kp_ones_is_kp_cauchy_kernel():
