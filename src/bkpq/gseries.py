@@ -1,7 +1,7 @@
 """Truncated graded polynomials over exact rational coefficients.
 
-`GradedSeries` is the one sparse core: a dict from monomials to nonzero
-Fractions, truncated grade by grade.  A subclass says how to grade a
+`GradedSeries` is the one sparse core: integer numerators over one common
+denominator, truncated grade by grade.  A subclass says how to grade a
 monomial (one weight per cap) and how to multiply two monomials; the ring
 operations, exp, substitution, equality and the first differing monomial
 live here once.
@@ -15,8 +15,9 @@ weight-by-weight can be checked exactly on truncated representatives.
 An odd-time monomial is a tuple of (odd index, exponent) pairs sorted by index.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 
 def mono_weight(mono):
@@ -34,46 +35,55 @@ def mono_mul(a, b):
     return tuple(sorted(d.items()))
 
 
-def mono_from_exps(exps):
-    """Normalize a {index: exponent} mapping into a monomial key."""
-    items = []
-    for m, e in exps.items():
-        m, e = int(m), int(e)
-        if m <= 0 or m % 2 == 0:
-            raise ValueError("time indices must be odd positive, got %d" % m)
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e:
-            items.append((m, e))
-    return tuple(sorted(items))
-
-
 class TruncationError(ValueError):
     """Raised when a query or operation exceeds the stored truncation."""
 
 
-def _fill(obj, caps, unit, terms):
+def _fill(obj, caps, unit, num, den):
     object.__setattr__(obj, "caps", caps)
     object.__setattr__(obj, "unit", unit)
-    object.__setattr__(obj, "terms", terms)
+    object.__setattr__(obj, "num", num)
+    object.__setattr__(obj, "den", den)
     return obj
 
 
-class GradedSeries:
-    """Sparse polynomial with Fraction coefficients, truncated per grade.
+class _Terms(Mapping):
+    """Read-only view of a series' coefficients as Fractions."""
 
-    `terms` maps monomials to nonzero coefficients, `caps` holds one weight
-    cap per grade and `unit` is the monomial of the constant term.  A
-    subclass defines `grade(mono)`, the tuple of the monomial's weights in
-    the order of `caps`, and `mono_mul(a, b)`; one that `substitute` serves
-    also defines `variables(mono)`.
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, mono):
+        return Fraction(self._num[mono], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+
+class GradedSeries:
+    """Sparse polynomial with exact rational coefficients, truncated per grade.
+
+    The coefficient of a monomial m is num[m] / den: `num` maps monomials to
+    nonzero ints and `den` is a positive int with gcd(den, *num.values())
+    == 1 (so the zero series has den == 1), which makes equal series equal
+    field by field.  `terms` views the coefficients as Fractions.  `caps`
+    holds one weight cap per grade and `unit` is the monomial of the
+    constant term.  A subclass defines `grade(mono)`, the tuple of the
+    monomial's weights in the order of `caps`, and `mono_mul(a, b)`; one
+    that `substitute` serves also defines `variables(mono)`.
     """
 
-    __slots__ = ("caps", "unit", "terms")
+    __slots__ = ("caps", "unit", "num", "den")
 
     def __init__(self, caps, unit, terms=None):
-        """Validate outside input: coefficients become Fractions, and zero
-        terms and terms over a cap are dropped."""
+        """Validate outside input: coefficients are read as Fractions, and
+        zero terms and terms over a cap are dropped."""
         caps = tuple(int(c) for c in caps)
         clean = {}
         if terms:
@@ -81,23 +91,35 @@ class GradedSeries:
                 c = Fraction(c)
                 if c and all(w <= cap for w, cap in zip(self.grade(mono), caps)):
                     clean[mono] = c
-        _fill(self, caps, unit, clean)
+        # the lcm of lowest-form denominators shares no factor with every numerator
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        _fill(self, caps, unit, num, den)
 
-    def _like(self, terms):
-        """A result in the same ring.  Every coefficient must already be a
-        Fraction and every monomial within the caps; zeros are dropped."""
-        return _fill(
-            object.__new__(type(self)),
-            self.caps,
-            self.unit,
-            {m: c for m, c in terms.items() if c},
-        )
+    def _like(self, num, den):
+        """A result in the same ring with coefficients num[m] / den.  Every
+        monomial must be within the caps and den positive; zeros are dropped
+        and the common factor divided out."""
+        if not all(num.values()):
+            num = {m: v for m, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: v // g for m, v in num.items()}
+            den //= g
+        return _fill(object.__new__(type(self)), self.caps, self.unit, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __repr__(self):
+        return "%s(caps=%s, %d terms)" % (type(self).__name__, self.caps, len(self.num))
+
+    @property
+    def terms(self):
+        return _Terms(self.num, self.den)
+
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def constant_term(self):
         return self.terms.get(self.unit, Fraction(0))
@@ -117,16 +139,16 @@ class GradedSeries:
     def _coerce(self, other):
         """other as a series of this ring; a number becomes a constant."""
         if isinstance(other, (int, Fraction)):
-            return self._like({self.unit: Fraction(other)})
+            return self._like({self.unit: other.numerator}, other.denominator)
         self._check_match(other)
         return other
 
     def _grade_groups(self):
-        """{grade: [(monomial, coefficient), ...]} over the terms."""
+        """{grade: [(monomial, numerator), ...]} over the terms."""
         grade = self.grade
         groups = {}
-        for m, c in self.terms.items():
-            groups.setdefault(grade(m), []).append((m, c))
+        for m, v in self.num.items():
+            groups.setdefault(grade(m), []).append((m, v))
         return groups
 
     def __eq__(self, other):
@@ -134,62 +156,63 @@ class GradedSeries:
             other = self._coerce(other)
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.caps == other.caps
-            and self.unit == other.unit
-            and self.terms == other.terms
+        return (self.caps, self.unit, self.den, self.num) == (
+            other.caps, other.unit, other.den, other.num
         )
 
     def __hash__(self):
-        return hash((self.caps, frozenset(self.terms.items())))
+        return hash((self.caps, self.unit, self.den, frozenset(self.num.items())))
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return self._like(terms)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        num = {m: v * sa for m, v in self.num.items()}
+        for m, v in other.num.items():
+            num[m] = num.get(m, 0) + v * sb
+        return self._like(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
+        num = {m: -v for m, v in self.num.items()}
+        return _fill(object.__new__(type(self)), self.caps, self.unit, num, self.den)
 
     def __sub__(self, other):
         return self + -self._coerce(other)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._like({m: c * other for m, c in self.terms.items()})
+            p = other.numerator
+            return self._like(
+                {m: v * p for m, v in self.num.items()}, self.den * other.denominator
+            )
         self._check_match(other)
         caps, mono_mul = self.caps, self.mono_mul
         right = other._grade_groups().items()
-        terms = {}
+        num = {}
         for ga, left_terms in self._grade_groups().items():
             for gb, right_terms in right:
                 if any(a + b > cap for a, b, cap in zip(ga, gb, caps)):
                     continue
-                for ma, ca in left_terms:
-                    for mb, cb in right_terms:
+                for ma, va in left_terms:
+                    for mb, vb in right_terms:
                         key = mono_mul(ma, mb)
-                        terms[key] = terms.get(key, 0) + ca * cb
-        return self._like(terms)
+                        num[key] = num.get(key, 0) + va * vb
+        return self._like(num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def exp(self):
         """exp of a series with zero constant term, truncated."""
-        if self.unit in self.terms:
+        if self.unit in self.num:
             raise ValueError("exp requires zero constant term")
-        result = power = self._like({self.unit: Fraction(1)})
+        result = power = self._like({self.unit: 1}, 1)
         # every other monomial has total grade >= 1, so the k-th power
         # vanishes once k exceeds the sum of the caps
         for k in range(1, sum(self.caps) + 1):
             power = power * self
-            if not power.terms:
+            if not power.num:
                 break
             result = result + power * Fraction(1, factorial(k))
         return result
@@ -204,17 +227,30 @@ class GradedSeries:
         """
         powers = {}
         total = one * 0
-        for mono, c in self.terms.items():
-            term = c
-            for v, e in self.variables(mono):
-                p = powers.get(v)
+        den = self.den
+        for mono, v in self.num.items():
+            term = Fraction(v, den)
+            for var, e in self.variables(mono):
+                p = powers.get(var)
                 if p is None:
-                    p = powers[v] = [one, image(v)]
+                    p = powers[var] = [one, image(var)]
                 while len(p) <= e:
                     p.append(p[-1] * p[1])
                 term = p[e] * term
             total = total + term
         return total
+
+    def _scale_terms(self, factor):
+        """The coefficient of each monomial m multiplied by factor(m), a Fraction."""
+        out = object.__new__(type(self))
+        terms = {m: Fraction(v, self.den) * factor(m) for m, v in self.num.items()}
+        GradedSeries.__init__(out, self.caps, self.unit, terms)
+        return out
+
+    def weight_component(self, w):
+        """The terms whose first weight (the t weight of a BiSeries) is w."""
+        grade = self.grade
+        return self._like({m: v for m, v in self.num.items() if grade(m)[0] == w}, self.den)
 
     def first_difference(self, other):
         """The monomial whose coefficients differ, or None if there is none.
@@ -222,17 +258,18 @@ class GradedSeries:
         Among several, the one of lowest total grade, then the least monomial.
         """
         self._check_match(other)
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
+        da, db = self.den, other.den
         grade = self.grade
         return min(
-            (m for m in a.keys() | b.keys() if a.get(m) != b.get(m)),
+            (m for m in a.keys() | b.keys() if a.get(m, 0) * db != b.get(m, 0) * da),
             key=lambda m: (sum(grade(m)), m),
             default=None,
         )
 
 
 class OddSeries(GradedSeries):
-    """Truncated polynomial in t_1, t_3, ... over Fraction coefficients."""
+    """Truncated polynomial in t_1, t_3, ... over exact rational coefficients."""
 
     __slots__ = ()
 
@@ -272,8 +309,8 @@ class OddSeries(GradedSeries):
 
     def partial(self, m):
         """Formal partial derivative with respect to t_m."""
-        terms = {}
-        for mono, c in self.terms.items():
+        num = {}
+        for mono, v in self.num.items():
             d = dict(mono)
             e = d.get(m, 0)
             if not e:
@@ -283,50 +320,29 @@ class OddSeries(GradedSeries):
             else:
                 d[m] = e - 1
             key = tuple(sorted(d.items()))
-            terms[key] = terms.get(key, 0) + c * e
-        return self._like(terms)
+            num[key] = num.get(key, 0) + v * e
+        return self._like(num, self.den)
 
     def substitute_scaled(self, a0):
         """Apply t_m -> a0^m t_m."""
         a0 = Fraction(a0)
-        return self._like({m: c * a0 ** mono_weight(m) for m, c in self.terms.items()})
-
-    def weight_component(self, w):
-        return self._like({m: c for m, c in self.terms.items() if mono_weight(m) == w})
+        return self._scale_terms(lambda m: a0 ** mono_weight(m))
 
     def retruncate(self, W):
         return OddSeries(W, self.terms)
 
     def to_json(self):
+        terms = self.terms
         return {
             "truncation_weight": self.truncation_weight,
             "terms": [
                 {
                     "exps": {str(m): e for m, e in mono},
-                    "coeff": str(self.terms[mono]),
+                    "coeff": str(terms[mono]),
                 }
-                for mono in sorted(self.terms)
+                for mono in sorted(terms)
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        terms = {}
-        for t in obj["terms"]:
-            terms[mono_from_exps(t["exps"])] = Fraction(t["coeff"])
-        return cls(obj["truncation_weight"], terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "OddSeries(W=%d, 0)" % self.truncation_weight
-        bits = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            var = "*".join(
-                "t%d" % m if e == 1 else "t%d^%d" % (m, e) for m, e in mono
-            )
-            bits.append("%s%s" % (c, "*" + var if var else ""))
-        return "OddSeries(W=%d, %s)" % (self.truncation_weight, " + ".join(bits))
 
 
 class BiSeries(GradedSeries):
@@ -374,28 +390,22 @@ class BiSeries(GradedSeries):
 
     def swap(self):
         """Exchange the t and t* alphabets."""
-        return BiSeries(
-            self.truncation_weight_star,
-            self.truncation_weight,
-            {(ms, mt): c for (mt, ms), c in self.terms.items()},
-        )
+        W, Wstar = self.caps
+        num = {(ms, mt): v for (mt, ms), v in self.num.items()}
+        return _fill(object.__new__(BiSeries), (Wstar, W), self.unit, num, self.den)
 
     def substitute_scaled(self, a0):
         """t_m -> a0^m t_m and t*_m -> a0^(-m) t*_m."""
         a0 = Fraction(a0)
         if not a0:
             raise ValueError("scale must be nonzero")
-        return self._like(
-            {
-                (mt, ms): c * a0 ** (mono_weight(mt) - mono_weight(ms))
-                for (mt, ms), c in self.terms.items()
-            }
-        )
+        return self._scale_terms(lambda m: a0 ** (mono_weight(m[0]) - mono_weight(m[1])))
 
     def to_json(self):
         def key(k):
             return (sorted(k[0]), sorted(k[1]))
 
+        terms = self.terms
         return {
             "truncation_weight": self.truncation_weight,
             "truncation_weight_star": self.truncation_weight_star,
@@ -403,15 +413,8 @@ class BiSeries(GradedSeries):
                 {
                     "exps": {str(m): e for m, e in kt},
                     "exps_star": {str(m): e for m, e in ks},
-                    "coeff": str(self.terms[(kt, ks)]),
+                    "coeff": str(terms[(kt, ks)]),
                 }
-                for kt, ks in sorted(self.terms, key=key)
+                for kt, ks in sorted(terms, key=key)
             ],
         }
-
-    def __repr__(self):
-        return "BiSeries(W=%d, W*=%d, %d terms)" % (
-            self.truncation_weight,
-            self.truncation_weight_star,
-            len(self.terms),
-        )

@@ -92,6 +92,12 @@ def check_linear_eq_N1(spec, m, n_max, W):
     """(d/dt*_m - (x r(-D))^m) tau_r(t(x), t*) = 0, one-point case."""
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and at least 1, got %d" % m)
+    # h_n(t*) vanishes at truncation W < n, while (x r(-D))^m still carries
+    # h_{n-m}; and with m above the order both sides are zero
+    if n_max > W:
+        raise ValueError("order %d exceeds weight %d" % (n_max, W))
+    if m > n_max:
+        raise ValueError("m=%d exceeds order %d, so both sides vanish" % (m, n_max))
     tau = tau_x_series(spec, n_max, W)
     lhs = tau.partial_tstar(m)
     rhs = apply_x_r_negD(tau, spec, power=m)

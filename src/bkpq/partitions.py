@@ -4,8 +4,6 @@ Strict partitions (distinct parts) index every term of the BKP series;
 ordinary partitions appear on the KP side and as doubles of strict ones.
 """
 
-from fractions import Fraction
-
 
 class StrictPartition:
     """A strictly decreasing sequence of positive integers."""
@@ -241,16 +239,3 @@ def count_shifted_syt(lam, bound=SHIFTED_SYT_BOUND):
 
     place(1)
     return count
-
-
-def count_distinct_part_partitions(max_weight):
-    """Number of partitions of weight <= max_weight into distinct parts.
-
-    Independent generating-function count: expand prod (1 + q^k).
-    """
-    coeffs = [Fraction(0)] * (max_weight + 1)
-    coeffs[0] = Fraction(1)
-    for k in range(1, max_weight + 1):
-        for w in range(max_weight, k - 1, -1):
-            coeffs[w] += coeffs[w - k]
-    return int(sum(coeffs[1:]))

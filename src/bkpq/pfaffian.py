@@ -142,13 +142,6 @@ class MultiPoly(GradedSeries):
         mono = tuple(power if k == index else 0 for k in range(nvars))
         return cls(nvars, cutoff, {mono: 1})
 
-    def __repr__(self):
-        return "MultiPoly(nvars=%d, cutoff=%d, %d terms)" % (
-            self.nvars,
-            self.cutoff,
-            len(self.terms),
-        )
-
 
 class ClearedEntry:
     """A matrix entry num / prod(factors), factors drawn from a fixed pool."""
@@ -261,7 +254,9 @@ def check_two_alphabet_pfaffian(spec, N, D):
     """Cleared-denominator form of the two-alphabet Pfaffian identity.
 
     Pfaff(S) prod(x_i+x_j)(y_i+y_j) = tau(x, y) prod(x_i-x_j)(y_i-y_j),
-    compared coefficientwise as polynomials to total degree D.
+    compared coefficientwise as polynomials to total degree D.  Both sides
+    have degree at least N(N-1); below it they are both zero, and the
+    pfaffian-check command refuses such a D.
     """
     nvars = 2 * N
     S = build_S(spec, N, D, cutoff=D)

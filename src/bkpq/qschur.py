@@ -137,8 +137,8 @@ def _schur_cached(parts, W):
             return memo[key]
         acc = OddSeries(W)
         for pos, j in enumerate(cols):
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            acc = acc + entry(row, j) * sub * Fraction((-1) ** pos)
+            term = entry(row, j) * minor(row + 1, cols[:pos] + cols[pos + 1 :])
+            acc = acc - term if pos % 2 else acc + term
         memo[key] = acc
         return acc
 
@@ -203,15 +203,16 @@ def scalar_product(f, g):
     if f.truncation_weight != g.truncation_weight:
         raise ValueError("truncation mismatch")
     total = Fraction(0)
-    for mono, cf in f.terms.items():
-        cg = g.terms.get(mono)
-        if not cg:
+    g_num = g.num
+    for mono, a in f.num.items():
+        b = g_num.get(mono)
+        if not b:
             continue
         pairing = Fraction(1)
         for m, e in mono:
             pairing *= Fraction(2, m) ** e * factorial(e)
-        total += cf * cg * pairing
-    return total
+        total += a * b * pairing
+    return total / (f.den * g.den)
 
 
 def q_expand(f):

@@ -17,8 +17,8 @@ class RValueError(ValueError):
 class RSpec:
     """Base for weight-function variants.  Subclasses define r at n >= 1.
 
-    A spec must not be changed once built: r_prefix keeps the products it
-    has computed on the instance.
+    A spec must not be changed once built: r_value and r_prefix keep the
+    values they have computed on the instance (a failed value is not kept).
     """
 
     def _r_positive(self, n):
@@ -28,7 +28,11 @@ class RSpec:
         """Exact value of r at any integer n, via reflection for n <= 0."""
         if n <= 0:
             n = 1 - n
-        return self._r_positive(n)
+        values = self.__dict__.setdefault("_values", {})
+        v = values.get(n)
+        if v is None:
+            v = values[n] = self._r_positive(n)
+        return v
 
     def r_prefix(self, n):
         """The telescoped product r(1) r(2) ... r(n), 1 for n <= 0.
@@ -241,12 +245,14 @@ def hook_star(lam):
 
 def content_product_kp(spec, mu):
     """prod over nodes (i,j) of mu of r(j-i), reflection-served below 1."""
-    out = Fraction(1)
+    num = den = 1
     for (i, j) in mu.cells():
-        out *= spec.r_value(j - i)
-        if not out:
-            return out
-    return out
+        v = spec.r_value(j - i)
+        if not v:
+            return Fraction(0)
+        num *= v.numerator
+        den *= v.denominator
+    return Fraction(num, den)
 
 
 def rho_content_product(rho, mu, orientation="i-j"):

@@ -8,7 +8,7 @@ truncated series coefficientwise and reports the first failing monomial.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .gseries import BiSeries, OddSeries, mono_weight
+from .gseries import BiSeries, OddSeries
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import (
     XPoint,
@@ -81,26 +81,22 @@ def tau_terms(spec, W, max_length=None):
 def _diagonal_sum(terms, W, Wstar):
     """1 + sum of c f(t) f(t*) over the (c, f) in terms, as a BiSeries.
 
-    Summed in integers: each f becomes integer numerators over the lcm of its
-    denominators, every term is scaled to one common denominator L, and each
-    output coefficient is divided by L once.  Every f is truncated at
+    Summed in integers: term (c, f) is c.numerator f.num f.num over
+    c.denominator f.den^2, every term is scaled to the lcm L of those
+    denominators and the sum is reduced once.  Every f is truncated at
     min(W, Wstar), so every product lies within the caps.
     """
-    scaled = []
-    for c, f in terms:
-        den_f = lcm(*(v.denominator for v in f.terms.values()))
-        nums = [(m, v.numerator * (den_f // v.denominator)) for m, v in f.terms.items()]
-        scaled.append((c.numerator, c.denominator * den_f * den_f, nums))
+    scaled = [(c.numerator, c.denominator * f.den * f.den, f.num) for c, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
     out = {((), ()): L}
     for k, d, nums in scaled:
         k *= L // d
-        for mt, a in nums:
+        for mt, a in nums.items():
             ka = k * a
-            for ms, b in nums:
+            for ms, b in nums.items():
                 key = (mt, ms)
                 out[key] = out.get(key, 0) + ka * b
-    return BiSeries(W, Wstar)._like({m: Fraction(v, L) for m, v in out.items()})
+    return BiSeries(W, Wstar)._like(out, L)
 
 
 def tau_bkp(spec, W, Wstar):
@@ -305,8 +301,7 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
     # Q_lambda(t/2) Q_lambda(t*/2) has t-weight |lambda|: the lowest weight
     # whose two parts differ is the witness
     def rhs_at(w):
-        part = {m: c for m, c in bkp.terms.items() if mono_weight(m[0]) == w}
-        return BiSeries(W, W, part).substitute(image, Fraction(1))
+        return bkp.weight_component(w).substitute(image, Fraction(1))
 
     for w in range(W + 1):
         lhs_w, rhs_w = lhs_by_weight.get(w, Fraction(0)), rhs_at(w)

@@ -131,6 +131,11 @@ def test_usage_errors_exit_2(capsys):
             ["linear-check", "--r", "cutoff:M=0", "--m", "1", "--order", "4", "--weight", "4", "--json"],
             "M=0",
         ),
+        # h_5(t*) is truncated away at weight 4, so this read as a failed identity
+        (["linear-check", "--r", "ones", "--m", "1", "--order", "6", "--weight", "4", "--json"], "order 6"),
+        # both sides vanish below x^m, so these passed vacuously
+        (["linear-check", "--r", "ones", "--m", "5", "--order", "4", "--weight", "4", "--json"], "m=5"),
+        (["pfaffian-check", "--r", "ones", "--n", "3", "--degree", "4", "--json"], "N(N-1) = 6"),
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and text in err and "Traceback" not in err, argv
@@ -179,6 +184,16 @@ GOLDEN_SHA256 = [
         # the zero r(3) ends every prefix before r(5) is asked of the table
         "tau --r table:1,1/2,0,3 --weight 7 --json",
         "9d4ccbd39826c376e5f7e94f0d3eb7b058a891cc9f1dd61e95600b8d72105eec",
+    ),
+    (
+        # a four-row Pfaffian over OddSeries
+        "qfun --lambda 6,4,3,1 --weight 14 --json",
+        "fb84f5476b18f53b7a9b4036ee270e6df32b780b53778496a8a018668b6ee873",
+    ),
+    (
+        # a Product spec at unequal caps
+        "tau --r prod:(symrat:alpha=1/3;beta=1/5),(ratps:a=3/4;b=5/2) --weight 9 --wstar 7 --json",
+        "7688d2d9275fae02e6a2c8a47e51b9a56e3a8027db4cf96c192761b0a19e8cfe",
     ),
 ]
 

@@ -1,0 +1,218 @@
+"""The integer-numerator series core against a Fraction-dict reference.
+
+`RefSeries` is the series arithmetic with one Fraction per coefficient, as
+the core computed it before it kept integer numerators over one
+denominator: every product and sum is a Fraction operation and zeros are
+dropped.  It borrows only `grade`, `mono_mul` and `variables` from the ring
+it models, so it checks the core's numerator and denominator bookkeeping.
+"""
+
+from fractions import Fraction
+from math import factorial, gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bkpq.gseries import BiSeries, OddSeries
+from bkpq.pfaffian import MultiPoly
+
+
+class RefSeries:
+    def __init__(self, ring, caps, unit, terms):
+        self.ring, self.caps, self.unit = ring, caps, unit
+        self.terms = {
+            m: Fraction(c)
+            for m, c in terms.items()
+            if c and all(w <= cap for w, cap in zip(ring.grade(m), caps))
+        }
+
+    def like(self, terms):
+        return RefSeries(self.ring, self.caps, self.unit, terms)
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.like({self.unit: Fraction(other)})
+        return other
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in self._coerce(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return self.like(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.like({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.like({m: c * other for m, c in self.terms.items()})
+        terms = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                key = self.ring.mono_mul(ma, mb)
+                terms[key] = terms.get(key, 0) + ca * cb
+        return self.like(terms)
+
+    __rmul__ = __mul__
+
+    def exp(self):
+        result = power = self.like({self.unit: 1})
+        for k in range(1, sum(self.caps) + 1):
+            power = power * self
+            result = result + power * Fraction(1, factorial(k))
+        return result
+
+    def substitute(self, image, one):
+        total = one * 0
+        for mono, c in self.terms.items():
+            term = c
+            for v, e in self.ring.variables(mono):
+                for _ in range(e):
+                    term = image(v) * term
+            total = total + term
+        return total
+
+    def partial(self, m):
+        terms = {}
+        for mono, c in self.terms.items():
+            d = dict(mono)
+            e = d.pop(m, 0)
+            if e:
+                if e > 1:
+                    d[m] = e - 1
+                key = tuple(sorted(d.items()))
+                terms[key] = terms.get(key, 0) + c * e
+        return self.like(terms)
+
+    def weight_component(self, w):
+        return self.like({m: c for m, c in self.terms.items() if self.ring.grade(m)[0] == w})
+
+    def scaled(self, factor):
+        return self.like({m: c * factor(m) for m, c in self.terms.items()})
+
+    def swap(self):
+        terms = {(s, t): c for (t, s), c in self.terms.items()}
+        return RefSeries(self.ring, self.caps[::-1], self.unit, terms)
+
+    def first_difference(self, other):
+        a, b = self.terms, other.terms
+        return min(
+            (m for m in a.keys() | b.keys() if a.get(m) != b.get(m)),
+            key=lambda m: (sum(self.ring.grade(m)), m),
+            default=None,
+        )
+
+
+def _build(ring, caps, terms):
+    if ring is MultiPoly:
+        return MultiPoly(2, caps[0], terms)
+    return ring(*caps, terms)
+
+
+def _weight(mono):
+    return sum(m * e for m, e in mono)
+
+
+# denominators that share factors, so sums and products leave some to cancel
+FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
+NONZERO = FRACTIONS.filter(bool)
+ODD_MONO = st.dictionaries(st.sampled_from([1, 3, 5]), st.integers(1, 3), max_size=2).map(
+    lambda d: tuple(sorted(d.items()))
+)
+RINGS = {
+    "odd": (OddSeries, st.tuples(st.integers(0, 7)), (), ODD_MONO),
+    "bi": (
+        BiSeries,
+        st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda c: c[0] != c[1]),
+        ((), ()),
+        st.tuples(ODD_MONO, ODD_MONO),
+    ),
+    "multi": (
+        MultiPoly,
+        st.tuples(st.integers(0, 6)),
+        (0, 0),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    ),
+}
+VARIABLES = {"odd": (1, 3, 5), "bi": tuple((a, m) for a in (0, 1) for m in (1, 3, 5))}
+
+
+def _assert_canonical(s):
+    assert type(s.den) is int and s.den >= 1
+    assert all(type(v) is int and v for v in s.num.values())
+    assert gcd(s.den, *s.num.values()) == 1
+
+
+def _assert_same(got, ref):
+    _assert_canonical(got)
+    assert got.caps == tuple(ref.caps)
+    assert dict(got.terms) == ref.terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_core_matches_fraction_reference(kind, data):
+    ring, caps_strategy, unit, monos = RINGS[kind]
+    caps = data.draw(caps_strategy)
+    raw = [data.draw(st.dictionaries(monos, FRACTIONS, max_size=6)) for _ in range(3)]
+    k, a0 = data.draw(FRACTIONS), data.draw(NONZERO)
+    a, b, c = (_build(ring, caps, t) for t in raw)
+    ra, rb, rc = (RefSeries(ring, caps, unit, t) for t in raw)
+    x, rx = a - a.constant_term(), ra - ra.terms.get(unit, 0)
+
+    cases = [
+        (a, ra),
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (-a, -ra),
+        (a + k, ra + k),
+        (a * k, ra * k),
+        (3 * a, ra * 3),
+        (a * b, ra * rb),
+        (a * b * c, ra * rb * rc),
+        (x.exp(), rx.exp()),
+    ]
+    cases += [(a.weight_component(w), ra.weight_component(w)) for w in (0, 1)]
+    if kind == "odd":
+        cases += [(a.partial(m), ra.partial(m)) for m in (1, 3)]
+        cases.append((a.substitute_scaled(a0), ra.scaled(lambda m: a0 ** _weight(m))))
+    if kind == "bi":
+        cases.append((a.swap(), ra.swap()))
+        cases.append(
+            (
+                a.substitute_scaled(a0),
+                ra.scaled(lambda m: a0 ** (_weight(m[0]) - _weight(m[1]))),
+            )
+        )
+    for got, ref in cases:
+        _assert_same(got, ref)
+
+    assert a.first_difference(b) == ra.first_difference(rb)
+    assert a.first_difference(a + b - b) is None
+    # equal values reached by different routes are equal and hash alike
+    for p, q in [(a * (b + c), a * b + a * c), ((a + b) + c, a + (b + c)), (a * k, k * a)]:
+        assert p == q and hash(p) == hash(q)
+
+    if kind in VARIABLES:
+        values = {v: data.draw(FRACTIONS) for v in VARIABLES[kind]}
+        assert a.substitute(values.get, Fraction(1)) == ra.substitute(values.get, Fraction(1))
+
+        # each variable goes to values[v] x + y^(1 + its index mod 2) / 2
+        def poly(v):
+            index = v if kind == "odd" else sum(v)
+            return {(1, 0): values[v], (0, 1 + index % 2): Fraction(1, 2)}
+
+        got = a.substitute(lambda v: MultiPoly(2, 4, poly(v)), MultiPoly.constant(2, 4))
+        ref = ra.substitute(
+            lambda v: RefSeries(MultiPoly, (4,), (0, 0), poly(v)),
+            RefSeries(MultiPoly, (4,), (0, 0), {(0, 0): 1}),
+        )
+        _assert_same(got, ref)

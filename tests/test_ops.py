@@ -107,7 +107,10 @@ class NoReflection(RSpec):
 
 
 def test_linear_equation_fails_without_reflection():
-    rep = check_linear_eq_N1(NoReflection(), 1, 6, 6)
+    spec = NoReflection()
+    rep = check_linear_eq_N1(spec, 1, 6, 6)
+    # the override is asked, not a value kept by the base class
+    assert [spec.r_value(n) for n in (-1, 2, -1)] == [4, 7, 4]
     assert not rep.passed
     assert rep.witness is not None
     lhs, rhs = rep.witness[1], rep.witness[2]

@@ -9,7 +9,6 @@ from bkpq.partitions import (
     Partition,
     StrictPartition,
     conjugate,
-    count_distinct_part_partitions,
     count_shifted_syt,
     double,
     enumerate_partitions,
@@ -41,6 +40,18 @@ def test_strict_basic_properties():
 def test_enumerate_strict_small():
     got = [p.parts for p in enumerate_strict(4)]
     assert got == [(1,), (2,), (3,), (2, 1), (4,), (3, 1)]
+
+
+def count_distinct_part_partitions(max_weight):
+    """Number of partitions of weight <= max_weight into distinct parts.
+
+    Independent generating-function count: expand prod (1 + q^k).
+    """
+    coeffs = [1] + [0] * max_weight
+    for k in range(1, max_weight + 1):
+        for w in range(max_weight, k - 1, -1):
+            coeffs[w] += coeffs[w - k]
+    return sum(coeffs[1:])
 
 
 def test_enumerate_strict_counts_match_generating_function():

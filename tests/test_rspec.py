@@ -108,6 +108,29 @@ def test_r_prefix_out_of_range_raises_every_time():
     assert spec.r_prefix(1) == 1
 
 
+def test_r_value_memo_matches_fresh_value():
+    makers = [
+        lambda: RationalPS([F(1, 2), 3], [F(5, 2)]),
+        lambda: SymmetricRational([F(1, 3)], [F(1, 5)]),
+        lambda: Table([1, F(1, 2), 0, 3]),
+        lambda: Product(Cutoff(4), RationalPS([2], [F(1, 3)])),
+    ]
+    for make in makers:
+        spec, oracle = make(), make()
+        # repeated, reflected and out of order
+        for n in (3, -2, 1, 0, 4, 3, -3, 1, 2):
+            assert spec.r_value(n) == oracle._r_positive(n if n > 0 else 1 - n), (spec, n)
+
+
+def test_r_value_out_of_range_raises_every_time():
+    spec = Table([1, 2])
+    for n in (4, -3, 4):
+        with pytest.raises(RValueError):
+            spec.r_value(n)
+    assert spec.r_value(2) == 2
+    assert spec.r_value(-1) == 2
+
+
 def test_rational_ps_rejects_vanishing_denominator():
     with pytest.raises(RValueError):
         RationalPS([1], [0])
