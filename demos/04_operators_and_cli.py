@@ -13,7 +13,7 @@ spec = RationalPS([1], [2])
 f = tau_x_series(spec, 5, 6)
 g = apply_x_r_negD(f, spec)
 print("(x r(-D)) acts on the restricted tau series; x^3 coefficient of the")
-print("image has constant term", g.coeffs[3].constant_term())
+print("image has constant term", g[3].constant_term())
 print()
 
 for s in (Ones(), Cutoff(2), spec):

@@ -328,9 +328,6 @@ class OddSeries(GradedSeries):
         a0 = Fraction(a0)
         return self._scale_terms(lambda m: a0 ** mono_weight(m))
 
-    def retruncate(self, W):
-        return OddSeries(W, self.terms)
-
     def to_json(self):
         terms = self.terms
         return {

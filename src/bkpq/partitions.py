@@ -5,63 +5,27 @@ ordinary partitions appear on the KP side and as doubles of strict ones.
 """
 
 
-class StrictPartition:
-    """A strictly decreasing sequence of positive integers."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
-            if p <= 0:
-                raise ValueError("parts must be positive: %r" % (parts,))
-            if i + 1 < len(parts) and parts[i + 1] >= p:
-                raise ValueError("parts must be strictly decreasing: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrictPartition is immutable")
-
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, StrictPartition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("DP", self.parts))
-
-    def __lt__(self, other):
-        return (self.weight, self.parts) < (other.weight, other.parts)
-
-    def __repr__(self):
-        return "StrictPartition(%r)" % (list(self.parts),)
-
-    def to_json(self):
-        return list(self.parts)
-
-
 class Partition:
     """An ordinary partition: non-increasing positive integers."""
 
     __slots__ = ("parts",)
+    _order = "non-increasing"
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
         for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError("parts must be positive: %r" % (parts,))
-            if i + 1 < len(parts) and parts[i + 1] > p:
-                raise ValueError("parts must be non-increasing: %r" % (parts,))
+            if i + 1 < len(parts) and not self._in_order(p, parts[i + 1]):
+                raise ValueError("parts must be %s: %r" % (self._order, parts))
         object.__setattr__(self, "parts", parts)
 
+    @staticmethod
+    def _in_order(p, q):
+        return p >= q
+
     def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
     def weight(self):
@@ -72,16 +36,16 @@ class Partition:
         return len(self.parts)
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
+        return type(other) is type(self) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(("P", self.parts))
+        return hash((type(self).__name__, self.parts))
 
     def __lt__(self, other):
         return (self.weight, self.parts) < (other.weight, other.parts)
 
     def __repr__(self):
-        return "Partition(%r)" % (list(self.parts),)
+        return "%s(%r)" % (type(self).__name__, list(self.parts))
 
     def to_json(self):
         return list(self.parts)
@@ -93,7 +57,17 @@ class Partition:
                 yield (i, j)
 
 
-ZERO_STRICT = StrictPartition(())
+class StrictPartition(Partition):
+    """A strict partition: strictly decreasing positive integers."""
+
+    __slots__ = ()
+    _order = "strictly decreasing"
+
+    @staticmethod
+    def _in_order(p, q):
+        return p > q
+
+
 ZERO_PARTITION = Partition(())
 
 

@@ -143,43 +143,33 @@ class MultiPoly(GradedSeries):
         return cls(nvars, cutoff, {mono: 1})
 
 
-class ClearedEntry:
-    """A matrix entry num / prod(factors), factors drawn from a fixed pool."""
+def _sum_power_series(spec, xk, ym, nvars, D):
+    """Cross-block entry 1 + 2 sum_{n>=1} r(1)...r(n) x_k^n y_m^n.
 
-    __slots__ = ("num", "den_factors")
-
-    def __init__(self, num, den_factors=()):
-        self.num = num
-        self.den_factors = tuple(den_factors)
-
-
-def _sum_power_series(spec, xk, ym, n_cut, nvars, cutoff):
-    """Cross-block entry 1 + 2 sum_{n>=1} r(1)...r(n) x_k^n y_m^n."""
+    x_k^n y_m^n has degree 2n, so only n <= D // 2 survives the cutoff.
+    """
     terms = {(0,) * nvars: Fraction(1)}
-    for n in range(1, n_cut + 1):
+    for n in range(1, D // 2 + 1):
         c = 2 * spec.r_prefix(n)
         if not c:
             continue
-        mono = tuple(
-            n if k in (xk, ym) else 0 for k in range(nvars)
-        )
+        mono = tuple(n if k in (xk, ym) else 0 for k in range(nvars))
         terms[mono] = c
-    return MultiPoly(nvars, cutoff, terms)
+    return MultiPoly(nvars, D, terms)
 
 
-def build_S(spec, N, n_cut, cutoff=None):
+def build_S(spec, N, D):
     """The 2N x 2N pair-correlation matrix of the two-alphabet Pfaffian formula.
 
-    Variables are the symbolic alphabets x_1..x_N, y_1..y_N in that order.
-    Diagonal-block entries carry their (x_k + x_m) denominators symbolically
-    (cleared in check_two_alphabet_pfaffian); cross-block entries are genuine polynomials.
+    Variables are the symbolic alphabets x_1..x_N, y_1..y_N in that order,
+    and entries are polynomials to total degree D.  A diagonal-block entry
+    holds only its numerator; its (x_k + x_m) denominator is cleared in
+    check_two_alphabet_pfaffian.  Cross-block entries are genuine polynomials.
     """
     nvars = 2 * N
-    if cutoff is None:
-        cutoff = 2 * n_cut
 
     def var(k):
-        return MultiPoly.variable(nvars, cutoff, k)
+        return MultiPoly.variable(nvars, D, k)
 
     # rows 0..N-1 hold the x alphabet in reversed order x_N, ..., x_1 and
     # rows N..2N-1 hold y_1, ..., y_N; this ordering makes the diagonal
@@ -190,31 +180,28 @@ def build_S(spec, N, n_cut, cutoff=None):
     upper = {}
     for k in range(N):
         for m in range(k + 1, N):
-            a, b = xv(k), xv(m)
-            upper[(k, m)] = ClearedEntry(var(b) - var(a), (("x", min(a, b), max(a, b)),))
-            upper[(N + k, N + m)] = ClearedEntry(
-                var(N + k) - var(N + m), (("y", k, m),)
-            )
+            upper[(k, m)] = var(xv(m)) - var(xv(k))
+            upper[(N + k, N + m)] = var(N + k) - var(N + m)
     for k in range(N):
         for m in range(N):
-            upper[(k, N + m)] = ClearedEntry(
-                _sum_power_series(spec, xv(k), N + m, n_cut, nvars, cutoff)
-            )
-    zero = ClearedEntry(MultiPoly(nvars, cutoff))
-    return SkewMatrix(2 * N, upper, zero)
+            upper[(k, N + m)] = _sum_power_series(spec, xv(k), N + m, nvars, D)
+    return SkewMatrix(2 * N, upper, MultiPoly(nvars, D))
 
 
-def _clearing_factors(N, nvars, cutoff):
-    """Factor pool: ("x", k, m) -> x_k + x_m and the y analogue."""
+def _clearing_factors(N, nvars, D):
+    """Row pair (i, j) of a diagonal block -> the denominator of its entry.
+
+    Rows (N-1-m, N-1-k) carry x_k + x_m and rows (N+k, N+m) carry y_k + y_m;
+    the pool is filled in one fixed order, which fixes the product order.
+    """
+    def var(k):
+        return MultiPoly.variable(nvars, D, k)
+
     out = {}
     for k in range(N):
         for m in range(k + 1, N):
-            out[("x", k, m)] = MultiPoly.variable(nvars, cutoff, k) + MultiPoly.variable(
-                nvars, cutoff, m
-            )
-            out[("y", k, m)] = MultiPoly.variable(
-                nvars, cutoff, N + k
-            ) + MultiPoly.variable(nvars, cutoff, N + m)
+            out[(N - 1 - m, N - 1 - k)] = var(k) + var(m)
+            out[(N + k, N + m)] = var(N + k) + var(N + m)
     return out
 
 
@@ -259,19 +246,18 @@ def check_two_alphabet_pfaffian(spec, N, D):
     pfaffian-check command refuses such a D.
     """
     nvars = 2 * N
-    S = build_S(spec, N, D, cutoff=D)
+    S = build_S(spec, N, D)
     factors = _clearing_factors(N, nvars, D)
 
+    # a matching's same-block pairs carry the denominators it divides by;
+    # every factor of a pair it does not contain stays as a multiplier
     lhs = MultiPoly(nvars, D)
     for sign, pairs in perfect_matchings(tuple(range(2 * N))):
         num = MultiPoly.constant(nvars, D, sign)
-        used = set()
         for (i, j) in pairs:
-            e = S.entry(i, j)
-            num = num * e.num
-            used.update(e.den_factors)
-        for key, factor in factors.items():
-            if key not in used:
+            num = num * S.entry(i, j)
+        for pair, factor in factors.items():
+            if pair not in pairs:
                 num = num * factor
         lhs = lhs + num
 

@@ -55,9 +55,6 @@ class RSpec:
                 return out
         return out
 
-    def check_reflection(self, n_max=20):
-        return all(self.r_value(n) == self.r_value(1 - n) for n in range(1, n_max + 1))
-
 
 class Ones(RSpec):
     def _r_positive(self, n):

@@ -80,6 +80,28 @@ def test_pfaffian_check(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_checks_ask_r_only_as_far_as_needed(capsys):
+    # x^n y^n has degree 2n, so degree D needs r(1)...r(D // 2); order n
+    # needs r(1)...r(n), as (x r(-D)) drops x^n before weighting it
+    five = ["table:1,1/2,3,2,1", "tparam:T1=2,T2=3,T3=5,T4=7,T5=11"]
+    for r in five:
+        for D in ("10", "11"):
+            argv = ["pfaffian-check", "--r", r, "--n", "2", "--degree", D, "--json"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and json.loads(out)["pass"] is True, argv
+    code, out, _ = run(
+        capsys,
+        ["linear-check", "--r", five[0], "--m", "1", "--order", "5", "--weight", "5", "--json"],
+    )
+    assert code == 0 and json.loads(out)["pass"] is True
+    for argv, n in [
+        (["pfaffian-check", "--r", "table:1,1/2,3,2", "--n", "2", "--degree", "10"], 5),
+        (["linear-check", "--r", "table:1,1/2,3,2", "--m", "1", "--order", "5", "--weight", "5"], 5),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out and "r(%d) outside" % n in err, argv
+
+
 def test_linear_check(capsys):
     code, out, _ = run(
         capsys,

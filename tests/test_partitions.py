@@ -29,6 +29,24 @@ def test_strict_rejects_repeats_and_disorder():
         StrictPartition([2, 0])
 
 
+def test_strict_is_a_partition_of_its_own_type():
+    strict, ordinary = StrictPartition([2, 1]), Partition([2, 1])
+    assert strict != ordinary and ordinary != strict
+    assert len({strict, ordinary}) == 2
+    assert strict == StrictPartition((2, 1)) and hash(strict) == hash(StrictPartition((2, 1)))
+    assert ordinary == Partition((2, 1)) and hash(ordinary) == hash(Partition((2, 1)))
+    assert repr(strict) == "StrictPartition([2, 1])"
+    assert repr(ordinary) == "Partition([2, 1])"
+    with pytest.raises(ValueError, match="parts must be strictly decreasing"):
+        StrictPartition([2, 2])
+    with pytest.raises(ValueError, match="parts must be non-increasing"):
+        Partition([1, 2])
+    Partition([2, 2])
+    for p, name in ((strict, "StrictPartition"), (ordinary, "Partition")):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            p.parts = (3,)
+
+
 def test_strict_basic_properties():
     lam = StrictPartition([5, 3, 1])
     assert lam.weight == 9

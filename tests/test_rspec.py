@@ -31,7 +31,6 @@ def test_ones():
     spec = Ones()
     assert spec.r_value(5) == 1
     assert spec.r_value(-5) == 1
-    assert spec.check_reflection()
     assert spec.r_lambda(StrictPartition([4, 2])) == 1
 
 
@@ -39,7 +38,6 @@ def test_cutoff():
     spec = Cutoff(3)
     assert [spec.r_value(n) for n in (1, 2, 3, 4)] == [1, 1, 0, 0]
     assert spec.r_value(-2) == spec.r_value(3) == 0
-    assert spec.check_reflection()
     assert spec.r_lambda(StrictPartition([2, 1])) == 1
     assert spec.r_lambda(StrictPartition([3, 1])) == 0
     assert Cutoff(1).r_prefix(1) == 0
@@ -142,10 +140,9 @@ def test_rational_ps_rejects_vanishing_denominator():
 def test_symmetric_rational():
     spec = SymmetricRational([F(1, 3)], [])
     assert spec.r_value(1) == F(1, 4) - F(1, 9)
-    # symmetric under n -> 1-n at every integer, no reflection needed
+    # the formula itself is symmetric under n -> 1-n, at every integer
     for n in range(-6, 7):
-        assert spec.r_value(n) == spec.r_value(1 - n)
-    assert spec.check_reflection()
+        assert spec._r_positive(1 - n) == spec._r_positive(n)
 
 
 def test_symmetric_rational_prefix_pochhammer_identity():
@@ -167,8 +164,9 @@ def test_tparam():
     spec = TParam({1: F(2), 2: F(6), 3: F(30)})
     assert spec.r_value(1) == F(1, 2)  # u_0 / u_1
     assert spec.r_value(2) == F(2, 6)
-    assert spec.r_value(0) == spec.r_value(1)  # reflection via u_{-n} = 1/u_n
-    assert spec.check_reflection(n_max=3)
+    # u_{-n} = 1/u_n makes the formula itself symmetric under n -> 1-n
+    for n in range(-2, 4):
+        assert spec._r_positive(1 - n) == spec._r_positive(n)
     assert spec.r_prefix(3) == F(1, 30)
     assert spec.r_lambda(StrictPartition([2, 1])) == F(1, 6) * F(1, 2)
     with pytest.raises(RValueError):
@@ -190,13 +188,11 @@ def test_table_and_product():
     tab = Table([F(1, 2), F(3)])
     assert tab.r_value(2) == 3
     assert tab.r_value(-1) == 3
-    assert tab.check_reflection(n_max=2)
     with pytest.raises(RValueError):
         tab.r_value(3)
     prod = Product(Cutoff(3), RationalPS([2], []))
     assert prod.r_value(2) == 3
     assert prod.r_value(3) == 0
-    assert prod.check_reflection(n_max=6)
 
 
 def test_hook_star_examples():
