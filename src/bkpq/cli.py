@@ -111,17 +111,19 @@ def _random_xpoint(rng, n):
 
 def run_verify_suite(suite, W, seed=0):
     rng = random.Random(seed)
+    # one instance per spec, so the checks share its tau_bkp and r values
+    specs = _shipped_specs()
     reports = []
     if suite in ("cauchy", "all"):
         reports.append(tau.check_cauchy(W))
     if suite in ("square", "all"):
-        for spec in _shipped_specs():
+        for spec in specs:
             reports.append(tau.check_square(spec, W))
     if suite in ("symmetry", "all"):
-        for spec in _shipped_specs():
+        for spec in specs:
             reports.append(tau.check_symmetry_scaling(spec, 2, W))
     if suite == "all":
-        for spec in _shipped_specs():
+        for spec in specs:
             for N in (1, 2):
                 if N * (N - 1) <= W:
                     reports.append(pfaffian.check_two_alphabet_pfaffian(spec, N, W))

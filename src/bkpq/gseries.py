@@ -223,8 +223,11 @@ class GradedSeries:
         The target ring has unit `one` (a Fraction, MultiPoly, OddSeries ...);
         `variables(mono)` names the variables of a monomial with their
         exponents.  Each image is computed once per call and its powers are
-        built from the previous one.
+        built from the previous one.  A number target (`one` an int or a
+        Fraction) is summed in integers, see `_evaluate`.
         """
+        if isinstance(one, (int, Fraction)):
+            return self._evaluate(image)
         powers = {}
         total = one * 0
         den = self.den
@@ -240,12 +243,51 @@ class GradedSeries:
             total = total + term
         return total
 
-    def _scale_terms(self, factor):
-        """The coefficient of each monomial m multiplied by factor(m), a Fraction."""
-        out = object.__new__(type(self))
-        terms = {m: Fraction(v, self.den) * factor(m) for m, v in self.num.items()}
-        GradedSeries.__init__(out, self.caps, self.unit, terms)
-        return out
+    def _evaluate(self, image):
+        """The series at the numbers image(v) = p_v / q_v, as one Fraction.
+
+        With E_v the top exponent of v, the common denominator is
+        den * prod_v q_v^E_v, and a monomial with exponents e_v adds
+        num * prod_v p_v^e_v q_v^(E_v - e_v): all in ints.
+        """
+        terms = [(dict(self.variables(mono)), v) for mono, v in self.num.items()]
+        top = {}
+        for exps, _ in terms:
+            for var, e in exps.items():
+                top[var] = max(e, top.get(var, 0))
+        # factors[var][e] = p^e q^(E - e)
+        factors = {}
+        for var, E in top.items():
+            x = Fraction(image(var))
+            p, q = x.numerator, x.denominator
+            factors[var] = [p ** e * q ** (E - e) for e in range(E + 1)]
+        total = 0
+        for exps, v in terms:
+            for var, f in factors.items():
+                v *= f[exps.get(var, 0)]
+            total += v
+        den = self.den
+        for f in factors.values():
+            den *= f[0]
+        return Fraction(total, den)
+
+    def _scaled(self, a0, shift):
+        """The coefficient of each monomial m times a0^shift(m), in ints.
+
+        With a0 = p/q and lo <= 0 <= hi bounding the shifts, a numerator gains
+        p^(s - lo) q^(hi - s) and the denominator p^(-lo) q^hi once; the sign
+        of a negative p^(-lo) moves into the numerators.
+        """
+        p, q = a0.numerator, a0.denominator
+        shifts = {m: shift(m) for m in self.num}
+        lo = min([0, *shifts.values()])
+        hi = max([0, *shifts.values()])
+        pp = [p ** k for k in range(hi - lo + 1)]
+        qq = [q ** k for k in range(hi - lo + 1)]
+        d = pp[-lo]
+        sign = -1 if d < 0 else 1
+        num = {m: sign * v * pp[shifts[m] - lo] * qq[hi - shifts[m]] for m, v in self.num.items()}
+        return self._like(num, self.den * abs(d) * qq[hi])
 
     def weight_component(self, w):
         """The terms whose first weight (the t weight of a BiSeries) is w."""
@@ -326,7 +368,7 @@ class OddSeries(GradedSeries):
     def substitute_scaled(self, a0):
         """Apply t_m -> a0^m t_m."""
         a0 = Fraction(a0)
-        return self._scale_terms(lambda m: a0 ** mono_weight(m))
+        return self._scaled(a0, mono_weight)
 
     def to_json(self):
         terms = self.terms
@@ -396,7 +438,7 @@ class BiSeries(GradedSeries):
         a0 = Fraction(a0)
         if not a0:
             raise ValueError("scale must be nonzero")
-        return self._scale_terms(lambda m: a0 ** (mono_weight(m[0]) - mono_weight(m[1])))
+        return self._scaled(a0, lambda m: mono_weight(m[0]) - mono_weight(m[1]))
 
     def to_json(self):
         def key(k):

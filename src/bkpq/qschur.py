@@ -8,7 +8,7 @@ polynomial in t_1, t_3, ...; no half-variable object exists.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .gseries import OddSeries
 from .partitions import conjugate, enumerate_strict
@@ -198,21 +198,25 @@ def delta(x):
 def scalar_product(f, g):
     """<f, g> = f applied as differential operators (t_m -> (2/m) d/dt_m) to g at 0.
 
-    On matching monomials the pairing contributes prod_m e_m! (2/m)^{e_m}.
+    On matching monomials the pairing contributes prod_m e_m! (2/m)^{e_m},
+    kept as the integer pair (prod e_m! 2^{e_m}, prod m^{e_m}); the terms are
+    summed over the lcm of those denominators.
     """
     if f.truncation_weight != g.truncation_weight:
         raise ValueError("truncation mismatch")
-    total = Fraction(0)
     g_num = g.num
+    terms = []
     for mono, a in f.num.items():
         b = g_num.get(mono)
         if not b:
             continue
-        pairing = Fraction(1)
+        up = down = 1
         for m, e in mono:
-            pairing *= Fraction(2, m) ** e * factorial(e)
-        total += a * b * pairing
-    return total / (f.den * g.den)
+            up *= factorial(e) << e
+            down *= m ** e
+        terms.append((a * b * up, down))
+    L = lcm(1, *(d for _, d in terms))
+    return Fraction(sum(n * (L // d) for n, d in terms), L * f.den * g.den)
 
 
 def q_expand(f):

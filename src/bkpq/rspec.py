@@ -18,7 +18,8 @@ class RSpec:
     """Base for weight-function variants.  Subclasses define r at n >= 1.
 
     A spec must not be changed once built: r_value and r_prefix keep the
-    values they have computed on the instance (a failed value is not kept).
+    values they have computed on the instance, and tau.tau_bkp keeps its
+    series per (W, Wstar) there too (a failed value or build is not kept).
     """
 
     def _r_positive(self, n):

@@ -100,8 +100,16 @@ def _diagonal_sum(terms, W, Wstar):
 
 
 def tau_bkp(spec, W, Wstar):
-    """BKP tau function of hypergeometric type, truncated per alphabet."""
-    return _diagonal_sum(tau_terms(spec, min(W, Wstar)), W, Wstar)
+    """BKP tau function of hypergeometric type, truncated per alphabet.
+
+    Kept on the spec per (W, Wstar), as r_value keeps r(n): the checks of
+    one spec share one build, and a failed build is not kept.
+    """
+    built = spec.__dict__.setdefault("_tau_bkp", {})
+    t = built.get((W, Wstar))
+    if t is None:
+        t = built[(W, Wstar)] = _diagonal_sum(tau_terms(spec, min(W, Wstar)), W, Wstar)
+    return t
 
 
 def tau_kp(spec, W, Wstar):
@@ -278,6 +286,11 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
     differential-operator pairing (q_expand), the right side through the
     series sum; the two routes share nothing past Q_lambda itself.
     """
+    for times in (t_values, tstar_values):
+        for m in times:
+            # tau carries no such time up to weight W: both sides would ignore it
+            if not isinstance(m, int) or m % 2 == 0 or not 1 <= m <= W:
+                raise ValueError("time index %r is not an odd integer in [1, %d]" % (m, W))
     f = _exp_kernel(t_values, W)
     g = _exp_kernel(tstar_values, W)
     lhs_by_weight = scalar_product_r_by_weight(f, g, spec)

@@ -217,6 +217,11 @@ GOLDEN_SHA256 = [
         "tau --r prod:(symrat:alpha=1/3;beta=1/5),(ratps:a=3/4;b=5/2) --weight 9 --wstar 7 --json",
         "7688d2d9275fae02e6a2c8a47e51b9a56e3a8027db4cf96c192761b0a19e8cfe",
     ),
+    (
+        # the swap and the integer scaling of a W=14 tau per shipped spec
+        "verify --suite symmetry --weight 14 --seed 0 --json",
+        "e758dce4d47c63ec497eb2d2c3e4fa3186fcb384777f30316e663cf28db3f716",
+    ),
 ]
 
 
@@ -237,3 +242,21 @@ def test_failed_identity_exits_1(capsys, monkeypatch):
     reports = json.loads(out)
     assert reports[0]["pass"] is False
     assert "witness" in reports[0]
+
+
+def test_verify_checks_share_each_shipped_spec(monkeypatch):
+    # check_square and check_symmetry_scaling get the same spec objects, so
+    # the second finds the tau_bkp the first built
+    seen = {"check_square": [], "check_symmetry_scaling": []}
+    for name, ids in seen.items():
+        real = getattr(cli.tau, name)
+
+        def record(spec, *args, real=real, ids=ids):
+            ids.append(id(spec))
+            return real(spec, *args)
+
+        monkeypatch.setattr(cli.tau, name, record)
+    reports = cli.run_verify_suite("all", 4)
+    assert all(r.passed for r in reports)
+    assert len(seen["check_square"]) == 4
+    assert seen["check_square"] == seen["check_symmetry_scaling"]

@@ -3,6 +3,7 @@ evaluations, and the canonical scalar product."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -187,3 +188,72 @@ def test_q_expand_frozen_and_round_trip():
             f = f + q_lambda(lam, W) * c
     assert q_expand(f) == want
     assert q_expand(OddSeries(W)) == {}
+
+
+def _fraction_scalar_product(f, g):
+    """The pairing with one Fraction operation per monomial, as scalar_product
+    computed it before it summed in integers: the reference it is held to."""
+    total = Fraction(0)
+    for mono, a in f.terms.items():
+        b = g.terms.get(mono)
+        if not b:
+            continue
+        pairing = Fraction(1)
+        for m, e in mono:
+            pairing *= Fraction(2, m) ** e * factorial(e)
+        total += a * b * pairing
+    return total
+
+
+def _fraction_eval(f, value):
+    """f at t_m = value(m), one Fraction operation per factor."""
+    total = Fraction(0)
+    for mono, c in f.terms.items():
+        for m, e in mono:
+            c *= Fraction(value(m)) ** e
+        total += c
+    return total
+
+
+def _exp_kernels(W):
+    """exp(sum (m/2) v_m t_m) at negative, zero and mixed times."""
+    rng = random.Random(17)
+    out = []
+    for _ in range(6):
+        times = {m: F(rng.randint(-4, 4), rng.randint(1, 5)) for m in range(1, W + 1, 2)}
+        terms = {((m, 1),): F(m, 2) * v for m, v in times.items() if v}
+        out.append(OddSeries(W, terms).exp())
+    out.append(OddSeries.constant(W))
+    return out
+
+
+def test_scalar_product_matches_fraction_pairing():
+    W = 8
+    qs = [q_lambda(lam, W) for lam in enumerate_strict(W)]
+    for a in qs:
+        for b in qs:
+            assert scalar_product(a, b) == _fraction_scalar_product(a, b)
+    W = 10
+    kernels = _exp_kernels(W)
+    qs = [q_lambda(lam, W) for lam in enumerate_strict(W)]
+    for f in kernels:
+        for g in kernels + qs:
+            got = scalar_product(f, g)
+            assert type(got) is Fraction and got == _fraction_scalar_product(f, g)
+    assert scalar_product(OddSeries(W), kernels[0]) == 0
+
+
+def test_evaluation_matches_fraction_loop():
+    W = 12
+    series = [q_lambda(lam, W) for lam in enumerate_strict(W)] + _exp_kernels(W)
+    points = [
+        XPoint([F(1, 2)]),
+        XPoint([F(-2, 3), F(5, 4)]),
+        XPoint([F(3), F(-1, 6), F(2, 5)]),
+    ]
+    for f in series:
+        for x in points:
+            want = _fraction_eval(f, lambda m: F(2, m) * sum(v ** m for v in x.values))
+            assert eval_at_x(f, x) == want
+        assert eval_at_tinfty(f) == _fraction_eval(f, lambda m: F(m == 1))
+    assert type(eval_at_x(OddSeries(W), points[0])) is Fraction

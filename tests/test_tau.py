@@ -1,21 +1,26 @@
 """Hypergeometric tau-function series: Cauchy kernel, square identity,
 invariances, hypergeometric reductions, and the deformed scalar product."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from bkpq.gseries import BiSeries, OddSeries
 from bkpq.partitions import StrictPartition, enumerate_partitions, enumerate_strict
+from bkpq.ops import check_linear_eq_N1
 from bkpq.qschur import q_lambda, scalar_product, schur_s
 from bkpq.rspec import (
     Cutoff,
     Ones,
     RationalPS,
+    RValueError,
     SymmetricRational,
     Table,
     TParam,
     content_product_kp,
+    parse_rspec,
 )
 from bkpq import tau as tau_module
 from bkpq.tau import (
@@ -270,3 +275,77 @@ def test_tau_q_coefficients():
         got = pair_tstar_against(t, q_lambda(mu, W))
         want = q_lambda(mu, W) * spec.r_lambda(mu)
         assert (got - want).is_zero()
+
+
+@pytest.mark.parametrize("key", [2, -1, 9, 0, "1"])
+def test_check_tau_scalar_refuses_times_it_cannot_see(key):
+    # both sides ignored such a time, so they agreed and the check passed
+    for tv, sv in (({key: 1}, {key: 1}), ({1: F(1, 2)}, {key: 1}), ({key: 1}, {})):
+        with pytest.raises(ValueError, match="time index %r " % (key,)):
+            check_tau_scalar(Ones(), 6, tv, sv)
+    assert check_tau_scalar(Ones(), 6, {5: 1}, {1: 1, 3: F(-1, 2)}).passed
+
+
+def test_tau_bkp_is_built_once_per_spec_and_caps():
+    spec = RationalPS([F(1, 2)], [F(3, 4)])
+    t = tau_bkp(spec, 6, 6)
+    assert tau_bkp(spec, 6, 6) is t
+    assert check_symmetry_scaling(spec, 2, 6).passed and tau_bkp(spec, 6, 6) is t
+    other = tau_bkp(spec, 6, 4)
+    assert other is not t and other.caps == (6, 4)
+    assert tau_bkp(spec, 6, 4) is other
+    fresh = RationalPS([F(1, 2)], [F(3, 4)])
+    assert t == tau_bkp(fresh, 6, 6) and other == tau_bkp(fresh, 6, 4)
+    assert tau_bkp(fresh, 6, 6) is not t
+
+
+def test_failed_tau_bkp_build_is_not_kept():
+    short = Table([1, F(1, 2)])  # r(3) is not tabulated
+    for _ in range(3):
+        with pytest.raises(RValueError, match="r\\(3\\)"):
+            tau_bkp(short, 6, 6)
+    assert tau_bkp(short, 2, 2) == tau_bkp(Table([1, F(1, 2)]), 2, 2)
+
+
+# One spec per spec-scan family at W = 10 with seeded times, and the sha256
+# of its five reports' JSON, measured before the series evaluation, scaling
+# and pairing were summed in integers.
+SCAN_GOLDEN = [
+    (
+        "table:1/2,4,1,1,5/3,5/2,3/2,2/5,1/3,1,1/4,1/3",
+        {1: "-5/2", 3: "4", 5: "-1/3"},
+        {1: "5/3", 3: "-1", 5: "4/3"},
+        "0e6d58fed896a79a2f268f200e4e43b897f1b6bb1c183869475754d713a789b0",
+    ),
+    (
+        "tparam:T1=4/3,T2=1/5,T3=1,T4=4,T5=2,T6=1,T7=3/5,T8=1/4,T9=2,T10=1/2,T11=1/5,T12=3/2",
+        {1: "-4", 3: "-3/5", 5: "-5/2"},
+        {1: "-1", 3: "2/5", 5: "2"},
+        "aabf662191dcde67dbbebc1f1cbce7889075c5543142d26837c517504b88ff96",
+    ),
+    (
+        "ratps:a=5,1/3;b=5/4",
+        {1: "4/3", 3: "4/5", 5: "5/3"},
+        {1: "5/4", 3: "-4/3", 5: "-1"},
+        "9e91a94f3d2e231e8422efd886b2542c9d5451e308e7ef19dddc5ecf673d95a4",
+    ),
+    (
+        "symrat:alpha=5/3;beta=5/4",
+        {1: "-3/5", 3: "1/4", 5: "-1/5"},
+        {1: "1/2", 3: "-3/2", 5: "5/4"},
+        "083da093c516e5a3e964fdb7db34ec7b1d27238f1270e093f931d9813221af0b",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, t, tstar, digest", SCAN_GOLDEN)
+def test_scan_reports_byte_identical(text, t, tstar, digest):
+    W = 10
+    spec = parse_rspec(text)
+    reports = [check_symmetry_scaling(spec, 2, W)]
+    reports += [check_linear_eq_N1(spec, m, W, W) for m in (1, 3, 5)]
+    times = [{m: F(v) for m, v in d.items()} for d in (t, tstar)]
+    reports.append(check_tau_scalar(spec, W, *times))
+    assert all(r.passed for r in reports)
+    out = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
