@@ -6,12 +6,13 @@ function e^{sum t_m z^m}.  Q_lambda(t/2) is treated as a single named
 polynomial in t_1, t_3, ...; no half-variable object exists.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .gseries import OddSeries
-from .partitions import conjugate, enumerate_strict
+from .partitions import _parts_of_weight, conjugate, enumerate_strict
 
 
 class XPoint:
@@ -112,45 +113,63 @@ def q_lambda(lam, W):
 
 
 @lru_cache(maxsize=None)
+def _character(parts, rho):
+    """The irreducible character chi^parts at the cycle type rho, an int.
+
+    Murnaghan-Nakayama on the beta-set (abacus) of parts: a border strip of
+    length rho[0] is a bead moved from b down to a free position b - rho[0],
+    signed by the parity of the beads it passes (Macdonald, Symmetric
+    Functions, I.7).  rho[1:] is charged to the shape left over.
+    """
+    if not rho:
+        return 1
+    r, k = rho[0], len(parts)
+    beta = [p + k - 1 - i for i, p in enumerate(parts)]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            moved = sorted((c - r if c == b else c for c in beta), reverse=True)
+            shape = tuple(p for p in (c - (k - 1 - i) for i, c in enumerate(moved)) if p)
+            crossed = sum(b - r < c < b for c in beta)
+            total += (-1) ** crossed * _character(shape, rho[1:])
+    return total
+
+
+@lru_cache(maxsize=None)
+def _odd_classes(n):
+    """(rho, the monomial prod_m t_m^e_m, prod_m e_m!) over the partitions rho
+    of n into odd parts, e_m being the multiplicity of m in rho."""
+    out = []
+    for rho in _parts_of_weight(n):
+        if any(m % 2 == 0 for m in rho):
+            continue
+        exps = Counter(rho)
+        den = prod(factorial(e) for e in exps.values())
+        out.append((rho, tuple(sorted(exps.items())), den))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _schur_cached(parts, W):
-    """Jacobi-Trudi det(h_{parts_i - i + j}) by minor expansion down the rows."""
-    k = len(parts)
-    if k == 0:
-        return OddSeries.constant(W)
-    table = _h_table(W)
+    """s_parts = sum over odd cycle types rho of chi^parts_rho prod_m t_m^e_m / e_m!.
 
-    def entry(i, j):
-        # h_d is homogeneous of weight d, so it vanishes at truncation W < d
-        d = parts[i] - (i + 1) + (j + 1)
-        if d < 0 or d > W:
-            return OddSeries(W)
-        return table[d]
-
-    # minor expansion down the rows, memoized on the remaining column set
-    memo = {}
-
-    def minor(row, cols):
-        if row == k:
-            return OddSeries.constant(W)
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = OddSeries(W)
-        for pos, j in enumerate(cols):
-            term = entry(row, j) * minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            acc = acc - term if pos % 2 else acc + term
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(k)))
+    With h_k = [z^k] e^{sum t_m z^m} the power sums are p_m = m t_m, so the
+    z_rho of the character expansion leaves prod_m e_m! (Macdonald, I.7);
+    even times are zero, so only the rho with odd parts remain.  The terms
+    are summed in integers over the lcm of those factorials.
+    """
+    classes = _odd_classes(sum(parts))
+    L = lcm(1, *(d for _, _, d in classes))
+    num = {mono: _character(parts, rho) * (L // d) for rho, mono, d in classes}
+    return OddSeries(W)._like(num, L)
 
 
 def schur_s(mu, W):
-    """Schur function s_mu(t_1, 0, t_3, 0, ...) via the Jacobi-Trudi determinant.
+    """Schur function s_mu(t_1, 0, t_3, 0, ...) by the Murnaghan-Nakayama rule.
 
     At odd times the involution omega fixes every power sum, so s_mu equals
-    s_mu' (Macdonald, Symmetric Functions, I.2-I.3); the determinant is
-    expanded on whichever of mu and mu' has fewer rows (mu on a tie).
+    s_mu' (Macdonald, Symmetric Functions, I.2-I.3); the characters are
+    taken on whichever of mu and mu' has fewer rows (mu on a tie).
     """
     if mu.weight > W:
         raise ValueError("partition weight %d exceeds truncation %d" % (mu.weight, W))

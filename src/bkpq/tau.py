@@ -150,7 +150,13 @@ def check_square(spec, W):
 
 
 def check_symmetry_scaling(spec, a, W):
-    """Alphabet swap and the (a^m, a^-m) scaling both fix tau_bkp."""
+    """Alphabet swap and the (a^m, a^-m) scaling both fix tau_bkp.
+
+    Every term c f(t) f(t*) of tau_bkp has equal t- and t*-weight and is
+    symmetric, so both halves hold for any r: the check pins the assembly
+    (_diagonal_sum, swap, substitute_scaled), not r.  The witness of a
+    failure is the first monomial that breaks the symmetry.
+    """
     a = Fraction(a)
     if not a:
         raise ValueError("scale must be nonzero")
@@ -284,13 +290,18 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
     <exp(sum (m/2) t_m g_m), exp(sum (m/2) t*_m g_m)>_r = tau_r(t, t*)
     at given rational parameter values.  The left side goes through the
     differential-operator pairing (q_expand), the right side through the
-    series sum; the two routes share nothing past Q_lambda itself.
+    series sum; the two routes share nothing past Q_lambda itself.  A time
+    index that is not odd in [1, W], or an alphabet with no nonzero time,
+    would make both sides agree whatever tau is, so it raises ValueError.
     """
-    for times in (t_values, tstar_values):
+    for name, times in (("t", t_values), ("t*", tstar_values)):
         for m in times:
             # tau carries no such time up to weight W: both sides would ignore it
             if not isinstance(m, int) or m % 2 == 0 or not 1 <= m <= W:
                 raise ValueError("time index %r is not an odd integer in [1, %d]" % (m, W))
+        # with one alphabet at zero both sides are 1
+        if not any(times.values()):
+            raise ValueError("every time of the %s alphabet is zero" % name)
     f = _exp_kernel(t_values, W)
     g = _exp_kernel(tstar_values, W)
     lhs_by_weight = scalar_product_r_by_weight(f, g, spec)

@@ -222,6 +222,16 @@ GOLDEN_SHA256 = [
         "verify --suite symmetry --weight 14 --seed 0 --json",
         "e758dce4d47c63ec497eb2d2c3e4fa3186fcb384777f30316e663cf28db3f716",
     ),
+    (
+        # mu' = (4, 3, 2, 1, 1) is longer, so s_mu is taken on mu; weight 14
+        "schur --mu 5,3,2,1 --weight 14 --json",
+        "98140ec5313309d2fec80f1c2fd2a6b41c7c4c206361d2bd34c5e423b67226fb",
+    ),
+    (
+        # mu' = (5, 3, 2, 2) is shorter; both have repeated parts
+        "schur --mu 4,4,2,1,1 --weight 12 --json",
+        "7e8caec07475b1ddadaac889bc019e08379a41f48239561a2212e60c4e5bf218",
+    ),
 ]
 
 

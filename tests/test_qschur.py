@@ -2,8 +2,9 @@
 evaluations, and the canonical scalar product."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -18,6 +19,8 @@ from bkpq.partitions import (
 )
 from bkpq.qschur import (
     XPoint,
+    _character,
+    _odd_classes,
     delta,
     eval_at_tinfty,
     eval_at_x,
@@ -112,12 +115,26 @@ def _jacobi_trudi_full_rows(mu, W):
 
 
 def test_schur_matches_full_row_jacobi_trudi_on_mu_and_conjugate():
-    # s_mu = s_mu' at odd times; schur_s expands only the shorter of the two
-    W = 8
+    # s_mu = s_mu' at odd times; schur_s takes the characters of the shorter
+    # of the two, and the determinant is a route independent of them
+    W = 10
     for mu in [Partition([])] + enumerate_partitions(W):
         got = schur_s(mu, W)
         assert got == _jacobi_trudi_full_rows(mu, W), mu
         assert got == _jacobi_trudi_full_rows(conjugate(mu), W), mu
+
+
+def test_characters_are_column_orthogonal():
+    # sum over mu |- n of chi^mu_rho chi^mu_sigma = delta_{rho sigma} z_rho,
+    # a property of the character table that needs no second route to s_mu
+    for n in range(1, 13):
+        shapes = [mu.parts for mu in enumerate_partitions(n) if mu.weight == n]
+        classes = [rho for rho, _, _ in _odd_classes(n)]
+        for rho in classes:
+            z = prod(m ** e * factorial(e) for m, e in Counter(rho).items())
+            for sigma in classes:
+                got = sum(_character(mu, rho) * _character(mu, sigma) for mu in shapes)
+                assert got == (z if rho == sigma else 0), (rho, sigma)
 
 
 def test_square_identity_small():

@@ -349,3 +349,44 @@ def test_scan_reports_byte_identical(text, t, tstar, digest):
     assert all(r.passed for r in reports)
     out = json.dumps([r.to_json() for r in reports], sort_keys=True)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("zero", [{}, {1: 0, 3: 0}])
+def test_check_tau_scalar_refuses_an_alphabet_at_zero(zero, monkeypatch):
+    # both sides are then 1, so even a broken tau passed
+    real = tau_module.tau_bkp
+
+    def broken(spec, W, Wstar):
+        extra = BiSeries(W, Wstar, {(((1, 1),), ((1, 1),)): F(5)})
+        return real(spec, W, Wstar) * 2 - 1 + extra
+
+    monkeypatch.setattr(tau_module, "tau_bkp", broken)
+    spec = Table([1, 2, 3, 4, 5, 6])
+    other = {1: F(1, 2)}
+    with pytest.raises(ValueError, match="of the t alphabet is zero"):
+        check_tau_scalar(spec, 6, zero, other)
+    with pytest.raises(ValueError, match=r"of the t\* alphabet is zero"):
+        check_tau_scalar(spec, 6, other, zero)
+    assert not check_tau_scalar(spec, 6, {1: F(1, 3)}, other).passed
+
+
+def test_check_symmetry_scaling_sees_unequal_weight_and_asymmetric_terms(monkeypatch):
+    # tau_bkp builds neither kind of term, so no r can make the check fail;
+    # these pin what each half of it sees
+    real = tau_module.tau_bkp
+    t1, t3, t1_cubed = ((1, 1),), ((3, 1),), ((1, 3),)
+    for extra, name, witness, lhs in (
+        # t_1 t*_3 + t_3 t*_1 is symmetric; a = 2 scales t_1 t*_3 by 2^(1-3)
+        ({(t1, t3): F(1), (t3, t1): F(1)}, "symmetry-scaling", "t:{1: 1} t*:{3: 1}", "1/4"),
+        # t_1^3 t*_3 has t-weight 3 = t*-weight, but its swap is not in tau
+        ({(t1_cubed, t3): F(1)}, "symmetry-swap", "t:{1: 3} t*:{3: 1}", "0"),
+    ):
+        monkeypatch.setattr(
+            tau_module,
+            "tau_bkp",
+            lambda spec, W, Wstar, extra=extra: real(spec, W, Wstar)
+            + BiSeries(W, Wstar, extra),
+        )
+        rep = check_symmetry_scaling(Ones(), 2, 6).to_json()
+        assert rep["name"] == name and not rep["pass"]
+        assert rep["witness"] == {"monomial": witness, "lhs": lhs, "rhs": "1"}
