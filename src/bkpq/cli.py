@@ -125,7 +125,7 @@ def run_verify_suite(suite, W, seed=0):
     if suite == "all":
         for spec in specs:
             for N in (1, 2):
-                if N * (N - 1) <= W:
+                if N * (N - 1) + 2 <= W:
                     reports.append(pfaffian.check_two_alphabet_pfaffian(spec, N, W))
             reports.append(pfaffian.check_xpoint_pfaffian(spec, _random_xpoint(rng, 2), W))
             for m in (1, 3, 5):
@@ -142,10 +142,10 @@ def cmd_verify(args):
 
 def cmd_pfaffian_check(args):
     spec = parse_rspec(args.r)
-    low = args.n * (args.n - 1)
+    low = args.n * (args.n - 1) + 2
     if args.degree < low:
         raise ValueError(
-            "degree %d is below N(N-1) = %d, where both sides vanish" % (args.degree, low)
+            "degree %d is below N(N-1)+2 = %d: both sides agree for any r" % (args.degree, low)
         )
     rep = pfaffian.check_two_alphabet_pfaffian(spec, args.n, args.degree)
     _emit(args, rep.to_json())

@@ -76,7 +76,8 @@ class GradedSeries:
     holds one weight cap per grade and `unit` is the monomial of the
     constant term.  A subclass defines `grade(mono)`, the tuple of the
     monomial's weights in the order of `caps`, and `mono_mul(a, b)`; one
-    that `substitute` serves also defines `variables(mono)`.
+    that `substitute` serves also defines `part_variables(i, part)`, and
+    one of several alphabets `parts(mono)`.
     """
 
     __slots__ = ("caps", "unit", "num", "den")
@@ -243,32 +244,51 @@ class GradedSeries:
             total = total + term
         return total
 
-    def _evaluate(self, image):
-        """The series at the numbers image(v) = p_v / q_v, as one Fraction.
+    @staticmethod
+    def parts(mono):
+        """The monomial split by alphabet; one alphabet gives one part."""
+        return (mono,)
 
-        With E_v the top exponent of v, the common denominator is
-        den * prod_v q_v^E_v, and a monomial with exponents e_v adds
-        num * prod_v p_v^e_v q_v^(E_v - e_v): all in ints.
+    @classmethod
+    def variables(cls, mono):
+        """(variable, exponent) for each variable of the monomial."""
+        return [v for i, part in enumerate(cls.parts(mono)) for v in cls.part_variables(i, part)]
+
+    def _evaluate(self, image):
+        """The series at the numbers image(v), as one Fraction.
+
+        Each distinct part in position i of `parts` is evaluated once, as an
+        int over the lcm D_i of their denominators; one with a variable at
+        zero is skipped with its monomials.  The sum of num * prod_i part_i
+        is one int over den * prod_i D_i.
         """
-        terms = [(dict(self.variables(mono)), v) for mono, v in self.num.items()]
-        top = {}
-        for exps, _ in terms:
-            for var, e in exps.items():
-                top[var] = max(e, top.get(var, 0))
-        # factors[var][e] = p^e q^(E - e)
-        factors = {}
-        for var, E in top.items():
-            x = Fraction(image(var))
-            p, q = x.numerator, x.denominator
-            factors[var] = [p ** e * q ** (E - e) for e in range(E + 1)]
-        total = 0
-        for exps, v in terms:
-            for var, f in factors.items():
-                v *= f[exps.get(var, 0)]
-            total += v
+        at = {}
+
+        def value(i, part):
+            p = q = 1
+            for var, e in self.part_variables(i, part):
+                x = at.get(var)
+                if x is None:
+                    x = at[var] = Fraction(image(var))
+                p *= x.numerator ** e
+                q *= x.denominator ** e
+            return p, q
+
+        rows = [(self.parts(mono), v) for mono, v in self.num.items()]
+        columns = []
         den = self.den
-        for f in factors.values():
-            den *= f[0]
+        for i, column in enumerate(zip(*(ps for ps, _ in rows))):
+            values = {part: value(i, part) for part in set(column)}
+            D = lcm(*(q for p, q in values.values() if p))
+            columns.append({part: p * (D // q) for part, (p, q) in values.items() if p})
+            den *= D
+        total = 0
+        for ps, v in rows:
+            for col, part in zip(columns, ps):
+                v *= col.get(part, 0)
+                if not v:
+                    break
+            total += v
         return Fraction(total, den)
 
     def _scaled(self, a0, shift):
@@ -302,6 +322,8 @@ class GradedSeries:
         self._check_match(other)
         a, b = self.num, other.num
         da, db = self.den, other.den
+        if da == db and a == b:  # the canonical form: equal series, equal fields
+            return None
         grade = self.grade
         return min(
             (m for m in a.keys() | b.keys() if a.get(m, 0) * db != b.get(m, 0) * da),
@@ -325,9 +347,9 @@ class OddSeries(GradedSeries):
     mono_mul = staticmethod(mono_mul)
 
     @staticmethod
-    def variables(mono):
-        """(m, exponent) for each t_m of the monomial."""
-        return mono
+    def part_variables(i, part):
+        """(m, exponent) for each t_m."""
+        return part
 
     # bound in each class body so that tools wrapping a class's own methods
     # (the perfbench tracer) see every series class separately
@@ -404,10 +426,14 @@ class BiSeries(GradedSeries):
         return (mono_mul(a[0], b[0]), mono_mul(a[1], b[1]))
 
     @staticmethod
-    def variables(mono):
-        """((0, m), exponent) for each t_m and ((1, m), exponent) for each t*_m."""
-        mt, ms = mono
-        return [((0, m), e) for m, e in mt] + [((1, m), e) for m, e in ms]
+    def parts(mono):
+        """The t-monomial and the t*-monomial."""
+        return mono
+
+    @staticmethod
+    def part_variables(i, part):
+        """((i, m), exponent) for each t_m (i = 0) or t*_m (i = 1)."""
+        return [((i, m), e) for m, e in part]
 
     __mul__ = __rmul__ = GradedSeries.__mul__
     exp = GradedSeries.exp

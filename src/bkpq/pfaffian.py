@@ -242,8 +242,9 @@ def check_two_alphabet_pfaffian(spec, N, D):
 
     Pfaff(S) prod(x_i+x_j)(y_i+y_j) = tau(x, y) prod(x_i-x_j)(y_i-y_j),
     compared coefficientwise as polynomials to total degree D.  Both sides
-    have degree at least N(N-1); below it they are both zero, and the
-    pfaffian-check command refuses such a D.
+    have degree at least N(N-1) and tau - 1 has degree at least 2, so below
+    D = N(N-1)+2 both sides are 0 or prod(x_i-x_j)(y_i-y_j) whatever r is,
+    and the pfaffian-check command refuses such a D.
     """
     nvars = 2 * N
     S = build_S(spec, N, D)

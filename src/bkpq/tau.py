@@ -8,7 +8,7 @@ truncated series coefficientwise and reports the first failing monomial.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .gseries import BiSeries, OddSeries
+from .gseries import BiSeries, OddSeries, mono_weight
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import (
     XPoint,
@@ -83,19 +83,32 @@ def _diagonal_sum(terms, W, Wstar):
 
     Summed in integers: term (c, f) is c.numerator f.num f.num over
     c.denominator f.den^2, every term is scaled to the lcm L of those
-    denominators and the sum is reduced once.  Every f is truncated at
-    min(W, Wstar), so every product lies within the caps.
+    denominators and the sum is reduced once.  Every f is weight-homogeneous,
+    so a block per weight numbers its monomials 0..n-1 and sums k a_i b_j
+    into an n x n table of ints.  Every f is truncated at min(W, Wstar),
+    so every product lies within the caps.
     """
     scaled = [(c.numerator, c.denominator * f.den * f.den, f.num) for c, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
-    out = {((), ()): L}
+    blocks = {}  # weight -> (monomial -> index, [(k, [(index, numerator)])])
     for k, d, nums in scaled:
-        k *= L // d
-        for mt, a in nums.items():
-            ka = k * a
-            for ms, b in nums.items():
-                key = (mt, ms)
-                out[key] = out.get(key, 0) + ka * b
+        index, fs = blocks.setdefault(mono_weight(next(iter(nums), ())), ({}, []))
+        entries = [(index.setdefault(m, len(index)), a) for m, a in nums.items()]
+        fs.append((k * (L // d), entries))
+    out = {}
+    for index, fs in blocks.values():
+        n = len(index)
+        table = [[0] * n for _ in range(n)]
+        for k, entries in fs:
+            for i, a in entries:
+                ka, row = k * a, table[i]
+                for j, b in entries:
+                    row[j] += ka * b
+        monos = list(index)
+        out.update(
+            ((mt, ms), v) for mt, row in zip(monos, table) for ms, v in zip(monos, row) if v
+        )
+    out[((), ())] = out.get(((), ()), 0) + L
     return BiSeries(W, Wstar)._like(out, L)
 
 

@@ -157,7 +157,15 @@ def test_usage_errors_exit_2(capsys):
         (["linear-check", "--r", "ones", "--m", "1", "--order", "6", "--weight", "4", "--json"], "order 6"),
         # both sides vanish below x^m, so these passed vacuously
         (["linear-check", "--r", "ones", "--m", "5", "--order", "4", "--weight", "4", "--json"], "m=5"),
-        (["pfaffian-check", "--r", "ones", "--n", "3", "--degree", "4", "--json"], "N(N-1) = 6"),
+        (["pfaffian-check", "--r", "ones", "--n", "3", "--degree", "4", "--json"], "N(N-1)+2 = 8"),
+        # up to N(N-1)+1 both sides are the r-free leading term, so these
+        # passed vacuously
+        (["pfaffian-check", "--r", "ones", "--n", "1", "--degree", "1", "--json"], "N(N-1)+2 = 2"),
+        (
+            ["pfaffian-check", "--r", "ratps:a=1/2,3;b=5/2", "--n", "3", "--degree", "6", "--json"],
+            "N(N-1)+2 = 8",
+        ),
+        (["pfaffian-check", "--r", "ones", "--n", "3", "--degree", "7", "--json"], "N(N-1)+2 = 8"),
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and text in err and "Traceback" not in err, argv
@@ -181,8 +189,9 @@ GOLDEN_SHA256 = [
         "d093b7acff114092b2db02a3b1ed96a73b97085cf4fdb696e46a8acb59fe7def",
     ),
     (
-        "pfaffian-check --r ratps:a=1/2,3;b=5/2 --n 3 --degree 6 --json",
-        "6a2014f26900b36e18936caf2960d1996c240d09fce21383f3b8755917c2f37b",
+        # N(N-1) + 2 = 8 is the lowest degree at which r enters
+        "pfaffian-check --r ratps:a=1/2,3;b=5/2 --n 3 --degree 8 --json",
+        "05dcf95fe8ff86e8856dcc38d7afb5191fa2faba0899d2ce5f2a7ad75e0a44dc",
     ),
     (
         "hyper --a 1/2 --b 3/2 --order 6 --weight 6 --json",
@@ -232,6 +241,11 @@ GOLDEN_SHA256 = [
         "schur --mu 4,4,2,1,1 --weight 12 --json",
         "7e8caec07475b1ddadaac889bc019e08379a41f48239561a2212e60c4e5bf218",
     ),
+    (
+        # tau_bkp at W=14, whose top weight block is 22 x 22
+        "tau --r symrat:alpha=1/3;beta=1/5 --weight 14 --json",
+        "7890026322a0dcdd4b9b9e0effb0c93b346bcee2414a853df05655173f065d9f",
+    ),
 ]
 
 
@@ -270,3 +284,12 @@ def test_verify_checks_share_each_shipped_spec(monkeypatch):
     assert all(r.passed for r in reports)
     assert len(seen["check_square"]) == 4
     assert seen["check_square"] == seen["check_symmetry_scaling"]
+
+
+def test_verify_schedules_two_alphabet_pfaffians_only_where_r_enters():
+    # below degree N(N-1)+2 both sides are the r-free leading term
+    for W, want in [(1, []), (2, [1]), (3, [1]), (4, [1, 2]), (5, [1, 2])]:
+        reports = [r.to_json() for r in cli.run_verify_suite("all", W)]
+        ns = [r["params"]["N"] for r in reports if r["name"] == "pfaffian-two-alphabet"]
+        assert ns == want * 4, W
+        assert all(r["pass"] for r in reports), W

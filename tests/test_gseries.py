@@ -251,3 +251,67 @@ def test_substitute_is_a_ring_map():
             assert (a * b).substitute(image, one) == sa * sb
             assert (a + b).substitute(image, one) == sa + sb
             assert sa != 0 and sb != 0
+
+
+def _fraction_bi_eval(f, t, tstar):
+    """f at t_m = t.get(m, 0) and t*_m = tstar.get(m, 0), one Fraction
+    operation per factor: the reference for substitute into numbers."""
+    total = Fraction(0)
+    for (mt, ms), c in f.terms.items():
+        for m, e in mt:
+            c *= Fraction(t.get(m, 0)) ** e
+        for m, e in ms:
+            c *= Fraction(tstar.get(m, 0)) ** e
+        total += c
+    return total
+
+
+def test_biseries_evaluation_matches_fraction_loop():
+    from bkpq.rspec import RationalPS, SymmetricRational
+    from bkpq.tau import tau_bkp
+
+    rng = random.Random(53)
+    W = 10
+
+    def rand_mono(cap):
+        d = {}
+        for m in rng.sample([1, 3, 5, 7, 9], rng.randint(0, 3)):
+            e = rng.randint(1, 3)
+            if mono_weight(tuple(d.items())) + m * e <= cap:
+                d[m] = e
+        return tuple(sorted(d.items()))
+
+    def rand_bi(Wstar):
+        terms = {
+            (rand_mono(W), rand_mono(Wstar)): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            for _ in range(40)
+        }
+        return BiSeries(W, Wstar, terms)
+
+    F = Fraction
+    series = [
+        tau_bkp(SymmetricRational([F(1, 3)], [F(1, 5)]), W, W),
+        tau_bkp(RationalPS([3, F(1, 2)], [F(5, 4)]), W, 7),
+        rand_bi(W),
+        rand_bi(6),
+        BiSeries(W, W),
+    ]
+    times = [
+        # zero, negative and absent times in each alphabet
+        ({1: F(-2), 3: 0, 5: F(1, 3)}, {1: F(3, 4), 7: 0, 9: F(-5)}),
+        ({3: F(-1, 2), 9: F(7, 3)}, {1: 0, 3: F(2), 5: F(-2, 3)}),
+        ({1: F(5, 3), 9: 0}, {5: F(-1)}),
+        ({1: 0, 3: 0}, {1: F(1, 2)}),
+        ({}, {}),
+    ]
+    for _ in range(4):
+        times.append(
+            tuple(
+                {m: F(rng.randint(-3, 3), rng.randint(1, 4)) for m in rng.sample(range(1, W, 2), 3)}
+                for _ in "tt"
+            )
+        )
+    for f in series:
+        for t, ts in times:
+            got = f.substitute(lambda v: (t, ts)[v[0]].get(v[1], 0), Fraction(1))
+            assert type(got) is Fraction and got == _fraction_bi_eval(f, t, ts), (f, t, ts)

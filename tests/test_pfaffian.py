@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import bkpq
+from bkpq import pfaffian as pfaffian_module
 from bkpq.gseries import OddSeries
 from bkpq.partitions import StrictPartition, enumerate_strict
 from bkpq.pfaffian import (
@@ -120,6 +121,22 @@ def test_two_alphabet_pfaffian_identity():
     assert check_two_alphabet_pfaffian(Cutoff(2), 2, 6).passed
     assert check_two_alphabet_pfaffian(RationalPS([1], [2]), 2, 6).passed
     assert check_two_alphabet_pfaffian(SymmetricRational([F(1, 3)], []), 1, 6).passed
+
+
+def test_two_alphabet_pfaffian_sees_r_from_degree_n_n_minus_1_plus_2(monkeypatch):
+    # every coefficient of tau times 1001/1000: below N(N-1)+2 both sides
+    # are the r-free leading term, so the check cannot see it
+    real = pfaffian_module.tau_terms
+
+    def corrupted(*args, **kwargs):
+        return ((c * F(1001, 1000), q) for c, q in real(*args, **kwargs))
+
+    monkeypatch.setattr(pfaffian_module, "tau_terms", corrupted)
+    for N in (1, 2, 3):
+        low = N * (N - 1) + 2
+        spec = RationalPS([F(1, 2), 3], [F(5, 2)])
+        assert check_two_alphabet_pfaffian(spec, N, low - 1).passed, N
+        assert not check_two_alphabet_pfaffian(spec, N, low).passed, N
 
 
 # counts the term pairs of every MultiPoly product in one two-alphabet check

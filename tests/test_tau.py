@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkpq.gseries import BiSeries, OddSeries
 from bkpq.partitions import StrictPartition, enumerate_partitions, enumerate_strict
@@ -14,6 +16,7 @@ from bkpq.qschur import q_lambda, scalar_product, schur_s
 from bkpq.rspec import (
     Cutoff,
     Ones,
+    Product,
     RationalPS,
     RValueError,
     SymmetricRational,
@@ -125,10 +128,49 @@ ORACLE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("W, Wstar", [(8, 8), (8, 5), (5, 8)])
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+POSITIVE = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5)
+# b of RationalPS may not be a nonpositive integer, beta not a half-integer
+PS_B = SMALL.filter(lambda b: b.denominator != 1 or b > 0)
+SYM_BETA = SMALL.filter(lambda b: (2 * b).denominator != 1)
+MAX_FUZZ_WEIGHT = 8
+BASE_SPECS = st.one_of(
+    st.lists(SMALL, min_size=MAX_FUZZ_WEIGHT, max_size=MAX_FUZZ_WEIGHT).map(Table),
+    st.lists(POSITIVE, min_size=MAX_FUZZ_WEIGHT, max_size=MAX_FUZZ_WEIGHT).map(
+        lambda u: TParam(dict(enumerate(u, 1)))
+    ),
+    st.builds(RationalPS, st.lists(SMALL, max_size=2), st.lists(PS_B, max_size=2)),
+    st.builds(SymmetricRational, st.lists(SMALL, max_size=2), st.lists(SYM_BETA, max_size=2)),
+)
+FUZZ_SPECS = st.one_of(BASE_SPECS, st.builds(Product, BASE_SPECS, BASE_SPECS))
+
+
+def _fuzz_times(W):
+    """Rational times at odd indices <= W, zeros among them, not all zero."""
+    return st.dictionaries(
+        st.sampled_from(range(1, W + 1, 2)), st.one_of(st.just(F(0)), SMALL), min_size=1
+    ).filter(lambda d: any(d.values()))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tau_bkp_and_scalar_route_on_random_specs(data):
+    spec = data.draw(FUZZ_SPECS)
+    W = data.draw(st.integers(1, MAX_FUZZ_WEIGHT))
+    Wstar = data.draw(st.integers(1, MAX_FUZZ_WEIGHT))
+    bound = min(W, Wstar)
+    got = tau_bkp(spec, W, Wstar)
+    assert got == _fraction_diagonal_sum(tau_terms(spec, bound), W, Wstar), spec
+    t, tstar = data.draw(_fuzz_times(W)), data.draw(_fuzz_times(W))
+    assert check_tau_scalar(spec, W, t, tstar).passed, (spec, t, tstar)
+
+
+@pytest.mark.parametrize("W, Wstar", [(8, 8), (8, 5), (5, 8), (14, 14)])
 def test_integer_tau_sum_matches_fraction_sum(W, Wstar):
     bound = min(W, Wstar)
-    for make in ORACLE_SPECS:
+    # at 14 the weight blocks hold up to 22 x 22 monomials; two specs keep
+    # the Fraction oracle quick
+    for make in ORACLE_SPECS if W < 14 else ORACLE_SPECS[3:5]:
         for got, want in [
             (tau_bkp(make(), W, Wstar), _fraction_diagonal_sum(tau_terms(make(), bound), W, Wstar)),
             (tau_kp(make(), W, Wstar), _fraction_diagonal_sum(_kp_terms(make(), bound), W, Wstar)),
@@ -309,38 +351,56 @@ def test_failed_tau_bkp_build_is_not_kept():
 
 # One spec per spec-scan family at W = 10 with seeded times, and the sha256
 # of its five reports' JSON, measured before the series evaluation, scaling
-# and pairing were summed in integers.
+# and pairing were summed in integers; then one at the spec-scan weight 14,
+# with zero and absent times in each alphabet, measured before tau_bkp was
+# summed in weight blocks and evaluated once per alphabet.
 SCAN_GOLDEN = [
     (
+        10,
         "table:1/2,4,1,1,5/3,5/2,3/2,2/5,1/3,1,1/4,1/3",
         {1: "-5/2", 3: "4", 5: "-1/3"},
         {1: "5/3", 3: "-1", 5: "4/3"},
         "0e6d58fed896a79a2f268f200e4e43b897f1b6bb1c183869475754d713a789b0",
     ),
     (
+        10,
         "tparam:T1=4/3,T2=1/5,T3=1,T4=4,T5=2,T6=1,T7=3/5,T8=1/4,T9=2,T10=1/2,T11=1/5,T12=3/2",
         {1: "-4", 3: "-3/5", 5: "-5/2"},
         {1: "-1", 3: "2/5", 5: "2"},
         "aabf662191dcde67dbbebc1f1cbce7889075c5543142d26837c517504b88ff96",
     ),
     (
+        10,
         "ratps:a=5,1/3;b=5/4",
         {1: "4/3", 3: "4/5", 5: "5/3"},
         {1: "5/4", 3: "-4/3", 5: "-1"},
         "9e91a94f3d2e231e8422efd886b2542c9d5451e308e7ef19dddc5ecf673d95a4",
     ),
     (
+        10,
         "symrat:alpha=5/3;beta=5/4",
         {1: "-3/5", 3: "1/4", 5: "-1/5"},
         {1: "1/2", 3: "-3/2", 5: "5/4"},
         "083da093c516e5a3e964fdb7db34ec7b1d27238f1270e093f931d9813221af0b",
     ),
+    (
+        14,
+        "tparam:T1=4/3,T2=1/5,T3=1,T4=4,T5=2,T6=1,T7=3/5,T8=1/4,T9=2,T10=1/2,T11=1/5,"
+        "T12=3/2,T13=2/7,T14=5,T15=1/3,T16=3",
+        {1: "-4", 3: "0", 5: "-5/2", 13: "1/3"},
+        {1: "-1", 3: "2/5", 5: "2", 7: "0"},
+        "09fd4b71d6069da15a54916825d45c16d260901b5ed61f9c54a7d4e06a36d272",
+    ),
 ]
 
 
-@pytest.mark.parametrize("text, t, tstar, digest", SCAN_GOLDEN)
-def test_scan_reports_byte_identical(text, t, tstar, digest):
-    W = 10
+@pytest.mark.parametrize(
+    "W, text, t, tstar, digest",
+    SCAN_GOLDEN,
+    # the ids the entries had before W became a field
+    ids=["%s-t%d-tstar%d-%s" % (g[1], i, i, g[4]) for i, g in enumerate(SCAN_GOLDEN)],
+)
+def test_scan_reports_byte_identical(W, text, t, tstar, digest):
     spec = parse_rspec(text)
     reports = [check_symmetry_scaling(spec, 2, W)]
     reports += [check_linear_eq_N1(spec, m, W, W) for m in (1, 3, 5)]
