@@ -3,7 +3,7 @@ their Pfaffian representations, all over exact rational arithmetic."""
 
 from .gseries import BiSeries, OddSeries
 from .partitions import Partition, StrictPartition, double, enumerate_strict
-from .qschur import XPoint, q_lambda, q_row, schur_s
+from .qschur import XPoint, q_lambda, schur_s
 from .rspec import (
     Cutoff,
     Ones,
@@ -26,7 +26,6 @@ __all__ = [
     "enumerate_strict",
     "XPoint",
     "q_lambda",
-    "q_row",
     "schur_s",
     "Cutoff",
     "Ones",

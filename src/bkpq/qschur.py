@@ -1,9 +1,10 @@
 """Projective Schur functions Q_lambda and ordinary Schur functions s_mu.
 
 Everything lives in the odd times: even times are identically zero, so the
-complete homogeneous h_k and the one-row q_k share a single generating
-function e^{sum t_m z^m}.  Q_lambda(t/2) is treated as a single named
-polynomial in t_1, t_3, ...; no half-variable object exists.
+complete homogeneous h_k and the one-row Q_(k) share the generating
+function e^{sum t_m z^m}, and h_k = Q_(k).  Every Q_lambda(t/2) is built by
+one bar recurrence and treated as a single named polynomial in t_1, t_3,
+...; no half-variable object exists.
 """
 
 from collections import Counter
@@ -11,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from .gseries import OddSeries
+from .gseries import OddSeries, mono_mul
 from .partitions import _parts_of_weight, conjugate, enumerate_strict
 
 
@@ -20,16 +21,10 @@ class XPoint:
 
     __slots__ = ("values",)
 
-    def __init__(self, values, require_distinct_abs=False):
+    def __init__(self, values):
         vals = tuple(Fraction(v) for v in values)
         if any(v == 0 for v in vals):
             raise ValueError("x values must be nonzero")
-        if require_distinct_abs:
-            seen = set()
-            for v in vals:
-                if abs(v) in seen:
-                    raise ValueError("|x_i| must be pairwise distinct")
-                seen.add(abs(v))
         object.__setattr__(self, "values", vals)
 
     def __setattr__(self, name, value):
@@ -42,71 +37,70 @@ class XPoint:
         return "XPoint(%r)" % (list(self.values),)
 
 
-@lru_cache(maxsize=None)
-def _h_table(W):
-    """h_0..h_W of e^{sum_{odd m} t_m z^m}, each weight-homogeneous.
+def _bars(parts, m):
+    """The m-bars of the strict partition `parts`: [(coefficient, parts left)].
 
-    Recurrence k h_k = sum_{odd m <= k} m t_m h_{k-m}.
+    A part a >= m whose a - m is not a part becomes a - m (dropped at a = m),
+    signed by the parity of the parts strictly between a - m and a; two parts
+    a > b with a + b = m are removed with 2 (-1)^{b + #parts strictly between
+    b and a}.  For odd m, dQ_parts/dt_m is the sum of these coefficients
+    times Q of the parts left (Macdonald, Symmetric Functions, III.8 Ex. 11).
     """
-    table = [OddSeries.constant(W)]
-    for k in range(1, W + 1):
-        acc = OddSeries(W)
-        for m in range(1, k + 1, 2):
-            acc = acc + OddSeries.variable(W, m) * table[k - m] * Fraction(m)
-        table.append(acc * Fraction(1, k))
-    return tuple(table)
-
-
-def h_k(k, W):
-    """Complete homogeneous symmetric function at odd times, h_k(t_1,0,t_3,...)."""
-    if k < 0:
-        return OddSeries(W)
-    if k > W:
-        raise ValueError("h_%d exceeds truncation weight %d" % (k, W))
-    return _h_table(W)[k]
-
-
-def q_row(n, W):
-    """One-row projective Schur function Q_(n)(t/2) = [z^n] e^{xi(t,z)}."""
-    if n > W:
-        raise ValueError("row weight %d exceeds truncation %d" % (n, W))
-    return h_k(n, W)
-
-
-@lru_cache(maxsize=None)
-def _q_two_row(a, b, W):
-    """Two-row block Q_(a,b)(t/2), antisymmetric in (a, b)."""
-    if a == b:
-        return OddSeries(W)
-    if a < b:
-        return -_q_two_row(b, a, W)
-    acc = q_row(a, W) * q_row(b, W) if b > 0 else q_row(a, W)
-    for i in range(1, b + 1):
-        term = q_row(a + i, W) * q_row(b - i, W) * Fraction(2 * (-1) ** i)
-        acc = acc + term
-    return acc
+    out = []
+    for i, a in enumerate(parts):
+        rest = parts[:i] + parts[i + 1 :]
+        if a >= m and a - m not in parts:
+            crossed = sum(a - m < c < a for c in parts)
+            moved = tuple(sorted(rest + (a - m,), reverse=True)) if a > m else rest
+            out.append(((-1) ** crossed, moved))
+        b = m - a
+        if 0 < b < a and b in parts:
+            crossed = sum(b < c < a for c in parts)
+            out.append((2 * (-1) ** (b + crossed), tuple(c for c in rest if c != b)))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _q_lambda_cached(parts, W):
+    """Q_parts(t/2) from |lambda| Q_lambda = sum_{odd m} m t_m dQ_lambda/dt_m.
+
+    Each derivative is a signed sum of smaller Q over the m-bars (`_bars`),
+    so Q_lambda is their sum, each monomial times one t_m, in integers over
+    the lcm of their denominators.
+    """
     if not parts:
         return OddSeries.constant(W)
-    padded = parts if len(parts) % 2 == 0 else parts + (0,)
-    k = len(padded)
-    if k == 2:
-        return _q_two_row(padded[0], padded[1], W)
-    from .pfaffian import SkewMatrix, pfaffian  # pfaffian imports this module
+    n = sum(parts)
+    terms = [
+        (m * c, ((m, 1),), _q_lambda_cached(mu, W))
+        for m in range(1, n + 1, 2)
+        for c, mu in _bars(parts, m)
+    ]
+    L = lcm(*(q.den for _, _, q in terms))
+    num = {}
+    for c, var, q in terms:
+        c *= L // q.den
+        for mono, v in q.num.items():
+            key = mono_mul(mono, var)
+            num[key] = num.get(key, 0) + c * v
+    return OddSeries(W)._like(num, L * n)
 
-    upper = {
-        (i, j): _q_two_row(padded[i], padded[j], W)
-        for i in range(k)
-        for j in range(i + 1, k)
-    }
-    return pfaffian(SkewMatrix(k, upper, OddSeries(W)), one=OddSeries.constant(W))
+
+def h_k(k, W):
+    """Complete homogeneous symmetric function at odd times, h_k(t_1,0,t_3,...).
+
+    Its generating function e^{sum t_m z^m} is that of the one-row Q_(k), so
+    h_k is Q_(k) for k > 0.
+    """
+    if k < 0:
+        return OddSeries(W)
+    if k > W:
+        raise ValueError("h_%d exceeds truncation weight %d" % (k, W))
+    return _q_lambda_cached((k,) if k else (), W)
 
 
 def q_lambda(lam, W):
-    """Q_lambda(t/2) via the classical Pfaffian recursion over two-row blocks."""
+    """Q_lambda(t/2) by the bar recurrence of `_q_lambda_cached`."""
     if lam.weight > W:
         raise ValueError("partition weight %d exceeds truncation %d" % (lam.weight, W))
     return _q_lambda_cached(lam.parts, W)

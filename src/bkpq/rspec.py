@@ -7,8 +7,6 @@ nonpositive arguments are always served through that reflection.
 
 from fractions import Fraction
 
-from .partitions import double
-
 
 class RValueError(ValueError):
     """r(n) is undefined or out of the tabulated range."""
@@ -251,26 +249,6 @@ def content_product_kp(spec, mu):
         num *= v.numerator
         den *= v.denominator
     return Fraction(num, den)
-
-
-def rho_content_product(rho, mu, orientation="i-j"):
-    """Content product of a user-supplied rho table over an ordinary partition."""
-    out = Fraction(1)
-    for (i, j) in mu.cells():
-        c = i - j if orientation == "i-j" else j - i
-        if c not in rho:
-            raise RValueError("rho(%d) not supplied" % c)
-        out *= Fraction(rho[c])
-    return out
-
-
-def rho_check(spec, rho, lam, orientation="i-j"):
-    """Does r_lambda match the rho content product over the double of lam?
-
-    Requires r(n) = rho(-n) rho(n-1) on the needed range; the i-j
-    orientation is the one that holds (j-i fails already at a single part).
-    """
-    return spec.r_lambda(lam) == rho_content_product(rho, double(lam), orientation)
 
 
 def parse_rational(text):

@@ -26,7 +26,6 @@ from bkpq.rspec import (
     SymmetricRational,
     TParam,
     hook_star,
-    rho_check,
 )
 from bkpq.tau import (
     check_cauchy,
@@ -36,6 +35,7 @@ from bkpq.tau import (
     tau_single_x_coefficients,
     vacuum_kernel,
 )
+from test_rspec import rho_check
 
 F = Fraction
 

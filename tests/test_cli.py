@@ -217,7 +217,7 @@ GOLDEN_SHA256 = [
         "9d4ccbd39826c376e5f7e94f0d3eb7b058a891cc9f1dd61e95600b8d72105eec",
     ),
     (
-        # a four-row Pfaffian over OddSeries
+        # a Q_lambda of length 4
         "qfun --lambda 6,4,3,1 --weight 14 --json",
         "fb84f5476b18f53b7a9b4036ee270e6df32b780b53778496a8a018668b6ee873",
     ),

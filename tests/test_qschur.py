@@ -17,8 +17,10 @@ from bkpq.partitions import (
     enumerate_partitions,
     enumerate_strict,
 )
+from bkpq.pfaffian import SkewMatrix, pfaffian
 from bkpq.qschur import (
     XPoint,
+    _bars,
     _character,
     _odd_classes,
     delta,
@@ -27,7 +29,6 @@ from bkpq.qschur import (
     h_k,
     q_expand,
     q_lambda,
-    q_row,
     scalar_product,
     schur_s,
 )
@@ -56,11 +57,6 @@ def test_h_generating_recurrence():
         assert (h_k(k, W) * k - acc).is_zero()
 
 
-def test_q_row_is_h():
-    for n in range(6):
-        assert (q_row(n, 10) - h_k(n, 10)).is_zero()
-
-
 def test_q_lambda_frozen_values():
     W = 8
     t1 = OddSeries.variable(W, 1)
@@ -69,6 +65,52 @@ def test_q_lambda_frozen_values():
     assert (q21 - (t1 * t1 * t1 * F(1, 6) - t3 * 2)).is_zero()
     q3 = q_lambda(StrictPartition([3]), W)
     assert (q3 - (t1 * t1 * t1 * F(1, 6) + t3)).is_zero()
+
+
+def _q_pfaffian_reference(W):
+    """Q_lambda(t/2) as the Pfaffian of two-row blocks, the construction the
+    bar recurrence replaced: the reference q_lambda is held to.
+
+    Q_(a,b) = h_a h_b + 2 sum_{i=1}^{b} (-1)^i h_{a+i} h_{b-i} for a > b >= 0,
+    antisymmetric in (a, b), and Q_lambda is the Pfaffian of the Q_(a,b) over
+    the parts of lambda padded by a zero to even length.
+    """
+    blocks = {}
+
+    def two_row(a, b):
+        if (a, b) not in blocks:
+            acc = h_k(a, W) * h_k(b, W)
+            for i in range(1, b + 1):
+                acc = acc + h_k(a + i, W) * h_k(b - i, W) * (2 * (-1) ** i)
+            blocks[a, b] = acc
+        return blocks[a, b]
+
+    def q(parts):
+        padded = parts + (0,) * (len(parts) % 2)
+        k = len(padded)
+        upper = {(i, j): two_row(padded[i], padded[j]) for i in range(k) for j in range(i + 1, k)}
+        return pfaffian(SkewMatrix(k, upper, OddSeries(W)), one=OddSeries.constant(W))
+
+    return q
+
+
+def test_q_lambda_matches_two_row_pfaffian():
+    W = 16
+    reference = _q_pfaffian_reference(W)
+    for lam in enumerate_strict(W):
+        assert q_lambda(lam, W) == reference(lam.parts), lam
+
+
+def test_bar_rule_gives_every_partial_derivative():
+    # dQ_lambda/dt_m is the signed sum of Q over the m-bars of lambda
+    W = 12
+    for lam in enumerate_strict(W):
+        q = q_lambda(lam, W)
+        for m in range(1, W + 1, 2):
+            want = OddSeries(W)
+            for c, mu in _bars(lam.parts, m):
+                want = want + q_lambda(StrictPartition(mu), W) * c
+            assert q.partial(m) == want, (lam, m)
 
 
 def test_q_lambda_homogeneous():
@@ -150,8 +192,6 @@ def test_xpoint_validation():
     with pytest.raises(ValueError):
         XPoint([F(0)])
     XPoint([F(1, 2), F(-1, 2)])
-    with pytest.raises(ValueError):
-        XPoint([F(1, 2), F(-1, 2)], require_distinct_abs=True)
 
 
 def test_eval_at_x():

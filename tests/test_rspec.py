@@ -20,8 +20,6 @@ from bkpq.rspec import (
     parse_rspec,
     pochhammer,
     pochhammer_lambda,
-    rho_check,
-    rho_content_product,
 )
 
 F = Fraction
@@ -224,6 +222,26 @@ def test_content_product_kp():
     spec = RationalPS([2], [])  # r(n) = n + 1
     got = content_product_kp(spec, Partition([2, 1]))
     assert got == spec.r_value(1) ** 2 * spec.r_value(2) == 12
+
+
+def rho_content_product(rho, mu, orientation="i-j"):
+    """Content product of a user-supplied rho table over an ordinary partition."""
+    out = Fraction(1)
+    for (i, j) in mu.cells():
+        c = i - j if orientation == "i-j" else j - i
+        if c not in rho:
+            raise RValueError("rho(%d) not supplied" % c)
+        out *= Fraction(rho[c])
+    return out
+
+
+def rho_check(spec, rho, lam, orientation="i-j"):
+    """Does r_lambda match the rho content product over the double of lam?
+
+    Requires r(n) = rho(-n) rho(n-1) on the needed range; the i-j
+    orientation is the one that holds (j-i fails already at a single part).
+    """
+    return spec.r_lambda(lam) == rho_content_product(rho, double(lam), orientation)
 
 
 def make_rho(spec, n_range=12):
