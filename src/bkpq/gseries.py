@@ -12,12 +12,25 @@ for t_m, and `BiSeries` is two such alphabets t and t* with a cap each.
 operation discards terms above the caps, so identities that hold
 weight-by-weight can be checked exactly on truncated representatives.
 
-An odd-time monomial is a tuple of (odd index, exponent) pairs sorted by index.
+An odd-time monomial is a tuple of (odd index, exponent) pairs sorted by
+index, and the API takes and gives monomials in that form: the
+constructors, `coefficient`, the `terms` view, `to_json` and the witness of
+`first_difference`.  Inside a series each one is a key: an int packed by
+the ring's codec, which its caps fix (`OddCodec`, `BiCodec`).  The weight
+and each exponent e_m <= cap // m have bit fields of their own, so a grade
+is a shift and a mask, and the product of two monomials whose grades fit
+the caps is one int addition that cannot carry.  The ring-level `grade`,
+`mono_mul` and `variables` keep their meaning on tuples.  `MultiPoly` keys
+are its exponent tuples.
+
+`exp` runs the Euler recurrence n E_n = sum_j j S_j E_{n-j} over total
+grade, in ints, with no series power and no sum of series.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import add
 
 
 def mono_weight(mono):
@@ -39,63 +52,223 @@ class TruncationError(ValueError):
     """Raised when a query or operation exceeds the stored truncation."""
 
 
-def _fill(obj, caps, unit, num, den):
+class OddCodec:
+    """The odd-time monomials of weight <= cap, packed into ints.
+
+    The low bits hold the weight; above them each odd m <= cap has a field
+    wide enough for cap // m, in increasing m, for the exponent of t_m.
+    `width` is the number of bits used.  The key of the constant is 0.
+    Each decoded key is kept with its monomial; there are at most as many
+    as monomials of weight <= cap.
+    """
+
+    __slots__ = ("cap", "mask", "fields", "width", "_decoded")
+    mul = staticmethod(add)
+
+    def __init__(self, cap):
+        self.cap = cap
+        self._decoded = {}
+        shift = cap.bit_length()
+        self.mask = (1 << shift) - 1
+        self.fields = {}  # m -> (shift, field mask)
+        for m in range(1, cap + 1, 2):
+            bits = (cap // m).bit_length()
+            self.fields[m] = (shift, (1 << bits) - 1)
+            shift += bits
+        self.width = shift
+
+    def encode(self, mono):
+        """The key of a monomial, or None if it is not one of weight <= cap."""
+        key = weight = 0
+        for m, e in mono:
+            field = self.fields.get(m)
+            if field is None or e < 0:
+                return None
+            key += e << field[0]
+            weight += m * e
+        return key + weight if weight <= self.cap else None
+
+    def decode(self, key):
+        mono = self._decoded.get(key)
+        if mono is None:
+            fields = self.fields.items()
+            mono = self._decoded[key] = tuple((m, e) for m, (s, f) in fields if (e := key >> s & f))
+        return mono
+
+    def variable(self, m):
+        """The key of t_m."""
+        return (1 << self.fields[m][0]) + m
+
+    def grade(self, key):
+        return (key & self.mask,)
+
+    @staticmethod
+    def columns(keys):
+        """The keys split by alphabet: one list of parts per alphabet."""
+        return [list(keys)]
+
+    def part(self, i, key):
+        """A part of column i as a tuple monomial."""
+        return self.decode(key)
+
+
+class BiCodec:
+    """(t, t*) monomials within caps (W, Wstar), packed into ints: the t key
+    of OddCodec(W) in the low `shift` bits and the t* key of OddCodec(Wstar)
+    above them."""
+
+    __slots__ = ("halves", "shift", "low")
+    mul = staticmethod(add)
+
+    def __init__(self, W, Wstar):
+        self.halves = (odd_codec(W), odd_codec(Wstar))
+        self.shift = self.halves[0].width
+        self.low = (1 << self.shift) - 1
+
+    def encode(self, mono):
+        kt, ks = (half.encode(m) for half, m in zip(self.halves, mono))
+        return None if kt is None or ks is None else kt | ks << self.shift
+
+    def decode(self, key):
+        t, s = self.halves
+        return (t.decode(key & self.low), s.decode(key >> self.shift))
+
+    def grade(self, key):
+        return (key & self.halves[0].mask, key >> self.shift & self.halves[1].mask)
+
+    def columns(self, keys):
+        low, shift = self.low, self.shift
+        return [[k & low for k in keys], [k >> shift for k in keys]]
+
+    def part(self, i, key):
+        return self.halves[i].decode(key)
+
+    def place(self, i, keys, codec):
+        """Keys of an OddCodec placed as half i (0 for t, 1 for t*): a t key
+        and a t* key so placed add up to the key of their pair."""
+        half = self.halves[i]
+        if half is not codec:
+            keys = [half.encode(codec.decode(k)) for k in keys]
+        return [k << self.shift for k in keys] if i else list(keys)
+
+
+class _PlainCodec:
+    """Keys that are the ring's own monomials, graded and multiplied by it."""
+
+    __slots__ = ("grade", "mul")
+
+    def __init__(self, ring):
+        self.grade, self.mul = ring.grade, ring.mono_mul
+
+    @staticmethod
+    def encode(mono):
+        return mono
+
+    decode = encode
+
+
+_CODECS = {}  # W, (W, Wstar) or a ring class -> its one codec
+
+
+def odd_codec(W):
+    codec = _CODECS.get(W)
+    if codec is None:
+        codec = _CODECS[W] = OddCodec(W)
+    return codec
+
+
+def bi_codec(W, Wstar):
+    codec = _CODECS.get((W, Wstar))
+    if codec is None:
+        codec = _CODECS[(W, Wstar)] = BiCodec(W, Wstar)
+    return codec
+
+
+def _fill(obj, caps, unit, num, den, codec):
     object.__setattr__(obj, "caps", caps)
     object.__setattr__(obj, "unit", unit)
     object.__setattr__(obj, "num", num)
     object.__setattr__(obj, "den", den)
+    object.__setattr__(obj, "codec", codec)
     return obj
 
 
+def _grouped(grade, num):
+    """{grade: [(key, numerator), ...]} over a numerator dict."""
+    groups = {}
+    for k, v in num.items():
+        groups.setdefault(grade(k), []).append((k, v))
+    return groups
+
+
 class _Terms(Mapping):
-    """Read-only view of a series' coefficients as Fractions."""
+    """Read-only view of a series' coefficients as Fractions, by monomial."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_series",)
 
-    def __init__(self, num, den):
-        self._num = num
-        self._den = den
+    def __init__(self, series):
+        self._series = series
 
     def __getitem__(self, mono):
-        return Fraction(self._num[mono], self._den)
+        s = self._series
+        key = s.codec.encode(mono)
+        if key is None:
+            raise KeyError(mono)
+        return Fraction(s.num[key], s.den)
 
     def __iter__(self):
-        return iter(self._num)
+        return map(self._series.codec.decode, self._series.num)
 
     def __len__(self):
-        return len(self._num)
+        return len(self._series.num)
 
 
 class GradedSeries:
     """Sparse polynomial with exact rational coefficients, truncated per grade.
 
-    The coefficient of a monomial m is num[m] / den: `num` maps monomials to
-    nonzero ints and `den` is a positive int with gcd(den, *num.values())
-    == 1 (so the zero series has den == 1), which makes equal series equal
-    field by field.  `terms` views the coefficients as Fractions.  `caps`
-    holds one weight cap per grade and `unit` is the monomial of the
-    constant term.  A subclass defines `grade(mono)`, the tuple of the
-    monomial's weights in the order of `caps`, and `mono_mul(a, b)`; one
-    that `substitute` serves also defines `part_variables(i, part)`, and
-    one of several alphabets `parts(mono)`.
+    The coefficient of the monomial with key k is num[k] / den: `num` maps
+    keys to nonzero ints and `den` is a positive int with gcd(den,
+    *num.values()) == 1 (so the zero series has den == 1), which makes equal
+    series equal field by field.  `terms` views the coefficients as
+    Fractions by monomial.  `caps` holds one weight cap per grade, `codec`
+    maps monomials to keys and `unit` is the key of the constant term.  A
+    subclass defines `grade(mono)`, the tuple of a monomial's weights in the
+    order of `caps`, and `mono_mul(a, b)`, and one with packed keys
+    `_codec(caps)`; one that `substitute` serves also defines
+    `part_variables(i, part)`, and one of several alphabets `parts(mono)`.
     """
 
-    __slots__ = ("caps", "unit", "num", "den")
+    __slots__ = ("caps", "unit", "num", "den", "codec")
 
     def __init__(self, caps, unit, terms=None):
-        """Validate outside input: coefficients are read as Fractions, and
-        zero terms and terms over a cap are dropped."""
+        """Validate outside input: coefficients are read as Fractions, zero
+        terms and terms over a cap are dropped, monomials with one key add
+        up, and one the ring has no key for raises ValueError."""
         caps = tuple(int(c) for c in caps)
+        codec = self._codec(caps)
         clean = {}
         if terms:
             for mono, c in terms.items():
                 c = Fraction(c)
                 if c and all(w <= cap for w, cap in zip(self.grade(mono), caps)):
-                    clean[mono] = c
+                    key = codec.encode(mono)
+                    if key is None:
+                        raise ValueError("%r is not a monomial of %s" % (mono, type(self).__name__))
+                    if key in clean:
+                        c += clean.pop(key)
+                    if c:
+                        clean[key] = c
         # the lcm of lowest-form denominators shares no factor with every numerator
         den = lcm(*(c.denominator for c in clean.values()))
-        num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
-        _fill(self, caps, unit, num, den)
+        num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        _fill(self, caps, codec.encode(unit), num, den, codec)
+
+    @classmethod
+    def _codec(cls, caps):
+        codec = _CODECS.get(cls)
+        if codec is None:
+            codec = _CODECS[cls] = _PlainCodec(cls)
+        return codec
 
     def _like(self, num, den):
         """A result in the same ring with coefficients num[m] / den.  Every
@@ -107,7 +280,7 @@ class GradedSeries:
         if g != 1:
             num = {m: v // g for m, v in num.items()}
             den //= g
-        return _fill(object.__new__(type(self)), self.caps, self.unit, num, den)
+        return _fill(object.__new__(type(self)), self.caps, self.unit, num, den, self.codec)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -117,13 +290,13 @@ class GradedSeries:
 
     @property
     def terms(self):
-        return _Terms(self.num, self.den)
+        return _Terms(self)
 
     def is_zero(self):
         return not self.num
 
     def constant_term(self):
-        return self.terms.get(self.unit, Fraction(0))
+        return Fraction(self.num.get(self.unit, 0), self.den)
 
     def coefficient(self, mono):
         weights = self.grade(mono)
@@ -131,7 +304,7 @@ class GradedSeries:
             raise TruncationError(
                 "monomial of weight %s beyond truncation %s" % (weights, self.caps)
             )
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self.num.get(self.codec.encode(mono), 0), self.den)
 
     def _check_match(self, other):
         if self.caps != other.caps or self.unit != other.unit:
@@ -144,13 +317,21 @@ class GradedSeries:
         self._check_match(other)
         return other
 
-    def _grade_groups(self):
-        """{grade: [(monomial, numerator), ...]} over the terms."""
-        grade = self.grade
-        groups = {}
-        for m, v in self.num.items():
-            groups.setdefault(grade(m), []).append((m, v))
-        return groups
+    def _product(self, left, right):
+        """{key: numerator} of the product of two grade groupings, truncated:
+        a pair of grades over a cap is skipped whole."""
+        caps, mul = self.caps, self.codec.mul
+        right = right.items()
+        num = {}
+        for ga, left_terms in left.items():
+            for gb, right_terms in right:
+                if any(a + b > cap for a, b, cap in zip(ga, gb, caps)):
+                    continue
+                for ka, va in left_terms:
+                    for kb, vb in right_terms:
+                        key = mul(ka, kb)
+                        num[key] = num.get(key, 0) + va * vb
+        return num
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -177,7 +358,7 @@ class GradedSeries:
 
     def __neg__(self):
         num = {m: -v for m, v in self.num.items()}
-        return _fill(object.__new__(type(self)), self.caps, self.unit, num, self.den)
+        return _fill(object.__new__(type(self)), self.caps, self.unit, num, self.den, self.codec)
 
     def __sub__(self, other):
         return self + -self._coerce(other)
@@ -189,34 +370,48 @@ class GradedSeries:
                 {m: v * p for m, v in self.num.items()}, self.den * other.denominator
             )
         self._check_match(other)
-        caps, mono_mul = self.caps, self.mono_mul
-        right = other._grade_groups().items()
-        num = {}
-        for ga, left_terms in self._grade_groups().items():
-            for gb, right_terms in right:
-                if any(a + b > cap for a, b, cap in zip(ga, gb, caps)):
-                    continue
-                for ma, va in left_terms:
-                    for mb, vb in right_terms:
-                        key = mono_mul(ma, mb)
-                        num[key] = num.get(key, 0) + va * vb
+        grade = self.codec.grade
+        num = self._product(_grouped(grade, self.num), _grouped(grade, other.num))
         return self._like(num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def exp(self):
-        """exp of a series with zero constant term, truncated."""
+        """exp of a series S with zero constant term, truncated.
+
+        With S_j the terms of S of total grade j, the part E_n of exp(S) of
+        total grade n satisfies n E_n = sum_{j=1..n} j S_j E_{n-j} (scale
+        each grade-j term by z^j and differentiate in z).  With d = S.den,
+        F_n = n! d^n E_n is an integer series:
+        F_n = sum_j (n-1)!/(n-j)! d^(j-1) (j d S_j) F_{n-j}.
+        """
         if self.unit in self.num:
             raise ValueError("exp requires zero constant term")
-        result = power = self._like({self.unit: 1}, 1)
-        # every other monomial has total grade >= 1, so the k-th power
-        # vanishes once k exceeds the sum of the caps
-        for k in range(1, sum(self.caps) + 1):
-            power = power * self
-            if not power.num:
-                break
-            result = result + power * Fraction(1, factorial(k))
-        return result
+        grade, d = self.codec.grade, self.den
+        S = {}  # j -> grade groups of j d S_j
+        for g, terms in _grouped(grade, self.num).items():
+            j = sum(g)
+            S.setdefault(j, {})[g] = [(k, j * v) for k, v in terms]
+        F = [_grouped(grade, {self.unit: 1})]  # n -> grade groups of F_n
+        # every monomial but the unit has total grade >= 1
+        for n in range(1, sum(self.caps) + 1):
+            Fn = {}
+            c = 1
+            for j in range(1, n + 1):
+                if j in S and F[n - j]:
+                    for k, v in self._product(S[j], F[n - j]).items():
+                        Fn[k] = Fn.get(k, 0) + c * v
+                c *= (n - j) * d
+            F.append(_grouped(grade, Fn))
+        # exp(S) = sum_n F_n (top!/n!) d^(top-n) / (top! d^top)
+        top = max(n for n, Fn in enumerate(F) if Fn)
+        num = {}
+        scale = 1
+        for n in range(top, -1, -1):
+            for terms in F[n].values():
+                num.update((k, v * scale) for k, v in terms)
+            scale *= n * d
+        return self._like(num, factorial(top) * d ** top)
 
     def substitute(self, image, one):
         """The ring map that sends each variable v to image(v).
@@ -231,10 +426,10 @@ class GradedSeries:
             return self._evaluate(image)
         powers = {}
         total = one * 0
-        den = self.den
-        for mono, v in self.num.items():
+        den, decode = self.den, self.codec.decode
+        for key, v in self.num.items():
             term = Fraction(v, den)
-            for var, e in self.variables(mono):
+            for var, e in self.variables(decode(key)):
                 p = powers.get(var)
                 if p is None:
                     p = powers[var] = [one, image(var)]
@@ -257,16 +452,17 @@ class GradedSeries:
     def _evaluate(self, image):
         """The series at the numbers image(v), as one Fraction.
 
-        Each distinct part in position i of `parts` is evaluated once, as an
-        int over the lcm D_i of their denominators; one with a variable at
-        zero is skipped with its monomials.  The sum of num * prod_i part_i
-        is one int over den * prod_i D_i.
+        The codec splits the keys into one column of parts per alphabet.
+        Each distinct part of column i is evaluated once, as an int over the
+        lcm D_i of their denominators; one with a variable at zero counts 0.
+        The sum of num * prod_i part_i is one int over den * prod_i D_i.
         """
         at = {}
+        codec = self.codec
 
         def value(i, part):
             p = q = 1
-            for var, e in self.part_variables(i, part):
+            for var, e in self.part_variables(i, codec.part(i, part)):
                 x = at.get(var)
                 if x is None:
                     x = at[var] = Fraction(image(var))
@@ -274,22 +470,14 @@ class GradedSeries:
                 q *= x.denominator ** e
             return p, q
 
-        rows = [(self.parts(mono), v) for mono, v in self.num.items()]
-        columns = []
-        den = self.den
-        for i, column in enumerate(zip(*(ps for ps, _ in rows))):
+        total, den = list(self.num.values()), self.den
+        for i, column in enumerate(codec.columns(self.num)):
             values = {part: value(i, part) for part in set(column)}
             D = lcm(*(q for p, q in values.values() if p))
-            columns.append({part: p * (D // q) for part, (p, q) in values.items() if p})
+            factor = {part: p * (D // q) for part, (p, q) in values.items() if p}
+            total = [v * factor.get(part, 0) for v, part in zip(total, column)]
             den *= D
-        total = 0
-        for ps, v in rows:
-            for col, part in zip(columns, ps):
-                v *= col.get(part, 0)
-                if not v:
-                    break
-            total += v
-        return Fraction(total, den)
+        return Fraction(sum(total), den)
 
     def _scaled(self, a0, shift):
         """The coefficient of each monomial m times a0^shift(m), in ints.
@@ -311,25 +499,26 @@ class GradedSeries:
 
     def weight_component(self, w):
         """The terms whose first weight (the t weight of a BiSeries) is w."""
-        grade = self.grade
+        grade = self.codec.grade
         return self._like({m: v for m, v in self.num.items() if grade(m)[0] == w}, self.den)
 
     def first_difference(self, other):
         """The monomial whose coefficients differ, or None if there is none.
 
-        Among several, the one of lowest total grade, then the least monomial.
+        Among several, the one of lowest total grade, then the least monomial;
+        only the keys at that grade are decoded.
         """
         self._check_match(other)
         a, b = self.num, other.num
         da, db = self.den, other.den
         if da == db and a == b:  # the canonical form: equal series, equal fields
             return None
-        grade = self.grade
-        return min(
-            (m for m in a.keys() | b.keys() if a.get(m, 0) * db != b.get(m, 0) * da),
-            key=lambda m: (sum(grade(m)), m),
-            default=None,
-        )
+        grade = self.codec.grade
+        differ = {}
+        for k in a.keys() | b.keys():
+            if a.get(k, 0) * db != b.get(k, 0) * da:
+                differ.setdefault(sum(grade(k)), []).append(k)
+        return min(map(self.codec.decode, differ[min(differ)])) if differ else None
 
 
 class OddSeries(GradedSeries):
@@ -339,6 +528,10 @@ class OddSeries(GradedSeries):
 
     def __init__(self, truncation_weight, terms=None):
         super().__init__((truncation_weight,), (), terms)
+
+    @staticmethod
+    def _codec(caps):
+        return odd_codec(caps[0])
 
     @staticmethod
     def grade(mono):
@@ -373,35 +566,29 @@ class OddSeries(GradedSeries):
 
     def partial(self, m):
         """Formal partial derivative with respect to t_m."""
+        field = self.codec.fields.get(m)
         num = {}
-        for mono, v in self.num.items():
-            d = dict(mono)
-            e = d.get(m, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[m]
-            else:
-                d[m] = e - 1
-            key = tuple(sorted(d.items()))
-            num[key] = num.get(key, 0) + v * e
+        if field is not None:
+            shift, mask = field
+            step = (1 << shift) + m  # one t_m: its exponent and its weight
+            for k, v in self.num.items():
+                e = k >> shift & mask
+                if e:
+                    num[k - step] = v * e
         return self._like(num, self.den)
 
     def substitute_scaled(self, a0):
         """Apply t_m -> a0^m t_m."""
-        a0 = Fraction(a0)
-        return self._scaled(a0, mono_weight)
+        mask = self.codec.mask
+        return self._scaled(Fraction(a0), lambda k: k & mask)
 
     def to_json(self):
-        terms = self.terms
+        decode, den = self.codec.decode, self.den
         return {
             "truncation_weight": self.truncation_weight,
             "terms": [
-                {
-                    "exps": {str(m): e for m, e in mono},
-                    "coeff": str(terms[mono]),
-                }
-                for mono in sorted(terms)
+                {"exps": {str(m): e for m, e in mono}, "coeff": str(Fraction(v, den))}
+                for mono, v in sorted((decode(k), v) for k, v in self.num.items())
             ],
         }
 
@@ -416,6 +603,10 @@ class BiSeries(GradedSeries):
 
     def __init__(self, W, Wstar, terms=None):
         super().__init__((W, Wstar), ((), ()), terms)
+
+    @staticmethod
+    def _codec(caps):
+        return bi_codec(*caps)
 
     @staticmethod
     def grade(mono):
@@ -456,21 +647,23 @@ class BiSeries(GradedSeries):
     def swap(self):
         """Exchange the t and t* alphabets."""
         W, Wstar = self.caps
-        num = {(ms, mt): v for (mt, ms), v in self.num.items()}
-        return _fill(object.__new__(BiSeries), (Wstar, W), self.unit, num, self.den)
+        codec = self.codec
+        low, shift, up = codec.low, codec.shift, codec.halves[1].width
+        num = {k >> shift | (k & low) << up: v for k, v in self.num.items()}
+        return _fill(object.__new__(BiSeries), (Wstar, W), self.unit, num, self.den,
+                     bi_codec(Wstar, W))
 
     def substitute_scaled(self, a0):
         """t_m -> a0^m t_m and t*_m -> a0^(-m) t*_m."""
         a0 = Fraction(a0)
         if not a0:
             raise ValueError("scale must be nonzero")
-        return self._scaled(a0, lambda m: mono_weight(m[0]) - mono_weight(m[1]))
+        codec = self.codec
+        mask, shift, mask_star = codec.halves[0].mask, codec.shift, codec.halves[1].mask
+        return self._scaled(a0, lambda k: (k & mask) - (k >> shift & mask_star))
 
     def to_json(self):
-        def key(k):
-            return (sorted(k[0]), sorted(k[1]))
-
-        terms = self.terms
+        decode, den = self.codec.decode, self.den
         return {
             "truncation_weight": self.truncation_weight,
             "truncation_weight_star": self.truncation_weight_star,
@@ -478,8 +671,8 @@ class BiSeries(GradedSeries):
                 {
                     "exps": {str(m): e for m, e in kt},
                     "exps_star": {str(m): e for m, e in ks},
-                    "coeff": str(terms[(kt, ks)]),
+                    "coeff": str(Fraction(v, den)),
                 }
-                for kt, ks in sorted(terms, key=key)
+                for (kt, ks), v in sorted((decode(k), v) for k, v in self.num.items())
             ],
         }

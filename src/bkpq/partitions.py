@@ -24,6 +24,13 @@ class Partition:
     def _in_order(p, q):
         return p >= q
 
+    @classmethod
+    def _trusted(cls, parts):
+        """A partition of parts already known to be a valid tuple."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "parts", parts)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
@@ -79,21 +86,18 @@ def enumerate_strict(max_weight):
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
+    # upto[w][c]: the strict partitions of w with parts <= c, in that order:
+    # those with first part c, then those whose parts are all below c
+    upto = [[[()]] * (max_weight + 1)]
     out = []
     for w in range(1, max_weight + 1):
-        out.extend(StrictPartition(p) for p in _strict_of_weight(w))
+        row = [[]]
+        for c in range(1, w + 1):
+            row.append([(c,) + rest for rest in upto[w - c][c - 1]] + row[c - 1])
+        row += [row[w]] * (max_weight - w)
+        upto.append(row)
+        out.extend(map(StrictPartition._trusted, row[w]))
     return out
-
-
-def _strict_of_weight(w, cap=None):
-    if cap is None:
-        cap = w
-    if w == 0:
-        yield ()
-        return
-    for first in range(min(w, cap), 0, -1):
-        for rest in _strict_of_weight(w - first, first - 1):
-            yield (first,) + rest
 
 
 def enumerate_partitions(max_weight):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from .gseries import OddSeries, mono_mul
+from .gseries import OddSeries, odd_codec
 from .partitions import _parts_of_weight, conjugate, enumerate_strict
 
 
@@ -71,8 +71,9 @@ def _q_lambda_cached(parts, W):
     if not parts:
         return OddSeries.constant(W)
     n = sum(parts)
+    codec = odd_codec(W)
     terms = [
-        (m * c, ((m, 1),), _q_lambda_cached(mu, W))
+        (m * c, codec.variable(m), _q_lambda_cached(mu, W))
         for m in range(1, n + 1, 2)
         for c, mu in _bars(parts, m)
     ]
@@ -80,8 +81,8 @@ def _q_lambda_cached(parts, W):
     num = {}
     for c, var, q in terms:
         c *= L // q.den
-        for mono, v in q.num.items():
-            key = mono_mul(mono, var)
+        for key, v in q.num.items():
+            key += var  # times t_m, within the cap: no field carries
             num[key] = num.get(key, 0) + c * v
     return OddSeries(W)._like(num, L * n)
 
@@ -154,7 +155,8 @@ def _schur_cached(parts, W):
     """
     classes = _odd_classes(sum(parts))
     L = lcm(1, *(d for _, _, d in classes))
-    num = {mono: _character(parts, rho) * (L // d) for rho, mono, d in classes}
+    encode = odd_codec(W).encode
+    num = {encode(mono): _character(parts, rho) * (L // d) for rho, mono, d in classes}
     return OddSeries(W)._like(num, L)
 
 
@@ -208,40 +210,59 @@ def delta(x):
     return out
 
 
+def _dual(f):
+    """f's pairing weights (w, D): <g, f> = sum_k g.num[k] w[k] / (g.den D).
+
+    On a monomial prod t_m^e_m the pairing is prod_m e_m! (2/m)^e_m.  With L
+    the lcm of the prod m^e_m over f, w[k] is f.num[k] prod e_m! 2^e_m times
+    L / prod m^e_m, and D = L f.den.
+    """
+    decode = f.codec.decode
+    terms = []
+    for key, a in f.num.items():
+        up = down = 1
+        for m, e in decode(key):
+            up *= factorial(e) << e
+            down *= m ** e
+        terms.append((key, a * up, down))
+    L = lcm(1, *(d for _, _, d in terms))
+    return {key: a * (L // d) for key, a, d in terms}, L * f.den
+
+
+def _pair(dual, g):
+    """<g, f> from f's `_dual`, as (numerator, denominator) ints."""
+    w, D = dual
+    total = 0
+    for key, v in g.num.items():
+        x = w.get(key)
+        if x:
+            total += v * x
+    return total, D * g.den
+
+
 def scalar_product(f, g):
     """<f, g> = f applied as differential operators (t_m -> (2/m) d/dt_m) to g at 0.
 
-    On matching monomials the pairing contributes prod_m e_m! (2/m)^{e_m},
-    kept as the integer pair (prod e_m! 2^{e_m}, prod m^{e_m}); the terms are
-    summed over the lcm of those denominators.
+    One int dot product of g's numerators with f's `_dual` weights.
     """
     if f.truncation_weight != g.truncation_weight:
         raise ValueError("truncation mismatch")
-    g_num = g.num
-    terms = []
-    for mono, a in f.num.items():
-        b = g_num.get(mono)
-        if not b:
-            continue
-        up = down = 1
-        for m, e in mono:
-            up *= factorial(e) << e
-            down *= m ** e
-        terms.append((a * b * up, down))
-    L = lcm(1, *(d for _, d in terms))
-    return Fraction(sum(n * (L // d) for n, d in terms), L * f.den * g.den)
+    return Fraction(*_pair(_dual(f), g))
 
 
 def q_expand(f):
     """Expand f over the Q_lambda basis: c_lambda = 2^{-l} <Q_lambda, f>.
 
-    Returns only the nonzero coefficients on nonzero strict partitions; the
-    constant term of f is the coefficient of Q_0 = 1.
+    f's pairing weights are computed once (`_dual`), so each c_lambda is one
+    int dot product with Q_lambda's numerators.  Returns only the nonzero
+    coefficients on nonzero strict partitions; the constant term of f is
+    the coefficient of Q_0 = 1.
     """
     W = f.truncation_weight
+    dual = _dual(f)
     out = {}
     for lam in enumerate_strict(W):
-        c = scalar_product(q_lambda(lam, W), f) / Fraction(2) ** lam.length
-        if c:
-            out[lam] = c
+        n, d = _pair(dual, q_lambda(lam, W))
+        if n:
+            out[lam] = Fraction(n, d << lam.length)
     return out

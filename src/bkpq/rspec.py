@@ -15,9 +15,10 @@ class RValueError(ValueError):
 class RSpec:
     """Base for weight-function variants.  Subclasses define r at n >= 1.
 
-    A spec must not be changed once built: r_value and r_prefix keep the
-    values they have computed on the instance, and tau.tau_bkp keeps its
-    series per (W, Wstar) there too (a failed value or build is not kept).
+    A spec must not be changed once built: r_value, r_prefix and r_lambda
+    keep the values they have computed on the instance, and tau.tau_bkp
+    keeps its series per (W, Wstar) there too (a failed value or build is
+    not kept).
     """
 
     def _r_positive(self, n):
@@ -46,12 +47,23 @@ class RSpec:
         return prefixes[max(n, 0)]
 
     def r_lambda(self, lam):
-        """prod_i r(1)...r(n_i) over the parts of a strict partition."""
-        out = Fraction(1)
-        for p in lam.parts:
-            out *= self.r_prefix(p)
-            if not out:
-                return out
+        """prod_i r(1)...r(n_i) over the parts of a strict partition.
+
+        The numerators and denominators of the prefixes are multiplied as
+        ints into one Fraction, kept on the spec per parts.
+        """
+        kept = self.__dict__.setdefault("_r_lambda", {})
+        out = kept.get(lam.parts)
+        if out is None:
+            num = den = 1
+            for p in lam.parts:
+                r = self.r_prefix(p)
+                if not r:
+                    num = 0
+                    break
+                num *= r.numerator
+                den *= r.denominator
+            out = kept[lam.parts] = Fraction(num, den)
         return out
 
 

@@ -8,14 +8,13 @@ truncated series coefficientwise and reports the first failing monomial.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .gseries import BiSeries, OddSeries, mono_weight
+from .gseries import BiSeries, OddSeries, odd_codec
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import (
     XPoint,
     eval_at_x,
     q_expand,
     q_lambda,
-    scalar_product,
     schur_s,
     t_infinity,
 )
@@ -84,17 +83,19 @@ def _diagonal_sum(terms, W, Wstar):
     Summed in integers: term (c, f) is c.numerator f.num f.num over
     c.denominator f.den^2, every term is scaled to the lcm L of those
     denominators and the sum is reduced once.  Every f is weight-homogeneous,
-    so a block per weight numbers its monomials 0..n-1 and sums k a_i b_j
-    into an n x n table of ints.  Every f is truncated at min(W, Wstar),
-    so every product lies within the caps.
+    so a block per weight numbers its keys 0..n-1 and sums k a_i b_j into
+    an n x n table of ints.  Every f is truncated at min(W, Wstar), so every
+    product lies within the caps.
     """
+    codec = odd_codec(min(W, Wstar))
     scaled = [(c.numerator, c.denominator * f.den * f.den, f.num) for c, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
-    blocks = {}  # weight -> (monomial -> index, [(k, [(index, numerator)])])
+    blocks = {}  # weight -> (key -> index, [(k, [(index, numerator)])])
     for k, d, nums in scaled:
-        index, fs = blocks.setdefault(mono_weight(next(iter(nums), ())), ({}, []))
+        index, fs = blocks.setdefault(codec.grade(next(iter(nums), 0)), ({}, []))
         entries = [(index.setdefault(m, len(index)), a) for m, a in nums.items()]
         fs.append((k * (L // d), entries))
+    series = BiSeries(W, Wstar)
     out = {}
     for index, fs in blocks.values():
         n = len(index)
@@ -104,12 +105,10 @@ def _diagonal_sum(terms, W, Wstar):
                 ka, row = k * a, table[i]
                 for j, b in entries:
                     row[j] += ka * b
-        monos = list(index)
-        out.update(
-            ((mt, ms), v) for mt, row in zip(monos, table) for ms, v in zip(monos, row) if v
-        )
-    out[((), ())] = out.get(((), ()), 0) + L
-    return BiSeries(W, Wstar)._like(out, L)
+        t, star = (series.codec.place(i, index, codec) for i in (0, 1))
+        out.update((kt + ks, v) for kt, row in zip(t, table) for ks, v in zip(star, row) if v)
+    out[series.unit] = out.get(series.unit, 0) + L
+    return series._like(out, L)
 
 
 def tau_bkp(spec, W, Wstar):

@@ -212,6 +212,12 @@ GOLDEN_SHA256 = [
         "ec47589a3fbabd6fdf5fc24f08bb925d581a54c432a30801793c7d9c9e56e532",
     ),
     (
+        # the same spec with the caps the other way round: the t* half of a
+        # key is the wider one
+        "tau --r ratps:a=3/4,5/2;b=2/3 --weight 6 --wstar 10 --json",
+        "b4394f2c624400b1b66100d1335c9d1d0a5f062ef02c6f7d7e1d841ca8134da7",
+    ),
+    (
         # the zero r(3) ends every prefix before r(5) is asked of the table
         "tau --r table:1,1/2,0,3 --weight 7 --json",
         "9d4ccbd39826c376e5f7e94f0d3eb7b058a891cc9f1dd61e95600b8d72105eec",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bkpq.gseries import BiSeries, OddSeries, TruncationError, mono_weight
+from bkpq.gseries import BiSeries, OddSeries, TruncationError, mono_mul, mono_weight
 
 
 def rand_series(rng, W, nterms=6):
@@ -196,8 +196,12 @@ def test_first_difference_is_lowest_weight():
     t1_4 = t1 * t1 * t1 * t1
     # t1^4 is the least monomial but weighs more than t3
     assert f.first_difference(f - t3 + t1_4) == ((3, 1),)
-    # equal weights fall back to monomial order
+    # equal weights fall back to monomial order, not to the order of the
+    # packed keys, where t1^4 comes first
     assert f.first_difference(f + t3 * t1 + t1_4) == ((1, 1), (3, 1))
+    assert f.codec.encode(((1, 4),)) < f.codec.encode(((1, 1), (3, 1)))
+    bi = BiSeries(W, 2, {(((1, 4),), ((1, 1),)): 1, (((1, 1), (3, 1)), ((1, 1),)): 1})
+    assert bi.first_difference(bi * 2) == (((1, 1), (3, 1)), ((1, 1),))
     assert f.first_difference(f * 1) is None
 
     bi = BiSeries(W, W, {(((1, 1),), ((1, 1),)): 1, (((3, 1),), ()): 2})
@@ -315,3 +319,45 @@ def test_biseries_evaluation_matches_fraction_loop():
         for t, ts in times:
             got = f.substitute(lambda v: (t, ts)[v[0]].get(v[1], 0), Fraction(1))
             assert type(got) is Fraction and got == _fraction_bi_eval(f, t, ts), (f, t, ts)
+
+
+def _odd_monos(rng, cap, count=2):
+    """count odd-time monomials whose weights sum to at most cap; an exponent
+    is often the largest the remaining weight allows, to fill its field."""
+    out, budget = [], cap
+    for _ in range(count):
+        share, d = rng.randint(0, budget), {}
+        for m in rng.sample(range(1, cap + 1, 2), (cap + 1) // 2):
+            e = share // m if rng.random() < 0.3 else rng.randint(0, share // m)
+            if e:
+                d[m] = e
+                share -= m * e
+                budget -= m * e
+        out.append(tuple(sorted(d.items())))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring, caps",
+    [(OddSeries, (W,)) for W in (1, 14, 33, 64)] + [(BiSeries, (10, 6)), (BiSeries, (6, 10))],
+)
+def test_packed_keys_round_trip_and_multiply_without_carry(ring, caps):
+    rng = random.Random(sum(caps))
+    codec = ring(*caps).codec
+    for _ in range(300):
+        if ring is OddSeries:
+            a, b = _odd_monos(rng, caps[0])
+        else:
+            (a, b), (c, d) = (_odd_monos(rng, cap) for cap in caps)
+            a, b = (a, c), (b, d)
+        ka, kb = codec.encode(a), codec.encode(b)
+        assert codec.decode(ka) == a and codec.decode(kb) == b
+        assert codec.decode(ka + kb) == ring.mono_mul(a, b) == ring.mono_mul(b, a)
+        assert codec.grade(ka + kb) == tuple(map(sum, zip(ring.grade(a), ring.grade(b))))
+        product = ring(*caps, {a: 2}) * ring(*caps, {b: Fraction(1, 3)})
+        assert dict(product.terms) == {ring.mono_mul(a, b): Fraction(2, 3)}
+    # a monomial over a cap, or with an index the ring has no field for, has no key
+    bads = [((1, caps[0] + 1),), ((2, 1),), ((1, -1),)]
+    if ring is BiSeries:
+        bads = [(bad, ()) for bad in bads] + [((), ((1, caps[1] + 1),))]
+    assert all(codec.encode(bad) is None for bad in bads)

@@ -60,6 +60,24 @@ def test_enumerate_strict_small():
     assert got == [(1,), (2,), (3,), (2, 1), (4,), (3, 1)]
 
 
+def _strict_of_weight(w, cap):
+    """The strict partitions of w with parts <= cap, first part descending,
+    by the recursion that enumerate_strict ran before its table."""
+    if w == 0:
+        yield ()
+        return
+    for first in range(min(w, cap), 0, -1):
+        for rest in _strict_of_weight(w - first, first - 1):
+            yield (first,) + rest
+
+
+def test_enumerate_strict_matches_the_recursion():
+    for W in range(21):
+        got = enumerate_strict(W)
+        assert [p.parts for p in got] == [p for w in range(1, W + 1) for p in _strict_of_weight(w, w)]
+        assert all(type(p) is StrictPartition and p == StrictPartition(p.parts) for p in got)
+
+
 def count_distinct_part_partitions(max_weight):
     """Number of partitions of weight <= max_weight into distinct parts.
 

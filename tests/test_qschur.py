@@ -300,6 +300,24 @@ def test_scalar_product_matches_fraction_pairing():
     assert scalar_product(OddSeries(W), kernels[0]) == 0
 
 
+def test_q_expand_matches_fraction_pairing():
+    """Each c_lambda from f's one dual vector against the Fraction pairing,
+    on kernels with times at m = 1, 3, 5, one of them zero."""
+    W = 14
+    rng = random.Random(41)
+    lams = enumerate_strict(W)
+    for zero in (1, 3, 5):
+        times = {m: F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for m in (1, 3, 5)}
+        times[zero] = 0
+        f = OddSeries(W, {((m, 1),): F(m, 2) * v for m, v in times.items() if v}).exp()
+        got = q_expand(f)
+        assert set(got) <= set(lams)
+        for lam in lams:
+            want = _fraction_scalar_product(q_lambda(lam, W), f) / 2 ** lam.length
+            assert (lam in got) == (want != 0) and got.get(lam, 0) == want, (zero, lam)
+            assert lam not in got or type(got[lam]) is Fraction
+
+
 def test_evaluation_matches_fraction_loop():
     W = 12
     series = [q_lambda(lam, W) for lam in enumerate_strict(W)] + _exp_kernels(W)

@@ -104,6 +104,37 @@ def test_r_prefix_out_of_range_raises_every_time():
     assert spec.r_prefix(1) == 1
 
 
+# one spec per family that the spec-scan benchmark draws, and Cutoff(3),
+# whose prefixes reach 0
+R_LAMBDA_SPECS = [
+    "table:" + ",".join(["1/2", "4", "1", "5/3", "5/2", "3/2", "2/5", "1/3"] * 2),
+    "tparam:" + ",".join("T%d=%s" % (n, F(n % 4 + 1, n % 3 + 1)) for n in range(1, 17)),
+    "ratps:a=5,1/3;b=5/4",
+    "symrat:alpha=5/3;beta=5/4",
+    "cutoff:M=3",
+]
+
+
+@pytest.mark.parametrize("text", R_LAMBDA_SPECS)
+def test_r_lambda_is_the_fraction_product_of_prefixes(text):
+    spec, oracle = parse_rspec(text), parse_rspec(text)
+    for lam in enumerate_strict(14):
+        want = F(1)
+        for p in lam.parts:
+            want *= oracle.r_prefix(p)
+        got = spec.r_lambda(lam)
+        assert type(got) is Fraction and got == want, (text, lam)
+        assert spec.r_lambda(lam) == want
+
+
+def test_r_lambda_out_of_range_raises_every_time():
+    spec = Table([1, F(1, 2)])
+    for _ in range(3):
+        with pytest.raises(RValueError):
+            spec.r_lambda(StrictPartition([3]))
+    assert spec.r_lambda(StrictPartition([2, 1])) == F(1, 2)
+
+
 def test_r_value_memo_matches_fresh_value():
     makers = [
         lambda: RationalPS([F(1, 2), 3], [F(5, 2)]),

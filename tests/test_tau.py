@@ -4,6 +4,7 @@ invariances, hypergeometric reductions, and the deformed scalar product."""
 import hashlib
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,26 @@ def test_integer_tau_sum_matches_fraction_sum(W, Wstar):
             assert got == want, make()
             assert got.to_json() == want.to_json(), make()
             assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def _power_loop_exp(s):
+    """exp(s) as the sum of s^k / k!, as the series core computed it before
+    the Euler recurrence: the reference that GradedSeries.exp is held to."""
+    result = power = s * 0 + 1
+    for k in range(1, sum(s.caps) + 1):
+        power = power * s
+        result = result + power * F(1, factorial(k))
+    return result
+
+
+@pytest.mark.parametrize("W, Wstar", [(10, 6), (6, 10)])
+def test_exp_recurrence_matches_power_loop(W, Wstar):
+    pairs = {(((n, 1),), ((n, 1),)): F(n, 2) for n in range(1, min(W, Wstar) + 1, 2)}
+    kernel = BiSeries(W, Wstar, pairs)
+    assert vacuum_kernel(W, Wstar) == _power_loop_exp(kernel)
+    # terms of unequal t and t* weight, and a denominator to carry
+    lopsided = kernel + BiSeries(W, Wstar, {(((3, 1),), ()): F(-2, 3), ((), ((1, 2),)): F(5, 7)})
+    assert lopsided.exp() == _power_loop_exp(lopsided)
 
 
 def test_tau_kp_ones_is_kp_cauchy_kernel():
