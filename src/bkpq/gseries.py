@@ -1,27 +1,28 @@
 """Truncated graded polynomials over exact rational coefficients.
 
 `GradedSeries` is the one sparse core: integer numerators over one common
-denominator, truncated grade by grade.  A subclass says how to grade a
-monomial (one weight per cap) and how to multiply two monomials; the ring
-operations, exp, substitution, equality and the first differing monomial
-live here once.
+denominator, truncated grade by grade, on int keys packed by one codec per
+ring.  A subclass says how to grade a monomial (one weight per cap) and
+passes its interned codec; the ring operations, exp, substitution, equality
+and the first differing monomial live here once.
 
 `OddSeries` is one alphabet of odd times t_1, t_3, t_5, ... with weight m
 for t_m, and `BiSeries` is two such alphabets t and t* with a cap each.
-`pfaffian.MultiPoly` grades ordinary polynomials by total degree.  Every
-operation discards terms above the caps, so identities that hold
-weight-by-weight can be checked exactly on truncated representatives.
+`pfaffian.MultiPoly` grades ordinary polynomials in x_0, x_1, ... by total
+degree.  Every operation discards terms above the caps, so identities that
+hold weight-by-weight can be checked exactly on truncated representatives.
 
-An odd-time monomial is a tuple of (odd index, exponent) pairs sorted by
-index, and the API takes and gives monomials in that form: the
-constructors, `coefficient`, the `terms` view, `to_json` and the witness of
-`first_difference`.  Inside a series each one is a key: an int packed by
-the ring's codec, which its caps fix (`OddCodec`, `BiCodec`).  The weight
-and each exponent e_m <= cap // m have bit fields of their own, so a grade
-is a shift and a mask, and the product of two monomials whose grades fit
-the caps is one int addition that cannot carry.  The ring-level `grade`,
-`mono_mul` and `variables` keep their meaning on tuples.  `MultiPoly` keys
-are its exponent tuples.
+The API takes and gives monomials as tuples: the constructors,
+`coefficient`, the `terms` view, `to_json` and the witness of
+`first_difference`.  An odd-time monomial is a tuple of (odd index,
+exponent) pairs sorted by index, and a `MultiPoly` monomial the tuple of
+its nvars exponents.  Inside a series each one is a key: an int packed by
+the ring's codec, which its caps (and nvars) fix (`WeightedCodec`,
+`BiCodec`, `DenseCodec`).  The weight and each exponent have bit fields of
+their own, so a grade is a shift and a mask, the constant is key 0 and the
+product of two monomials whose grades fit the caps is one int addition that
+cannot carry.  The ring-level `grade` and `variables` keep their meaning on
+tuples.
 
 `exp` runs the Euler recurrence n E_n = sum_j j S_j E_{n-j} over total
 grade, in ints, with no series power and no sum of series.
@@ -30,74 +31,71 @@ grade, in ints, with no series power and no sum of series.
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add
 
 
 def mono_weight(mono):
     return sum(m * e for m, e in mono)
 
 
-def mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for m, e in b:
-        d[m] = d.get(m, 0) + e
-    return tuple(sorted(d.items()))
-
-
 class TruncationError(ValueError):
     """Raised when a query or operation exceeds the stored truncation."""
 
 
-class OddCodec:
-    """The odd-time monomials of weight <= cap, packed into ints.
+class WeightedCodec:
+    """The monomials of weight <= cap in weighted variables, packed into ints.
 
-    The low bits hold the weight; above them each odd m <= cap has a field
-    wide enough for cap // m, in increasing m, for the exponent of t_m.
-    `width` is the number of bits used.  The key of the constant is 0.
-    Each decoded key is kept with its monomial; there are at most as many
-    as monomials of weight <= cap.
+    `weights` maps each variable to its positive weight, in field order.  A
+    monomial is a tuple of (variable, exponent) pairs with no zero exponent,
+    in that order.  The low bits of a key hold the weight; above them each
+    variable v has a field wide enough for cap // weights[v], for its
+    exponent.  `width` is the number of bits used.  The key of the constant
+    is 0.  Each decoded key is kept with its monomial; there are at most as
+    many as monomials of weight <= cap.
     """
 
-    __slots__ = ("cap", "mask", "fields", "width", "_decoded")
-    mul = staticmethod(add)
+    __slots__ = ("cap", "caps", "mask", "fields", "width", "_decoded")
 
-    def __init__(self, cap):
+    def __init__(self, cap, weights):
         self.cap = cap
+        self.caps = (cap,)
         self._decoded = {}
         shift = cap.bit_length()
         self.mask = (1 << shift) - 1
-        self.fields = {}  # m -> (shift, field mask)
-        for m in range(1, cap + 1, 2):
-            bits = (cap // m).bit_length()
-            self.fields[m] = (shift, (1 << bits) - 1)
+        self.fields = {}  # v -> (shift, field mask, weight)
+        for v, w in weights.items():
+            bits = (cap // w).bit_length()
+            self.fields[v] = (shift, (1 << bits) - 1, w)
             shift += bits
         self.width = shift
+
+    def __repr__(self):
+        weights = {v: w for v, (_, _, w) in self.fields.items()}
+        return "WeightedCodec(%d, %s)" % (self.cap, weights)
 
     def encode(self, mono):
         """The key of a monomial, or None if it is not one of weight <= cap."""
         key = weight = 0
-        for m, e in mono:
-            field = self.fields.get(m)
+        for v, e in mono:
+            field = self.fields.get(v)
             if field is None or e < 0:
                 return None
             key += e << field[0]
-            weight += m * e
+            weight += e * field[2]
         return key + weight if weight <= self.cap else None
 
     def decode(self, key):
         mono = self._decoded.get(key)
         if mono is None:
             fields = self.fields.items()
-            mono = self._decoded[key] = tuple((m, e) for m, (s, f) in fields if (e := key >> s & f))
+            mono = self._decoded[key] = tuple(
+                (v, e) for v, (s, f, _) in fields if (e := key >> s & f)
+            )
         return mono
 
-    def variable(self, m):
-        """The key of t_m."""
-        return (1 << self.fields[m][0]) + m
+    def variable(self, v):
+        """The key of the variable v."""
+        shift, _, w = self.fields[v]
+        return (1 << shift) + w
 
     def grade(self, key):
         return (key & self.mask,)
@@ -112,18 +110,40 @@ class OddCodec:
         return self.decode(key)
 
 
+class DenseCodec(WeightedCodec):
+    """x_0, ..., x_{nvars-1} of weight 1 each to total degree cutoff, whose
+    monomials are dense tuples of nvars exponents."""
+
+    __slots__ = ()
+
+    def __init__(self, nvars, cutoff):
+        super().__init__(cutoff, dict.fromkeys(range(nvars), 1))
+
+    def __repr__(self):
+        return "DenseCodec(nvars=%d, cutoff=%d)" % (len(self.fields), self.cap)
+
+    def encode(self, mono):
+        return super().encode(enumerate(mono)) if len(mono) == len(self.fields) else None
+
+    def decode(self, key):
+        return tuple(key >> s & f for s, f, _ in self.fields.values())
+
+
 class BiCodec:
     """(t, t*) monomials within caps (W, Wstar), packed into ints: the t key
-    of OddCodec(W) in the low `shift` bits and the t* key of OddCodec(Wstar)
-    above them."""
+    of odd_codec(W) in the low `shift` bits and the t* key of
+    odd_codec(Wstar) above them."""
 
-    __slots__ = ("halves", "shift", "low")
-    mul = staticmethod(add)
+    __slots__ = ("caps", "halves", "shift", "low")
 
     def __init__(self, W, Wstar):
+        self.caps = (W, Wstar)
         self.halves = (odd_codec(W), odd_codec(Wstar))
         self.shift = self.halves[0].width
         self.low = (1 << self.shift) - 1
+
+    def __repr__(self):
+        return "BiCodec(W=%d, Wstar=%d)" % self.caps
 
     def encode(self, mono):
         kt, ks = (half.encode(m) for half, m in zip(self.halves, mono))
@@ -144,7 +164,7 @@ class BiCodec:
         return self.halves[i].decode(key)
 
     def place(self, i, keys, codec):
-        """Keys of an OddCodec placed as half i (0 for t, 1 for t*): a t key
+        """Keys of an odd codec placed as half i (0 for t, 1 for t*): a t key
         and a t* key so placed add up to the key of their pair."""
         half = self.halves[i]
         if half is not codec:
@@ -152,41 +172,30 @@ class BiCodec:
         return [k << self.shift for k in keys] if i else list(keys)
 
 
-class _PlainCodec:
-    """Keys that are the ring's own monomials, graded and multiplied by it."""
-
-    __slots__ = ("grade", "mul")
-
-    def __init__(self, ring):
-        self.grade, self.mul = ring.grade, ring.mono_mul
-
-    @staticmethod
-    def encode(mono):
-        return mono
-
-    decode = encode
+_CODECS = {}  # ("odd", W), ("bi", W, Wstar) or ("dense", nvars, cutoff) -> its one codec
 
 
-_CODECS = {}  # W, (W, Wstar) or a ring class -> its one codec
+def _interned(key, make):
+    codec = _CODECS.get(key)
+    if codec is None:
+        codec = _CODECS[key] = make()
+    return codec
 
 
 def odd_codec(W):
-    codec = _CODECS.get(W)
-    if codec is None:
-        codec = _CODECS[W] = OddCodec(W)
-    return codec
+    """The codec of t_1, t_3, ..., t_m of weight m, to weight W."""
+    return _interned(("odd", W), lambda: WeightedCodec(W, {m: m for m in range(1, W + 1, 2)}))
 
 
 def bi_codec(W, Wstar):
-    codec = _CODECS.get((W, Wstar))
-    if codec is None:
-        codec = _CODECS[(W, Wstar)] = BiCodec(W, Wstar)
-    return codec
+    return _interned(("bi", W, Wstar), lambda: BiCodec(W, Wstar))
 
 
-def _fill(obj, caps, unit, num, den, codec):
-    object.__setattr__(obj, "caps", caps)
-    object.__setattr__(obj, "unit", unit)
+def dense_codec(nvars, cutoff):
+    return _interned(("dense", nvars, cutoff), lambda: DenseCodec(nvars, cutoff))
+
+
+def _fill(obj, num, den, codec):
     object.__setattr__(obj, "num", num)
     object.__setattr__(obj, "den", den)
     object.__setattr__(obj, "codec", codec)
@@ -230,22 +239,22 @@ class GradedSeries:
     keys to nonzero ints and `den` is a positive int with gcd(den,
     *num.values()) == 1 (so the zero series has den == 1), which makes equal
     series equal field by field.  `terms` views the coefficients as
-    Fractions by monomial.  `caps` holds one weight cap per grade, `codec`
-    maps monomials to keys and `unit` is the key of the constant term.  A
-    subclass defines `grade(mono)`, the tuple of a monomial's weights in the
-    order of `caps`, and `mono_mul(a, b)`, and one with packed keys
-    `_codec(caps)`; one that `substitute` serves also defines
-    `part_variables(i, part)`, and one of several alphabets `parts(mono)`.
+    Fractions by monomial.  `codec` is the ring's interned codec: it maps
+    monomials to keys, the key of a product is the sum of the keys, the
+    constant is key 0 and `caps` holds its weight cap per grade.  A subclass
+    passes its codec to `__init__` and defines `grade(mono)`, the tuple of a
+    monomial's weights in the order of `caps`; one that `substitute` serves
+    also defines `part_variables(i, part)`, and one of several alphabets
+    `parts(mono)`.
     """
 
-    __slots__ = ("caps", "unit", "num", "den", "codec")
+    __slots__ = ("num", "den", "codec")
 
-    def __init__(self, caps, unit, terms=None):
+    def __init__(self, codec, terms=None):
         """Validate outside input: coefficients are read as Fractions, zero
         terms and terms over a cap are dropped, monomials with one key add
         up, and one the ring has no key for raises ValueError."""
-        caps = tuple(int(c) for c in caps)
-        codec = self._codec(caps)
+        caps = codec.caps
         clean = {}
         if terms:
             for mono, c in terms.items():
@@ -261,14 +270,11 @@ class GradedSeries:
         # the lcm of lowest-form denominators shares no factor with every numerator
         den = lcm(*(c.denominator for c in clean.values()))
         num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
-        _fill(self, caps, codec.encode(unit), num, den, codec)
+        _fill(self, num, den, codec)
 
-    @classmethod
-    def _codec(cls, caps):
-        codec = _CODECS.get(cls)
-        if codec is None:
-            codec = _CODECS[cls] = _PlainCodec(cls)
-        return codec
+    @property
+    def caps(self):
+        return self.codec.caps
 
     def _like(self, num, den):
         """A result in the same ring with coefficients num[m] / den.  Every
@@ -280,7 +286,7 @@ class GradedSeries:
         if g != 1:
             num = {m: v // g for m, v in num.items()}
             den //= g
-        return _fill(object.__new__(type(self)), self.caps, self.unit, num, den, self.codec)
+        return _fill(object.__new__(type(self)), num, den, self.codec)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -296,7 +302,7 @@ class GradedSeries:
         return not self.num
 
     def constant_term(self):
-        return Fraction(self.num.get(self.unit, 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def coefficient(self, mono):
         weights = self.grade(mono)
@@ -307,20 +313,23 @@ class GradedSeries:
         return Fraction(self.num.get(self.codec.encode(mono), 0), self.den)
 
     def _check_match(self, other):
-        if self.caps != other.caps or self.unit != other.unit:
-            raise TruncationError("truncation mismatch: %s vs %s" % (self.caps, other.caps))
+        if self.codec is not other.codec:
+            raise TruncationError(
+                "ring mismatch: %s on %r vs %s on %r"
+                % (type(self).__name__, self.codec, type(other).__name__, other.codec)
+            )
 
     def _coerce(self, other):
         """other as a series of this ring; a number becomes a constant."""
         if isinstance(other, (int, Fraction)):
-            return self._like({self.unit: other.numerator}, other.denominator)
+            return self._like({0: other.numerator}, other.denominator)
         self._check_match(other)
         return other
 
     def _product(self, left, right):
         """{key: numerator} of the product of two grade groupings, truncated:
         a pair of grades over a cap is skipped whole."""
-        caps, mul = self.caps, self.codec.mul
+        caps = self.caps
         right = right.items()
         num = {}
         for ga, left_terms in left.items():
@@ -329,7 +338,7 @@ class GradedSeries:
                     continue
                 for ka, va in left_terms:
                     for kb, vb in right_terms:
-                        key = mul(ka, kb)
+                        key = ka + kb
                         num[key] = num.get(key, 0) + va * vb
         return num
 
@@ -338,12 +347,10 @@ class GradedSeries:
             other = self._coerce(other)
         if type(other) is not type(self):
             return NotImplemented
-        return (self.caps, self.unit, self.den, self.num) == (
-            other.caps, other.unit, other.den, other.num
-        )
+        return self.codec is other.codec and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.caps, self.unit, self.den, frozenset(self.num.items())))
+        return hash((self.caps, self.den, frozenset(self.num.items())))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -358,7 +365,7 @@ class GradedSeries:
 
     def __neg__(self):
         num = {m: -v for m, v in self.num.items()}
-        return _fill(object.__new__(type(self)), self.caps, self.unit, num, self.den, self.codec)
+        return _fill(object.__new__(type(self)), num, self.den, self.codec)
 
     def __sub__(self, other):
         return self + -self._coerce(other)
@@ -385,15 +392,15 @@ class GradedSeries:
         F_n = n! d^n E_n is an integer series:
         F_n = sum_j (n-1)!/(n-j)! d^(j-1) (j d S_j) F_{n-j}.
         """
-        if self.unit in self.num:
+        if 0 in self.num:
             raise ValueError("exp requires zero constant term")
         grade, d = self.codec.grade, self.den
         S = {}  # j -> grade groups of j d S_j
         for g, terms in _grouped(grade, self.num).items():
             j = sum(g)
             S.setdefault(j, {})[g] = [(k, j * v) for k, v in terms]
-        F = [_grouped(grade, {self.unit: 1})]  # n -> grade groups of F_n
-        # every monomial but the unit has total grade >= 1
+        F = [_grouped(grade, {0: 1})]  # n -> grade groups of F_n
+        # every monomial but the constant has total grade >= 1
         for n in range(1, sum(self.caps) + 1):
             Fn = {}
             c = 1
@@ -527,17 +534,11 @@ class OddSeries(GradedSeries):
     __slots__ = ()
 
     def __init__(self, truncation_weight, terms=None):
-        super().__init__((truncation_weight,), (), terms)
-
-    @staticmethod
-    def _codec(caps):
-        return odd_codec(caps[0])
+        super().__init__(odd_codec(truncation_weight), terms)
 
     @staticmethod
     def grade(mono):
         return (mono_weight(mono),)
-
-    mono_mul = staticmethod(mono_mul)
 
     @staticmethod
     def part_variables(i, part):
@@ -569,8 +570,8 @@ class OddSeries(GradedSeries):
         field = self.codec.fields.get(m)
         num = {}
         if field is not None:
-            shift, mask = field
-            step = (1 << shift) + m  # one t_m: its exponent and its weight
+            shift, mask, w = field
+            step = (1 << shift) + w  # one t_m: its exponent and its weight
             for k, v in self.num.items():
                 e = k >> shift & mask
                 if e:
@@ -602,19 +603,11 @@ class BiSeries(GradedSeries):
     __slots__ = ()
 
     def __init__(self, W, Wstar, terms=None):
-        super().__init__((W, Wstar), ((), ()), terms)
-
-    @staticmethod
-    def _codec(caps):
-        return bi_codec(*caps)
+        super().__init__(bi_codec(W, Wstar), terms)
 
     @staticmethod
     def grade(mono):
         return (mono_weight(mono[0]), mono_weight(mono[1]))
-
-    @staticmethod
-    def mono_mul(a, b):
-        return (mono_mul(a[0], b[0]), mono_mul(a[1], b[1]))
 
     @staticmethod
     def parts(mono):
@@ -650,8 +643,7 @@ class BiSeries(GradedSeries):
         codec = self.codec
         low, shift, up = codec.low, codec.shift, codec.halves[1].width
         num = {k >> shift | (k & low) << up: v for k, v in self.num.items()}
-        return _fill(object.__new__(BiSeries), (Wstar, W), self.unit, num, self.den,
-                     bi_codec(Wstar, W))
+        return _fill(object.__new__(BiSeries), num, self.den, bi_codec(Wstar, W))
 
     def substitute_scaled(self, a0):
         """t_m -> a0^m t_m and t*_m -> a0^(-m) t*_m."""

@@ -9,9 +9,8 @@ oracle, not assumed.
 """
 
 from fractions import Fraction
-from operator import add
 
-from .gseries import GradedSeries, OddSeries
+from .gseries import GradedSeries, OddSeries, dense_codec
 from .qschur import XPoint, delta, eval_at_x, miwa
 from .tau import compare_series, tau_terms
 
@@ -107,27 +106,23 @@ def det_fraction_free(rows):
 class MultiPoly(GradedSeries):
     """Sparse multivariate polynomial with a total-degree cutoff.
 
-    A monomial is a tuple of nvars exponents.
+    A monomial is a tuple of nvars exponents, packed by `DenseCodec`.
     """
 
     __slots__ = ()
 
     def __init__(self, nvars, cutoff, terms=None):
-        super().__init__((cutoff,), (0,) * nvars, terms)
+        super().__init__(dense_codec(nvars, cutoff), terms)
 
     @staticmethod
     def grade(mono):
         return (sum(mono),)
 
-    @staticmethod
-    def mono_mul(a, b):
-        return tuple(map(add, a, b))
-
     __mul__ = __rmul__ = GradedSeries.__mul__
 
     @property
     def nvars(self):
-        return len(self.unit)
+        return len(self.codec.fields)
 
     @property
     def cutoff(self):
@@ -139,6 +134,8 @@ class MultiPoly(GradedSeries):
 
     @classmethod
     def variable(cls, nvars, cutoff, index, power=1):
+        if not 0 <= index < nvars:
+            raise ValueError("no variable x_%s among x_0..x_%d" % (index, nvars - 1))
         mono = tuple(power if k == index else 0 for k in range(nvars))
         return cls(nvars, cutoff, {mono: 1})
 

@@ -107,7 +107,7 @@ def _diagonal_sum(terms, W, Wstar):
                     row[j] += ka * b
         t, star = (series.codec.place(i, index, codec) for i in (0, 1))
         out.update((kt + ks, v) for kt, row in zip(t, table) for ks, v in zip(star, row) if v)
-    out[series.unit] = out.get(series.unit, 0) + L
+    out[0] = out.get(0, 0) + L  # the constant 1
     return series._like(out, L)
 
 

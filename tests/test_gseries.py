@@ -5,7 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from bkpq.gseries import BiSeries, OddSeries, TruncationError, mono_mul, mono_weight
+from bkpq.gseries import BiSeries, OddSeries, TruncationError, mono_weight
+from bkpq.pfaffian import MultiPoly
+
+
+def odd_product(a, b):
+    """The product of two odd-time monomials: exponents added by index."""
+    d = dict(a)
+    for m, e in b:
+        d[m] = d.get(m, 0) + e
+    return tuple(sorted(d.items()))
+
+
+# the product of two tuple monomials of each ring, computed on the tuples
+PRODUCTS = {
+    OddSeries: odd_product,
+    BiSeries: lambda a, b: (odd_product(a[0], b[0]), odd_product(a[1], b[1])),
+    MultiPoly: lambda a, b: tuple(x + y for x, y in zip(a, b)),
+}
 
 
 def rand_series(rng, W, nterms=6):
@@ -50,6 +67,41 @@ def test_mul_rejects_truncation_mismatch():
     p = a * OddSeries(4, b.terms)
     assert p.truncation_weight == 4
     assert p.coefficient(((1, 1), (3, 1),)) == 1
+
+
+def test_ring_mismatch_names_both_rings():
+    with pytest.raises(TruncationError) as err:
+        MultiPoly(2, 4) + MultiPoly(3, 4)
+    assert str(err.value) == (
+        "ring mismatch: MultiPoly on DenseCodec(nvars=2, cutoff=4)"
+        " vs MultiPoly on DenseCodec(nvars=3, cutoff=4)"
+    )
+    with pytest.raises(TruncationError) as err:
+        BiSeries(4, 2) * BiSeries(2, 4)
+    assert str(err.value) == (
+        "ring mismatch: BiSeries on BiCodec(W=4, Wstar=2) vs BiSeries on BiCodec(W=2, Wstar=4)"
+    )
+    with pytest.raises(TruncationError) as err:
+        OddSeries(3).first_difference(OddSeries(1))
+    assert str(err.value) == (
+        "ring mismatch: OddSeries on WeightedCodec(3, {1: 1, 3: 3})"
+        " vs OddSeries on WeightedCodec(1, {1: 1})"
+    )
+    # equal numerators in different rings are different series
+    assert MultiPoly.constant(2, 4) != MultiPoly.constant(3, 4)
+    assert MultiPoly.constant(2, 4) == MultiPoly(2, 4, {(0, 0): 1}) == 1
+
+
+def test_malformed_multipoly_monomials_raise():
+    for index in (2, 5, -1):
+        with pytest.raises(ValueError):
+            MultiPoly.variable(2, 4, index)
+    for mono in [(1,), (), (1, 0, 0), (-1, 1), (2, -1)]:
+        with pytest.raises(ValueError):
+            MultiPoly(2, 4, {mono: 1})
+    assert dict(MultiPoly.variable(2, 4, 1, 3).terms) == {(0, 3): 1}
+    # a well-formed monomial over the cutoff is truncated, not refused
+    assert MultiPoly.variable(2, 4, 0, 5).is_zero()
 
 
 def test_coefficient_beyond_truncation_raises():
@@ -188,8 +240,6 @@ def test_biseries_scaling():
 
 
 def test_first_difference_is_lowest_weight():
-    from bkpq.pfaffian import MultiPoly
-
     W = 8
     t1, t3 = OddSeries.variable(W, 1), OddSeries.variable(W, 3)
     f = t1 * t1 * t1 * 2 + t3 + t1 * t1 * t1 * t3
@@ -218,8 +268,6 @@ def test_first_difference_is_lowest_weight():
 
 
 def test_substitute_is_a_ring_map():
-    from bkpq.pfaffian import MultiPoly
-
     rng = random.Random(31)
     W, low = 8, 4  # weights <= low each, so no product loses a term to W
 
@@ -337,27 +385,64 @@ def _odd_monos(rng, cap, count=2):
     return out
 
 
+def _dense_monos(rng, nvars, cap, count=2):
+    """count exponent tuples whose total degrees sum to at most cap; an
+    exponent is often all the remaining degree, to fill its field."""
+    out, budget = [], cap
+    for _ in range(count):
+        share, mono = rng.randint(0, budget), [0] * nvars
+        for i in rng.sample(range(nvars), nvars):
+            e = share if rng.random() < 0.3 else rng.randint(0, share)
+            mono[i] = e
+            share -= e
+            budget -= e
+        out.append(tuple(mono))
+    return out
+
+
+# caps are the constructor's arguments: (nvars, cutoff) for MultiPoly
 @pytest.mark.parametrize(
     "ring, caps",
-    [(OddSeries, (W,)) for W in (1, 14, 33, 64)] + [(BiSeries, (10, 6)), (BiSeries, (6, 10))],
+    [(OddSeries, (W,)) for W in (1, 14, 33, 64)]
+    + [(BiSeries, (10, 6)), (BiSeries, (6, 10))]
+    + [(MultiPoly, (2, 6)), (MultiPoly, (4, 14)), (MultiPoly, (8, 20))],
 )
 def test_packed_keys_round_trip_and_multiply_without_carry(ring, caps):
     rng = random.Random(sum(caps))
     codec = ring(*caps).codec
+    mul = PRODUCTS[ring]
+    pairs = []
     for _ in range(300):
         if ring is OddSeries:
-            a, b = _odd_monos(rng, caps[0])
-        else:
+            pairs.append(_odd_monos(rng, caps[0]))
+        elif ring is BiSeries:
             (a, b), (c, d) = (_odd_monos(rng, cap) for cap in caps)
-            a, b = (a, c), (b, d)
+            pairs.append(((a, c), (b, d)))
+        else:
+            pairs.append(_dense_monos(rng, *caps))
+    if ring is MultiPoly:
+        # every exponent field holds the cutoff, reached by a sum of keys
+        nvars, cap = caps
+        pairs += [
+            tuple(tuple(e if k == i else 0 for k in range(nvars)) for e in (cap - 1, 1))
+            for i in range(nvars)
+        ]
+    for a, b in pairs:
         ka, kb = codec.encode(a), codec.encode(b)
         assert codec.decode(ka) == a and codec.decode(kb) == b
-        assert codec.decode(ka + kb) == ring.mono_mul(a, b) == ring.mono_mul(b, a)
+        assert codec.grade(ka) == ring.grade(a) and codec.grade(kb) == ring.grade(b)
+        assert codec.decode(ka + kb) == mul(a, b) == mul(b, a)
         assert codec.grade(ka + kb) == tuple(map(sum, zip(ring.grade(a), ring.grade(b))))
         product = ring(*caps, {a: 2}) * ring(*caps, {b: Fraction(1, 3)})
-        assert dict(product.terms) == {ring.mono_mul(a, b): Fraction(2, 3)}
-    # a monomial over a cap, or with an index the ring has no field for, has no key
-    bads = [((1, caps[0] + 1),), ((2, 1),), ((1, -1),)]
-    if ring is BiSeries:
-        bads = [(bad, ()) for bad in bads] + [((), ((1, caps[1] + 1),))]
+        assert dict(product.terms) == {mul(a, b): Fraction(2, 3)}
+    if ring is MultiPoly:
+        # wrong length, a negative exponent, or a degree over the cutoff
+        nvars, cap = caps
+        bads = [(0,) * (nvars - 1), (0,) * (nvars + 1), (-1,) + (0,) * (nvars - 1)]
+        bads += [(cap + 1,) + (0,) * (nvars - 1), (cap,) + (1,) * (nvars - 1)]
+    else:
+        # a monomial over a cap, or with an index the ring has no field for
+        bads = [((1, caps[0] + 1),), ((2, 1),), ((1, -1),)]
+        if ring is BiSeries:
+            bads = [(bad, ()) for bad in bads] + [((), ((1, caps[1] + 1),))]
     assert all(codec.encode(bad) is None for bad in bads)

@@ -3,8 +3,10 @@
 `RefSeries` is the series arithmetic with one Fraction per coefficient, as
 the core computed it before it kept integer numerators over one
 denominator: every product and sum is a Fraction operation and zeros are
-dropped.  It borrows only `grade`, `mono_mul` and `variables` from the ring
-it models, so it checks the core's numerator and denominator bookkeeping.
+dropped.  Its keys are the tuple monomials, multiplied by the tuple
+products in `PRODUCTS`, not by packed keys; it borrows only `grade` and
+`variables` from the ring it models.  So it checks the core's key packing
+and its numerator and denominator bookkeeping.
 """
 
 from fractions import Fraction
@@ -16,6 +18,21 @@ from hypothesis import strategies as st
 
 from bkpq.gseries import BiSeries, OddSeries
 from bkpq.pfaffian import MultiPoly
+
+
+def _odd_product(a, b):
+    d = dict(a)
+    for m, e in b:
+        d[m] = d.get(m, 0) + e
+    return tuple(sorted(d.items()))
+
+
+# the product of two monomials of each ring, on the tuples
+PRODUCTS = {
+    OddSeries: _odd_product,
+    BiSeries: lambda a, b: (_odd_product(a[0], b[0]), _odd_product(a[1], b[1])),
+    MultiPoly: lambda a, b: tuple(x + y for x, y in zip(a, b)),
+}
 
 
 class RefSeries:
@@ -53,9 +70,10 @@ class RefSeries:
         if isinstance(other, (int, Fraction)):
             return self.like({m: c * other for m, c in self.terms.items()})
         terms = {}
+        mul = PRODUCTS[self.ring]
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                key = self.ring.mono_mul(ma, mb)
+                key = mul(ma, mb)
                 terms[key] = terms.get(key, 0) + ca * cb
         return self.like(terms)
 

@@ -132,11 +132,23 @@ def test_two_alphabet_pfaffian_sees_r_from_degree_n_n_minus_1_plus_2(monkeypatch
         return ((c * F(1001, 1000), q) for c, q in real(*args, **kwargs))
 
     monkeypatch.setattr(pfaffian_module, "tau_terms", corrupted)
+    # the failing reports, witness included, as the tuple-keyed MultiPoly gave them
+    witnesses = {
+        1: ("(1, 1)", 2),
+        2: ("(0, 2, 0, 2)", 4),
+        3: ("(0, 1, 3, 0, 1, 3)", 8),
+    }
     for N in (1, 2, 3):
         low = N * (N - 1) + 2
         spec = RationalPS([F(1, 2), 3], [F(5, 2)])
         assert check_two_alphabet_pfaffian(spec, N, low - 1).passed, N
-        assert not check_two_alphabet_pfaffian(spec, N, low).passed, N
+        monomial, degree = witnesses[N]
+        assert check_two_alphabet_pfaffian(spec, N, low).to_json() == {
+            "name": "pfaffian-two-alphabet",
+            "params": {"r": "RationalPS(a=[1/2,3], b=[5/2])", "N": N, "degree": degree},
+            "pass": False,
+            "witness": {"monomial": monomial, "lhs": "6/5", "rhs": "3003/2500"},
+        }, N
 
 
 # counts the term pairs of every MultiPoly product in one two-alphabet check
