@@ -114,10 +114,6 @@ class MultiPoly(GradedSeries):
     def __init__(self, nvars, cutoff, terms=None):
         super().__init__(dense_codec(nvars, cutoff), terms)
 
-    @staticmethod
-    def grade(mono):
-        return (sum(mono),)
-
     __mul__ = __rmul__ = GradedSeries.__mul__
 
     @property

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from bkpq.gseries import BiSeries, OddSeries, TruncationError, mono_weight
+from bkpq.gseries import BiSeries, OddSeries, TruncationError
 from bkpq.pfaffian import MultiPoly
+
+
+def mono_weight(mono):
+    return sum(m * e for m, e in mono)
 
 
 def odd_product(a, b):
@@ -22,6 +26,13 @@ PRODUCTS = {
     OddSeries: odd_product,
     BiSeries: lambda a, b: (odd_product(a[0], b[0]), odd_product(a[1], b[1])),
     MultiPoly: lambda a, b: tuple(x + y for x, y in zip(a, b)),
+}
+
+# the grade of a tuple monomial of each ring, one weight per cap
+GRADES = {
+    OddSeries: lambda mono: (mono_weight(mono),),
+    BiSeries: lambda mono: (mono_weight(mono[0]), mono_weight(mono[1])),
+    MultiPoly: lambda mono: (sum(mono),),
 }
 
 
@@ -44,7 +55,8 @@ def rand_series(rng, W, nterms=6):
 def test_variable_and_weight():
     t1 = OddSeries.variable(8, 1)
     assert t1.coefficient(((1, 1),)) == 1
-    assert mono_weight(((1, 2), (3, 1))) == 5
+    codec = t1.codec
+    assert codec.grade(codec.encode(((1, 2), (3, 1)))) == (5,)
     with pytest.raises(ValueError):
         OddSeries.variable(8, 2)
 
@@ -92,16 +104,68 @@ def test_ring_mismatch_names_both_rings():
     assert MultiPoly.constant(2, 4) == MultiPoly(2, 4, {(0, 0): 1}) == 1
 
 
+def _coefficient(series, mono):
+    """series.coefficient(mono); a BiSeries takes the two halves apart."""
+    return series.coefficient(*mono) if type(series) is BiSeries else series.coefficient(mono)
+
+
 def test_malformed_multipoly_monomials_raise():
     for index in (2, 5, -1):
         with pytest.raises(ValueError):
             MultiPoly.variable(2, 4, index)
-    for mono in [(1,), (), (1, 0, 0), (-1, 1), (2, -1)]:
-        with pytest.raises(ValueError):
-            MultiPoly(2, 4, {mono: 1})
     assert dict(MultiPoly.variable(2, 4, 1, 3).terms) == {(0, 3): 1}
-    # a well-formed monomial over the cutoff is truncated, not refused
+    # a well-formed monomial over a cap is truncated, not refused, and its
+    # coefficient is beyond the truncation
     assert MultiPoly.variable(2, 4, 0, 5).is_zero()
+    assert OddSeries.variable(4, 5).is_zero()
+    for make, mono in [
+        (lambda terms: MultiPoly(2, 4, terms), (5, 0)),
+        (lambda terms: OddSeries(4, terms), ((5, 1),)),
+        (lambda terms: OddSeries(4, terms), ((1, 5),)),
+        (lambda terms: BiSeries(4, 6, terms), ((), ((7, 1),))),
+    ]:
+        series = make({mono: 1})
+        assert series.is_zero() and series.terms.get(mono) is None
+        with pytest.raises(TruncationError):
+            _coefficient(series, mono)
+    # a monomial that is not one of the ring's raises whatever the cap, in the
+    # constructor and in coefficient, and the terms view has no key for it
+    malformed = [
+        (
+            lambda cap, terms=None: MultiPoly(2, cap, terms),
+            [(1,), (), (1, 0, 0), (-1, 1), (2, -1), (-1, 9)],
+        ),
+        (
+            OddSeries,
+            [((2, 1),), ((2, 3),), ((1, -1),), ((9, -1),), ((0, 1),), ((-3, 1),), (("t", 1),)],
+        ),
+        (
+            lambda cap, terms=None: BiSeries(cap, cap, terms),
+            [(((2, 1),), ()), (((2, 3),), ()), ((), ((1, -1),)), ((), ((4, 1),))]
+            + [(((9, 1),), ((2, 1),))],
+        ),
+    ]
+    for make, monos in malformed:
+        for cap in (2, 4, 8):
+            series = make(cap)
+            for mono in monos:
+                with pytest.raises(ValueError, match="is not a monomial of"):
+                    make(cap, {mono: 1})
+                with pytest.raises(ValueError, match="is not a monomial of"):
+                    _coefficient(series, mono)
+                assert series.terms.get(mono) is None
+    for terms in [{((),): 1}, {((), (), ()): 1}]:
+        with pytest.raises(ValueError, match="is not a monomial of"):
+            BiSeries(4, 4, terms)
+    # the message names the monomial as given and the ring's codec
+    for make, mono, codec in [
+        (lambda: OddSeries(4, {((2, 3),): 1}), ((2, 3),), "WeightedCodec(4, {1: 1, 3: 3})"),
+        (lambda: MultiPoly(2, 4, {(-1, 9): 1}), (-1, 9), "DenseCodec(nvars=2, cutoff=4)"),
+        (lambda: BiSeries(4, 6, {((), ((2, 1),)): 1}), ((), ((2, 1),)), "BiCodec(W=4, Wstar=6)"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == "%r is not a monomial of %s" % (mono, codec)
 
 
 def test_coefficient_beyond_truncation_raises():
@@ -410,7 +474,7 @@ def _dense_monos(rng, nvars, cap, count=2):
 def test_packed_keys_round_trip_and_multiply_without_carry(ring, caps):
     rng = random.Random(sum(caps))
     codec = ring(*caps).codec
-    mul = PRODUCTS[ring]
+    mul, grade = PRODUCTS[ring], GRADES[ring]
     pairs = []
     for _ in range(300):
         if ring is OddSeries:
@@ -430,19 +494,28 @@ def test_packed_keys_round_trip_and_multiply_without_carry(ring, caps):
     for a, b in pairs:
         ka, kb = codec.encode(a), codec.encode(b)
         assert codec.decode(ka) == a and codec.decode(kb) == b
-        assert codec.grade(ka) == ring.grade(a) and codec.grade(kb) == ring.grade(b)
+        assert codec.grade(ka) == grade(a) and codec.grade(kb) == grade(b)
         assert codec.decode(ka + kb) == mul(a, b) == mul(b, a)
-        assert codec.grade(ka + kb) == tuple(map(sum, zip(ring.grade(a), ring.grade(b))))
+        assert codec.grade(ka + kb) == tuple(map(sum, zip(grade(a), grade(b))))
         product = ring(*caps, {a: 2}) * ring(*caps, {b: Fraction(1, 3)})
         assert dict(product.terms) == {mul(a, b): Fraction(2, 3)}
     if ring is MultiPoly:
-        # wrong length, a negative exponent, or a degree over the cutoff
         nvars, cap = caps
-        bads = [(0,) * (nvars - 1), (0,) * (nvars + 1), (-1,) + (0,) * (nvars - 1)]
-        bads += [(cap + 1,) + (0,) * (nvars - 1), (cap,) + (1,) * (nvars - 1)]
+        # a degree over the cutoff
+        over = [(cap + 1,) + (0,) * (nvars - 1), (cap,) + (1,) * (nvars - 1)]
+        # wrong length or a negative exponent
+        malformed = [(0,) * (nvars - 1), (0,) * (nvars + 1), (-1,) + (0,) * (nvars - 1)]
     else:
-        # a monomial over a cap, or with an index the ring has no field for
-        bads = [((1, caps[0] + 1),), ((2, 1),), ((1, -1),)]
-        if ring is BiSeries:
-            bads = [(bad, ()) for bad in bads] + [((), ((1, caps[1] + 1),))]
-    assert all(codec.encode(bad) is None for bad in bads)
+        # a weight over a cap, and an odd index above it, which has no field
+        over = [[((1, W + 1),), ((W + 1 + W % 2, 1),)] for W in caps]
+        # an even index or a negative exponent
+        malformed = [((2, 1),), ((1, -1),)]
+        if ring is OddSeries:
+            over = over[0]
+        else:
+            over = [(mono, ()) for mono in over[0]] + [((), mono) for mono in over[1]]
+            malformed = [(mono, ()) for mono in malformed] + [((), mono) for mono in malformed]
+    assert all(codec.encode(mono) is None for mono in over)
+    for mono in malformed:
+        with pytest.raises(ValueError):
+            codec.encode(mono)

@@ -4,9 +4,10 @@
 the core computed it before it kept integer numerators over one
 denominator: every product and sum is a Fraction operation and zeros are
 dropped.  Its keys are the tuple monomials, multiplied by the tuple
-products in `PRODUCTS`, not by packed keys; it borrows only `grade` and
-`variables` from the ring it models.  So it checks the core's key packing
-and its numerator and denominator bookkeeping.
+products in `PRODUCTS`, not by packed keys, and it grades and names their
+variables by its own tables `GRADES` and `NAMES`; it borrows nothing from
+the ring it models but the name.  So it checks the core's key packing, the
+codec's grading and naming, and its numerator and denominator bookkeeping.
 """
 
 from fractions import Fraction
@@ -35,13 +36,33 @@ PRODUCTS = {
 }
 
 
+def _weight(mono):
+    return sum(m * e for m, e in mono)
+
+
+# the grade of a monomial of each ring, one weight per cap
+GRADES = {
+    OddSeries: lambda m: (_weight(m),),
+    BiSeries: lambda m: (_weight(m[0]), _weight(m[1])),
+    MultiPoly: lambda m: (sum(m),),
+}
+
+# (variable, exponent) for each variable of a monomial of each ring: t_m is
+# m, t_m and t*_m of a BiSeries are (0, m) and (1, m), and x_k is k
+NAMES = {
+    OddSeries: lambda m: m,
+    BiSeries: lambda m: [((i, v), e) for i, part in enumerate(m) for v, e in part],
+    MultiPoly: lambda m: [(k, e) for k, e in enumerate(m) if e],
+}
+
+
 class RefSeries:
     def __init__(self, ring, caps, unit, terms):
         self.ring, self.caps, self.unit = ring, caps, unit
         self.terms = {
             m: Fraction(c)
             for m, c in terms.items()
-            if c and all(w <= cap for w, cap in zip(ring.grade(m), caps))
+            if c and all(w <= cap for w, cap in zip(GRADES[ring](m), caps))
         }
 
     def like(self, terms):
@@ -90,7 +111,7 @@ class RefSeries:
         total = one * 0
         for mono, c in self.terms.items():
             term = c
-            for v, e in self.ring.variables(mono):
+            for v, e in NAMES[self.ring](mono):
                 for _ in range(e):
                     term = image(v) * term
             total = total + term
@@ -109,7 +130,7 @@ class RefSeries:
         return self.like(terms)
 
     def weight_component(self, w):
-        return self.like({m: c for m, c in self.terms.items() if self.ring.grade(m)[0] == w})
+        return self.like({m: c for m, c in self.terms.items() if GRADES[self.ring](m)[0] == w})
 
     def scaled(self, factor):
         return self.like({m: c * factor(m) for m, c in self.terms.items()})
@@ -122,7 +143,7 @@ class RefSeries:
         a, b = self.terms, other.terms
         return min(
             (m for m in a.keys() | b.keys() if a.get(m) != b.get(m)),
-            key=lambda m: (sum(self.ring.grade(m)), m),
+            key=lambda m: (sum(GRADES[self.ring](m)), m),
             default=None,
         )
 
@@ -131,10 +152,6 @@ def _build(ring, caps, terms):
     if ring is MultiPoly:
         return MultiPoly(2, caps[0], terms)
     return ring(*caps, terms)
-
-
-def _weight(mono):
-    return sum(m * e for m, e in mono)
 
 
 # denominators that share factors, so sums and products leave some to cancel
@@ -158,7 +175,11 @@ RINGS = {
         st.tuples(st.integers(0, 3), st.integers(0, 3)),
     ),
 }
-VARIABLES = {"odd": (1, 3, 5), "bi": tuple((a, m) for a in (0, 1) for m in (1, 3, 5))}
+VARIABLES = {
+    "odd": (1, 3, 5),
+    "bi": tuple((a, m) for a in (0, 1) for m in (1, 3, 5)),
+    "multi": (0, 1),
+}
 
 
 def _assert_canonical(s):
@@ -219,18 +240,17 @@ def test_core_matches_fraction_reference(kind, data):
     for p, q in [(a * (b + c), a * b + a * c), ((a + b) + c, a + (b + c)), (a * k, k * a)]:
         assert p == q and hash(p) == hash(q)
 
-    if kind in VARIABLES:
-        values = {v: data.draw(FRACTIONS) for v in VARIABLES[kind]}
-        assert a.substitute(values.get, Fraction(1)) == ra.substitute(values.get, Fraction(1))
+    values = {v: data.draw(FRACTIONS) for v in VARIABLES[kind]}
+    assert a.substitute(values.get, Fraction(1)) == ra.substitute(values.get, Fraction(1))
 
-        # each variable goes to values[v] x + y^(1 + its index mod 2) / 2
-        def poly(v):
-            index = v if kind == "odd" else sum(v)
-            return {(1, 0): values[v], (0, 1 + index % 2): Fraction(1, 2)}
+    # each variable goes to values[v] x + y^(1 + its index mod 2) / 2
+    def poly(v):
+        index = sum(v) if kind == "bi" else v
+        return {(1, 0): values[v], (0, 1 + index % 2): Fraction(1, 2)}
 
-        got = a.substitute(lambda v: MultiPoly(2, 4, poly(v)), MultiPoly.constant(2, 4))
-        ref = ra.substitute(
-            lambda v: RefSeries(MultiPoly, (4,), (0, 0), poly(v)),
-            RefSeries(MultiPoly, (4,), (0, 0), {(0, 0): 1}),
-        )
-        _assert_same(got, ref)
+    got = a.substitute(lambda v: MultiPoly(2, 4, poly(v)), MultiPoly.constant(2, 4))
+    ref = ra.substitute(
+        lambda v: RefSeries(MultiPoly, (4,), (0, 0), poly(v)),
+        RefSeries(MultiPoly, (4,), (0, 0), {(0, 0): 1}),
+    )
+    _assert_same(got, ref)
