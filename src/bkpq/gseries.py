@@ -51,16 +51,17 @@ class WeightedCodec:
     variable v has a field wide enough for cap // weights[v], for its
     exponent.  `width` is the number of bits used.  The key of the constant
     is 0.  Each decoded key is kept with its monomial; there are at most as
-    many as monomials of weight <= cap.  `over_cap(v)` says whether a v with
-    no field is a variable all the same, one of weight over cap.
+    many as monomials of weight <= cap.  A variable with no field is one of
+    weight over cap if it is an odd positive number, the next t_m of the odd
+    alphabet, and not a variable otherwise; the variables of a DenseCodec
+    all have fields.
     """
 
-    __slots__ = ("cap", "caps", "mask", "fields", "width", "over_cap", "_decoded")
+    __slots__ = ("cap", "caps", "mask", "fields", "width", "_decoded")
 
-    def __init__(self, cap, weights, over_cap=lambda v: False):
+    def __init__(self, cap, weights):
         self.cap = cap
         self.caps = (cap,)
-        self.over_cap = over_cap
         self._decoded = {}
         shift = cap.bit_length()
         self.mask = (1 << shift) - 1
@@ -78,21 +79,25 @@ class WeightedCodec:
     def encode(self, mono):
         """The key of a monomial, None if its weight is over cap; ValueError
         if it is not a monomial of these variables."""
-        return self._key(mono, mono)
-
-    def _key(self, pairs, mono):
-        """The key of the (variable, exponent) pairs of mono."""
         key = weight = 0
-        for v, e in pairs:
-            field = self.fields.get(v)
-            if e < 0 or field is None and not self.over_cap(v):
-                raise _not_a_monomial(mono, self)
-            if field is None:
-                weight += e * (self.cap + 1)
-            else:
-                key += e << field[0]
-                weight += e * field[2]
+        try:
+            for v, e in self.pairs(mono):
+                field = self.fields.get(v)
+                if e < 0 or field is None and not _odd_index(v):
+                    raise _not_a_monomial(mono, self)
+                if field is None:
+                    weight += e * (self.cap + 1)
+                else:
+                    key += e << field[0]
+                    weight += e * field[2]
+        except TypeError:  # not (variable, exponent) pairs of numbers
+            raise _not_a_monomial(mono, self) from None
         return key + weight if weight <= self.cap else None
+
+    @staticmethod
+    def pairs(mono):
+        """The (variable, exponent) pairs of a monomial."""
+        return mono
 
     def decode(self, key):
         mono = self._decoded.get(key)
@@ -134,10 +139,10 @@ class DenseCodec(WeightedCodec):
     def __repr__(self):
         return "DenseCodec(nvars=%d, cutoff=%d)" % (len(self.fields), self.cap)
 
-    def encode(self, mono):
+    def pairs(self, mono):
         if len(mono) != len(self.fields):
             raise _not_a_monomial(mono, self)
-        return self._key(enumerate(mono), mono)
+        return enumerate(mono)
 
     def decode(self, key):
         return tuple(key >> s & f for s, f, _ in self.fields.values())
@@ -163,7 +168,7 @@ class BiCodec:
         try:
             t, s = mono
             kt, ks = self.halves[0].encode(t), self.halves[1].encode(s)
-        except ValueError:
+        except (TypeError, ValueError):
             raise _not_a_monomial(mono, self) from None
         return None if kt is None or ks is None else kt | ks << self.shift
 
@@ -202,15 +207,15 @@ def _interned(key, make):
 
 
 def _odd_index(m):
-    return isinstance(m, int) and m > 0 and m % 2 == 1
+    """Whether m is an odd positive number, compared by value as a field
+    lookup compares it (9.0 is 9)."""
+    return m > 0 and m % 2 == 1
 
 
 def odd_codec(W):
     """The codec of t_1, t_3, ..., t_m of weight m, to weight W; a t_m of odd
     m > W is a variable over the cap."""
-    return _interned(
-        ("odd", W), lambda: WeightedCodec(W, {m: m for m in range(1, W + 1, 2)}, _odd_index)
-    )
+    return _interned(("odd", W), lambda: WeightedCodec(W, {m: m for m in range(1, W + 1, 2)}))
 
 
 def bi_codec(W, Wstar):

@@ -118,11 +118,14 @@ def test_malformed_multipoly_monomials_raise():
     # coefficient is beyond the truncation
     assert MultiPoly.variable(2, 4, 0, 5).is_zero()
     assert OddSeries.variable(4, 5).is_zero()
+    assert dict(OddSeries(4, {((3.0, 1),): 1}).terms) == {((3, 1),): 1}
     for make, mono in [
         (lambda terms: MultiPoly(2, 4, terms), (5, 0)),
         (lambda terms: OddSeries(4, terms), ((5, 1),)),
         (lambda terms: OddSeries(4, terms), ((1, 5),)),
         (lambda terms: BiSeries(4, 6, terms), ((), ((7, 1),))),
+        # an index is compared by value, as a field lookup compares it
+        (lambda terms: OddSeries(4, terms), ((9.0, 1),)),
     ]:
         series = make({mono: 1})
         assert series.is_zero() and series.terms.get(mono) is None
@@ -133,16 +136,17 @@ def test_malformed_multipoly_monomials_raise():
     malformed = [
         (
             lambda cap, terms=None: MultiPoly(2, cap, terms),
-            [(1,), (), (1, 0, 0), (-1, 1), (2, -1), (-1, 9)],
+            [(1,), (), (1, 0, 0), (-1, 1), (2, -1), (-1, 9), 5],
         ),
         (
             OddSeries,
-            [((2, 1),), ((2, 3),), ((1, -1),), ((9, -1),), ((0, 1),), ((-3, 1),), (("t", 1),)],
+            [((2, 1),), ((2, 3),), ((1, -1),), ((9, -1),), ((0, 1),), ((-3, 1),), (("t", 1),)]
+            + [((9.5, 1),), ((1, "e"),), (1,)],
         ),
         (
             lambda cap, terms=None: BiSeries(cap, cap, terms),
             [(((2, 1),), ()), (((2, 3),), ()), ((), ((1, -1),)), ((), ((4, 1),))]
-            + [(((9, 1),), ((2, 1),))],
+            + [(((9, 1),), ((2, 1),)), ((1,), ())],
         ),
     ]
     for make, monos in malformed:
@@ -154,7 +158,7 @@ def test_malformed_multipoly_monomials_raise():
                 with pytest.raises(ValueError, match="is not a monomial of"):
                     _coefficient(series, mono)
                 assert series.terms.get(mono) is None
-    for terms in [{((),): 1}, {((), (), ()): 1}]:
+    for terms in [{((),): 1}, {((), (), ()): 1}, {5: 1}]:
         with pytest.raises(ValueError, match="is not a monomial of"):
             BiSeries(4, 4, terms)
     # the message names the monomial as given and the ring's codec
