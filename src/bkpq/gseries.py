@@ -83,8 +83,10 @@ class WeightedCodec:
         try:
             for v, e in self.pairs(mono):
                 field = self.fields.get(v)
-                if e < 0 or field is None and not _odd_index(v):
+                # an exponent is read by value, as an index is: 1.0 is 1
+                if e < 0 or e % 1 or field is None and not _odd_index(v):
                     raise _not_a_monomial(mono, self)
+                e = int(e)
                 if field is None:
                     weight += e * (self.cap + 1)
                 else:

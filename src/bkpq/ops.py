@@ -6,18 +6,27 @@ diagonal weight followed by a shift.  A series in x is the list
 single-point form of the linear constraint on the tau function.
 """
 
+from math import prod
+
 from .gseries import OddSeries
 from .qschur import h_k
 from .tau import TauReport, compare_series
 
 
 def apply_x_r_negD(f, spec, power=1):
-    """(x r(-D))^power: weight x^n by r(-n), then shift; x^n_max drops off."""
-    for _ in range(power):
-        f = [OddSeries(f[0].truncation_weight)] + [
-            c * spec.r_value(-n) for n, c in enumerate(f[:-1])
-        ]
-    return f
+    """(x r(-D))^power, one scalar per coefficient: x^n goes to
+    r(-n) r(-n-1) ... r(-n-power+1) x^(n+power).  The result is zero below
+    x^power and the top `power` coefficients of f drop off; a power below 1
+    is the identity and asks r for nothing.
+    """
+    if power < 1:
+        return f
+    weights = [spec.r_value(-j) for j in range(len(f) - 1)]
+    kept = f[: max(len(f) - power, 0)]
+    zero = OddSeries(f[0].truncation_weight)
+    return [zero] * (len(f) - len(kept)) + [
+        c * prod(weights[n : n + power]) for n, c in enumerate(kept)
+    ]
 
 
 def tau_x_series(spec, n_max, W):

@@ -12,8 +12,9 @@ from .gseries import BiSeries, OddSeries, odd_codec
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import (
     XPoint,
+    _dual,
+    _pair,
     eval_at_x,
-    q_expand,
     q_lambda,
     schur_s,
     t_infinity,
@@ -74,7 +75,7 @@ def tau_terms(spec, W, max_length=None):
             continue
         rl = spec.r_lambda(lam)
         if rl:
-            yield rl / Fraction(2) ** lam.length, q_lambda(lam, W)
+            yield Fraction(rl.numerator, rl.denominator << lam.length), q_lambda(lam, W)
 
 
 def _diagonal_sum(terms, W, Wstar):
@@ -265,16 +266,31 @@ def tau_single_x_coefficients(spec, order):
 def scalar_product_r_by_weight(f, g, spec):
     """scalar_product_r split by partition weight: {|lambda|: sum of its terms}.
 
-    The constant terms give the entry at weight 0.
+    The constant terms give the entry at weight 0.  With <Q_lambda, f> =
+    a / d_a and <Q_lambda, g> = b / d_b (one `_pair` each against the
+    `_dual` of f and of g), the term of lambda is a b r_lambda / (d_a d_b
+    2^l), kept as an int pair; a lambda with r_lambda = 0 is skipped before
+    it is paired.  Each weight is summed over the lcm of its denominators
+    into one Fraction; a weight with no nonzero term may be missing.
     """
     out = {0: f.constant_term() * g.constant_term()}
-    cf = q_expand(f)
-    cg = q_expand(g)
-    for lam, a in cf.items():
-        b = cg.get(lam)
+    Wf, Wg = f.truncation_weight, g.truncation_weight
+    dual_f, dual_g = _dual(f), _dual(g)
+    by_weight = {}
+    for lam in enumerate_strict(min(Wf, Wg)):
+        rl = spec.r_lambda(lam)
+        if not rl:
+            continue
+        a, da = _pair(dual_f, q_lambda(lam, Wf))
+        if not a:
+            continue
+        b, db = _pair(dual_g, q_lambda(lam, Wg))
         if b:
-            w = lam.weight
-            out[w] = out.get(w, 0) + a * b * Fraction(2) ** lam.length * spec.r_lambda(lam)
+            term = (a * b * rl.numerator, (da * db * rl.denominator) << lam.length)
+            by_weight.setdefault(lam.weight, []).append(term)
+    for w, terms in by_weight.items():
+        L = lcm(*(d for _, d in terms))
+        out[w] = Fraction(sum(n * (L // d) for n, d in terms), L)
     return out
 
 
@@ -301,10 +317,12 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
 
     <exp(sum (m/2) t_m g_m), exp(sum (m/2) t*_m g_m)>_r = tau_r(t, t*)
     at given rational parameter values.  The left side goes through the
-    differential-operator pairing (q_expand), the right side through the
-    series sum; the two routes share nothing past Q_lambda itself.  A time
-    index that is not odd in [1, W], or an alphabet with no nonzero time,
-    would make both sides agree whatever tau is, so it raises ValueError.
+    differential-operator pairing (`scalar_product_r_by_weight`: each
+    kernel's dual vector against every Q_lambda, in ints with one Fraction
+    per weight), the right side through the series sum; the two routes
+    share nothing past Q_lambda itself.  A time index that is not odd in
+    [1, W], or an alphabet with no nonzero time, would make both sides
+    agree whatever tau is, so it raises ValueError.
     """
     for name, times in (("t", t_values), ("t*", tstar_values)):
         for m in times:

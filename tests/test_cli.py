@@ -252,6 +252,11 @@ GOLDEN_SHA256 = [
         "tau --r symrat:alpha=1/3;beta=1/5 --weight 14 --json",
         "7890026322a0dcdd4b9b9e0effb0c93b346bcee2414a853df05655173f065d9f",
     ),
+    (
+        # (x r(-D))^5 at order and weight 14, as spec-scan runs it
+        "linear-check --r symrat:alpha=1/3;beta=1/5 --m 5 --order 14 --weight 14 --json",
+        "87f281ebbea5735386171374ca99699b108ea5e77a6b440b242cf0a2f330d6df",
+    ),
 ]
 
 

@@ -119,6 +119,12 @@ def test_malformed_multipoly_monomials_raise():
     assert MultiPoly.variable(2, 4, 0, 5).is_zero()
     assert OddSeries.variable(4, 5).is_zero()
     assert dict(OddSeries(4, {((3.0, 1),): 1}).terms) == {((3, 1),): 1}
+    # so is an exponent: 1.0 is 1, in every ring
+    assert dict(OddSeries(4, {((1, 1.0),): 1}).terms) == {((1, 1),): 1}
+    assert dict(MultiPoly(2, 4, {(1.0, 2): 1}).terms) == {(1, 2): 1}
+    assert dict(BiSeries(4, 6, {(((1, 1.0),), ((3, 2.0),)): 1}).terms) == {
+        (((1, 1),), ((3, 2),)): 1
+    }
     for make, mono in [
         (lambda terms: MultiPoly(2, 4, terms), (5, 0)),
         (lambda terms: OddSeries(4, terms), ((5, 1),)),
@@ -126,6 +132,11 @@ def test_malformed_multipoly_monomials_raise():
         (lambda terms: BiSeries(4, 6, terms), ((), ((7, 1),))),
         # an index is compared by value, as a field lookup compares it
         (lambda terms: OddSeries(4, terms), ((9.0, 1),)),
+        # and an exponent too, with or without a field
+        (lambda terms: OddSeries(4, terms), ((9, 1.0),)),
+        (lambda terms: OddSeries(4, terms), ((3, 2.0),)),
+        (lambda terms: BiSeries(4, 6, terms), ((), ((7, 1.0),))),
+        (lambda terms: MultiPoly(2, 4, terms), (5.0, 0)),
     ]:
         series = make({mono: 1})
         assert series.is_zero() and series.terms.get(mono) is None
@@ -136,17 +147,21 @@ def test_malformed_multipoly_monomials_raise():
     malformed = [
         (
             lambda cap, terms=None: MultiPoly(2, cap, terms),
-            [(1,), (), (1, 0, 0), (-1, 1), (2, -1), (-1, 9), 5],
+            [(1,), (), (1, 0, 0), (-1, 1), (2, -1), (-1, 9), 5]
+            # an exponent that is not a whole number, whatever the cap
+            + [(1, 2.5), (1.5, 0), (9.5, 0), (1, "1")],
         ),
         (
             OddSeries,
             [((2, 1),), ((2, 3),), ((1, -1),), ((9, -1),), ((0, 1),), ((-3, 1),), (("t", 1),)]
-            + [((9.5, 1),), ((1, "e"),), (1,)],
+            + [((9.5, 1),), ((1, "e"),), (1,)]
+            + [((1, 1.5),), ((9, 1.5),), ((1, "1"),), ((9, "1"),)],
         ),
         (
             lambda cap, terms=None: BiSeries(cap, cap, terms),
             [(((2, 1),), ()), (((2, 3),), ()), ((), ((1, -1),)), ((), ((4, 1),))]
-            + [(((9, 1),), ((2, 1),)), ((1,), ())],
+            + [(((9, 1),), ((2, 1),)), ((1,), ())]
+            + [(((1, 1.5),), ()), ((), ((9, 1.5),)), ((), ((1, "1"),))],
         ),
     ]
     for make, monos in malformed:

@@ -13,6 +13,7 @@ from bkpq.rspec import (
     RationalPS,
     RSpec,
     SymmetricRational,
+    Table,
     TParam,
 )
 
@@ -67,6 +68,38 @@ def test_operator_power_composes():
     squared = apply_x_r_negD(f, spec, power=2)
     assert once_twice == squared
     assert not squared[3].is_zero()
+
+
+def _one_step(f, spec):
+    """x r(-D) applied once, as a weight pass then a shift: the reference
+    that the closed form of apply_x_r_negD is held to."""
+    zero = OddSeries(f[0].truncation_weight)
+    return [zero] + [c * spec.r_value(-n) for n, c in enumerate(f[:-1])]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # r(-j) = r(1 + j): Cutoff(3) zeroes every window that reaches j = 2
+    [Table([F(1, 2), 3, F(-2, 5), 7, F(5, 3), 2, F(1, 4)]), Cutoff(3)],
+    ids=repr,
+)
+def test_operator_power_is_repeated_single_step(spec):
+    W = 6
+    for n_max in (4, 6):
+        # every coefficient nonzero, so a zero weight shows
+        f = [h_k(n, W) + OddSeries.variable(W, 3) * F(-2, n + 2) for n in range(n_max + 1)]
+        want = f
+        for power in range(7):
+            got = apply_x_r_negD(f, spec, power=power)
+            assert len(got) == len(f) and got == want, (n_max, power)
+            if power >= len(f):
+                assert all(c.is_zero() for c in got)
+            want = _one_step(want, spec)
+        assert apply_x_r_negD(f, spec) == _one_step(f, spec)
+    if isinstance(spec, Cutoff):
+        # r(1) r(2) = 1 carries x^0 to x^2; every later window holds r(3) = 0
+        squared = apply_x_r_negD(f, spec, power=2)
+        assert not squared[2].is_zero() and all(c.is_zero() for c in squared[3:])
 
 
 def test_tau_x_series_coefficients():

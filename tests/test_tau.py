@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bkpq.gseries import BiSeries, OddSeries
 from bkpq.partitions import StrictPartition, enumerate_partitions, enumerate_strict
 from bkpq.ops import check_linear_eq_N1
-from bkpq.qschur import q_lambda, scalar_product, schur_s
+from bkpq.qschur import q_expand, q_lambda, scalar_product, schur_s
 from bkpq.rspec import (
     Cutoff,
     Ones,
@@ -28,12 +28,14 @@ from bkpq.rspec import (
 )
 from bkpq import tau as tau_module
 from bkpq.tau import (
+    _exp_kernel,
     check_cauchy,
     check_square,
     check_symmetry_scaling,
     check_tau_scalar,
     hyper_one_var,
     scalar_product_r,
+    scalar_product_r_by_weight,
     substitute_tstar_tinfty,
     tau_bkp,
     tau_hyper_tinfty,
@@ -135,14 +137,19 @@ POSITIVE = st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5)
 PS_B = SMALL.filter(lambda b: b.denominator != 1 or b > 0)
 SYM_BETA = SMALL.filter(lambda b: (2 * b).denominator != 1)
 MAX_FUZZ_WEIGHT = 8
-BASE_SPECS = st.one_of(
-    st.lists(SMALL, min_size=MAX_FUZZ_WEIGHT, max_size=MAX_FUZZ_WEIGHT).map(Table),
-    st.lists(POSITIVE, min_size=MAX_FUZZ_WEIGHT, max_size=MAX_FUZZ_WEIGHT).map(
-        lambda u: TParam(dict(enumerate(u, 1)))
-    ),
-    st.builds(RationalPS, st.lists(SMALL, max_size=2), st.lists(PS_B, max_size=2)),
-    st.builds(SymmetricRational, st.lists(SMALL, max_size=2), st.lists(SYM_BETA, max_size=2)),
-)
+
+
+def _base_specs(n):
+    """Random specs of every family with r tabulated up to r(n)."""
+    return st.one_of(
+        st.lists(SMALL, min_size=n, max_size=n).map(Table),
+        st.lists(POSITIVE, min_size=n, max_size=n).map(lambda u: TParam(dict(enumerate(u, 1)))),
+        st.builds(RationalPS, st.lists(SMALL, max_size=2), st.lists(PS_B, max_size=2)),
+        st.builds(SymmetricRational, st.lists(SMALL, max_size=2), st.lists(SYM_BETA, max_size=2)),
+    )
+
+
+BASE_SPECS = _base_specs(MAX_FUZZ_WEIGHT)
 FUZZ_SPECS = st.one_of(BASE_SPECS, st.builds(Product, BASE_SPECS, BASE_SPECS))
 
 
@@ -164,6 +171,51 @@ def test_tau_bkp_and_scalar_route_on_random_specs(data):
     assert got == _fraction_diagonal_sum(tau_terms(spec, bound), W, Wstar), spec
     t, tstar = data.draw(_fuzz_times(W)), data.draw(_fuzz_times(W))
     assert check_tau_scalar(spec, W, t, tstar).passed, (spec, t, tstar)
+
+
+def _fraction_pairing_by_weight(f, g, spec):
+    """Reference for tau.scalar_product_r_by_weight: both sides expanded over
+    the Q_lambda (q_expand) and each partition's term summed in Fractions."""
+    out = {0: f.constant_term() * g.constant_term()}
+    cf = q_expand(f)
+    cg = q_expand(g)
+    for lam, a in cf.items():
+        b = cg.get(lam)
+        if b:
+            w = lam.weight
+            out[w] = out.get(w, 0) + a * b * Fraction(2) ** lam.length * spec.r_lambda(lam)
+    return out
+
+
+def _assert_pairing_matches_oracle(f, g, spec):
+    got = scalar_product_r_by_weight(f, g, spec)
+    want = _fraction_pairing_by_weight(f, g, spec)
+    # a weight with no nonzero term may be missing from either side
+    for w in set(got) | set(want):
+        assert got.get(w, 0) == want.get(w, 0), (spec, w)
+    assert all(type(v) is Fraction for v in got.values())
+
+
+MAX_PAIRING_WEIGHT = 10
+PAIRING_SPECS = st.one_of(
+    _base_specs(MAX_PAIRING_WEIGHT),
+    # zero r_lambda: skipped by the integer pairing, multiplied by 0 in the oracle
+    st.integers(1, 4).map(Cutoff),
+    st.builds(Product, st.integers(2, 4).map(Cutoff), _base_specs(MAX_PAIRING_WEIGHT)),
+    st.builds(Product, _base_specs(MAX_PAIRING_WEIGHT), _base_specs(MAX_PAIRING_WEIGHT)),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_r_pairing_matches_fraction_pairing(data):
+    spec = data.draw(PAIRING_SPECS)
+    # the kernels of check_tau_scalar, each at its own truncation
+    Wf = data.draw(st.integers(1, MAX_PAIRING_WEIGHT))
+    Wg = data.draw(st.integers(1, MAX_PAIRING_WEIGHT))
+    f = _exp_kernel(data.draw(_fuzz_times(Wf)), Wf)
+    g = _exp_kernel(data.draw(_fuzz_times(Wg)), Wg)
+    _assert_pairing_matches_oracle(f, g, spec)
 
 
 @pytest.mark.parametrize("W, Wstar", [(8, 8), (8, 5), (5, 8), (14, 14)])
@@ -432,6 +484,24 @@ def test_scan_reports_byte_identical(W, text, t, tstar, digest):
     assert all(r.passed for r in reports)
     out = json.dumps([r.to_json() for r in reports], sort_keys=True)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The four spec-scan families of SCAN_GOLDEN at the spec-scan weight 14.  The
+# W = 10 table and tparam end at r(12), short of what W = 14 asks, so the table
+# gets r(13) = 3/7 and r(14) = 2 appended and the W = 14 tparam stands in.
+SCAN_FAMILIES_AT_14 = [
+    (SCAN_GOLDEN[0][1] + ",3/7,2",) + SCAN_GOLDEN[0][2:4],
+    SCAN_GOLDEN[4][1:4],
+    SCAN_GOLDEN[2][1:4],
+    SCAN_GOLDEN[3][1:4],
+]
+
+
+@pytest.mark.parametrize("text, t, tstar", SCAN_FAMILIES_AT_14)
+def test_integer_r_pairing_matches_fraction_pairing_at_scan_weight(text, t, tstar):
+    W = 14
+    f, g = (_exp_kernel({m: F(v) for m, v in d.items()}, W) for d in (t, tstar))
+    _assert_pairing_matches_oracle(f, g, parse_rspec(text))
 
 
 @pytest.mark.parametrize("zero", [{}, {1: 0, 3: 0}])
