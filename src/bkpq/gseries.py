@@ -14,16 +14,18 @@ hold weight-by-weight can be checked exactly on truncated representatives.
 The API takes and gives monomials as tuples: the constructors,
 `coefficient`, the `terms` view, `to_json` and the witness of
 `first_difference`.  An odd-time monomial is a tuple of (odd index,
-exponent) pairs sorted by index, and a `MultiPoly` monomial the tuple of
-its nvars exponents.  Inside a series each one is a key: an int packed by
-the ring's codec, which its caps (and nvars) fix (`WeightedCodec`,
-`BiCodec`, `DenseCodec`).  The weight and each exponent have bit fields of
-their own, so a grade is a shift and a mask, the constant is key 0 and the
-product of two monomials whose grades fit the caps is one int addition that
-cannot carry.  The codec is the only reader of a tuple monomial: `encode`
-gives its key, None for a monomial of the ring over a cap, and ValueError
-for one that is not the ring's, and `variables` names the variables of a
-key's parts.
+positive exponent) pairs in strictly increasing index order, so each
+monomial has one tuple, and a `MultiPoly` monomial the tuple of its nvars
+exponents, zeros included.  Inside a series each one is a key: an int
+packed by the ring's codec, which its caps (and nvars) fix
+(`WeightedCodec`, `BiCodec`, `DenseCodec`).  The weight and each exponent
+have bit fields of their own, so a grade is a shift and a mask, the
+constant is key 0 and the product of two monomials whose grades fit the
+caps is one int addition that cannot carry.  The codec is the only reader
+of a tuple monomial: `encode` gives its key, None for a monomial of the
+ring over a cap, and ValueError for one that is not the ring's (an
+odd-time tuple with a zero exponent, a repeated index or indices out of
+order among them), and `variables` names the variables of a key's parts.
 
 `exp` runs the Euler recurrence n E_n = sum_j j S_j E_{n-j} over total
 grade, in ints, with no series power and no sum of series.
@@ -45,16 +47,19 @@ def _not_a_monomial(mono, codec):
 class WeightedCodec:
     """The monomials of weight <= cap in weighted variables, packed into ints.
 
-    `weights` maps each variable to its positive weight, in field order.  A
-    monomial is a tuple of (variable, exponent) pairs with no zero exponent,
-    in that order.  The low bits of a key hold the weight; above them each
-    variable v has a field wide enough for cap // weights[v], for its
-    exponent.  `width` is the number of bits used.  The key of the constant
-    is 0.  Each decoded key is kept with its monomial; there are at most as
-    many as monomials of weight <= cap.  A variable with no field is one of
-    weight over cap if it is an odd positive number, the next t_m of the odd
-    alphabet, and not a variable otherwise; the variables of a DenseCodec
-    all have fields.
+    `weights` maps each variable, a number, to its positive weight, in field
+    order, which is increasing order.  A monomial is a tuple of (variable,
+    exponent) pairs, every exponent positive and the variables strictly
+    increasing by value, so each monomial has one tuple; `encode` refuses a
+    zero exponent, a repeated variable and pairs out of order.  The low bits
+    of a key hold the weight; above them each variable v has a field wide
+    enough for cap // weights[v], for its exponent.  `width` is the number of
+    bits used.  The key of the constant is 0.  Each decoded key is kept with
+    its monomial; there are at most as many as monomials of weight <= cap.  A
+    variable with no field is one of weight over cap if it is an odd positive
+    number, the next t_m of the odd alphabet, and not a variable otherwise;
+    the variables of a DenseCodec all have fields, and its dense tuples keep
+    their zeros: `pairs` reads only the nonzero exponents.
     """
 
     __slots__ = ("cap", "caps", "mask", "fields", "width", "_decoded")
@@ -80,12 +85,14 @@ class WeightedCodec:
         """The key of a monomial, None if its weight is over cap; ValueError
         if it is not a monomial of these variables."""
         key = weight = 0
+        last = -1  # below every variable
         try:
             for v, e in self.pairs(mono):
                 field = self.fields.get(v)
                 # an exponent is read by value, as an index is: 1.0 is 1
-                if e < 0 or e % 1 or field is None and not _odd_index(v):
+                if e <= 0 or e % 1 or v <= last or field is None and not _odd_index(v):
                     raise _not_a_monomial(mono, self)
+                last = v
                 e = int(e)
                 if field is None:
                     weight += e * (self.cap + 1)
@@ -142,9 +149,10 @@ class DenseCodec(WeightedCodec):
         return "DenseCodec(nvars=%d, cutoff=%d)" % (len(self.fields), self.cap)
 
     def pairs(self, mono):
+        """The (variable, exponent) pairs of the nonzero exponents."""
         if len(mono) != len(self.fields):
             raise _not_a_monomial(mono, self)
-        return enumerate(mono)
+        return [(v, e) for v, e in enumerate(mono) if e != 0]
 
     def decode(self, key):
         return tuple(key >> s & f for s, f, _ in self.fields.values())

@@ -2,18 +2,18 @@
 
 Everything lives in the odd times: even times are identically zero, so the
 complete homogeneous h_k and the one-row Q_(k) share the generating
-function e^{sum t_m z^m}, and h_k = Q_(k).  Every Q_lambda(t/2) is built by
-one bar recurrence and treated as a single named polynomial in t_1, t_3,
-...; no half-variable object exists.
+function e^{sum t_m z^m}, and h_k = Q_(k).  One Euler recurrence builds
+both families: d/dt_m removes the m-bars of lambda from Q_lambda(t/2) and
+the m-border strips of mu from s_mu.  Q_lambda(t/2) is a single named
+polynomial in t_1, t_3, ...; no half-variable object exists.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, lcm
 
 from .gseries import OddSeries, odd_codec
-from .partitions import _parts_of_weight, conjugate, enumerate_strict
+from .partitions import enumerate_strict
 
 
 class XPoint:
@@ -60,28 +60,48 @@ def _bars(parts, m):
     return out
 
 
-@lru_cache(maxsize=None)
-def _q_lambda_cached(parts, W):
-    """Q_parts(t/2) from |lambda| Q_lambda = sum_{odd m} m t_m dQ_lambda/dt_m.
+def _strips(parts, m):
+    """The m-border strips of the partition `parts`: [(sign, parts left)].
 
-    Each derivative is a signed sum of smaller Q over the m-bars (`_bars`),
-    so Q_lambda is their sum, each monomial times one t_m, in integers over
-    the lcm of their denominators.
+    On the beta-set (abacus) of parts a strip is a bead moved from b down to a
+    free position b - m, signed by the parity of the beads it passes.  For odd
+    m, ds_parts/dt_m = p_m^perp s_parts is the sum of these signs times s of
+    the parts left (Murnaghan-Nakayama; Macdonald, I.3 Ex. 11 and I.5 Ex. 3).
+    """
+    k = len(parts)
+    beta = [p + k - 1 - i for i, p in enumerate(parts)]
+    out = []
+    for b in beta:
+        if b >= m and b - m not in beta:
+            moved = sorted((c - m if c == b else c for c in beta), reverse=True)
+            left = tuple(p for p in (c - (k - 1 - i) for i, c in enumerate(moved)) if p)
+            out.append(((-1) ** sum(b - m < c < b for c in beta), left))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _euler(parts, W, removals):
+    """f_parts from the Euler relation |parts| f = sum_{odd m} m t_m df/dt_m.
+
+    `removals(parts, m)` gives df/dt_m as a signed sum of smaller f over
+    [(coefficient, parts left)]: the m-bars (`_bars`) for f = Q_lambda(t/2),
+    the m-border strips (`_strips`) for f = s_mu.  f is their sum, each
+    monomial times one t_m, in integers over the lcm of their denominators.
     """
     if not parts:
         return OddSeries.constant(W)
     n = sum(parts)
     codec = odd_codec(W)
     terms = [
-        (m * c, codec.variable(m), _q_lambda_cached(mu, W))
+        (m * c, codec.variable(m), _euler(mu, W, removals))
         for m in range(1, n + 1, 2)
-        for c, mu in _bars(parts, m)
+        for c, mu in removals(parts, m)
     ]
-    L = lcm(*(q.den for _, _, q in terms))
+    L = lcm(*(f.den for _, _, f in terms))
     num = {}
-    for c, var, q in terms:
-        c *= L // q.den
-        for key, v in q.num.items():
+    for c, var, f in terms:
+        c *= L // f.den
+        for key, v in f.num.items():
             key += var  # times t_m, within the cap: no field carries
             num[key] = num.get(key, 0) + c * v
     return OddSeries(W)._like(num, L * n)
@@ -97,81 +117,21 @@ def h_k(k, W):
         return OddSeries(W)
     if k > W:
         raise ValueError("h_%d exceeds truncation weight %d" % (k, W))
-    return _q_lambda_cached((k,) if k else (), W)
+    return _euler((k,) if k else (), W, _bars)
 
 
 def q_lambda(lam, W):
-    """Q_lambda(t/2) by the bar recurrence of `_q_lambda_cached`."""
+    """Q_lambda(t/2) by the bar recurrence: `_euler` over `_bars`."""
     if lam.weight > W:
         raise ValueError("partition weight %d exceeds truncation %d" % (lam.weight, W))
-    return _q_lambda_cached(lam.parts, W)
-
-
-@lru_cache(maxsize=None)
-def _character(parts, rho):
-    """The irreducible character chi^parts at the cycle type rho, an int.
-
-    Murnaghan-Nakayama on the beta-set (abacus) of parts: a border strip of
-    length rho[0] is a bead moved from b down to a free position b - rho[0],
-    signed by the parity of the beads it passes (Macdonald, Symmetric
-    Functions, I.7).  rho[1:] is charged to the shape left over.
-    """
-    if not rho:
-        return 1
-    r, k = rho[0], len(parts)
-    beta = [p + k - 1 - i for i, p in enumerate(parts)]
-    total = 0
-    for b in beta:
-        if b >= r and b - r not in beta:
-            moved = sorted((c - r if c == b else c for c in beta), reverse=True)
-            shape = tuple(p for p in (c - (k - 1 - i) for i, c in enumerate(moved)) if p)
-            crossed = sum(b - r < c < b for c in beta)
-            total += (-1) ** crossed * _character(shape, rho[1:])
-    return total
-
-
-@lru_cache(maxsize=None)
-def _odd_classes(n):
-    """(rho, the monomial prod_m t_m^e_m, prod_m e_m!) over the partitions rho
-    of n into odd parts, e_m being the multiplicity of m in rho."""
-    out = []
-    for rho in _parts_of_weight(n):
-        if any(m % 2 == 0 for m in rho):
-            continue
-        exps = Counter(rho)
-        den = prod(factorial(e) for e in exps.values())
-        out.append((rho, tuple(sorted(exps.items())), den))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _schur_cached(parts, W):
-    """s_parts = sum over odd cycle types rho of chi^parts_rho prod_m t_m^e_m / e_m!.
-
-    With h_k = [z^k] e^{sum t_m z^m} the power sums are p_m = m t_m, so the
-    z_rho of the character expansion leaves prod_m e_m! (Macdonald, I.7);
-    even times are zero, so only the rho with odd parts remain.  The terms
-    are summed in integers over the lcm of those factorials.
-    """
-    classes = _odd_classes(sum(parts))
-    L = lcm(1, *(d for _, _, d in classes))
-    encode = odd_codec(W).encode
-    num = {encode(mono): _character(parts, rho) * (L // d) for rho, mono, d in classes}
-    return OddSeries(W)._like(num, L)
+    return _euler(lam.parts, W, _bars)
 
 
 def schur_s(mu, W):
-    """Schur function s_mu(t_1, 0, t_3, 0, ...) by the Murnaghan-Nakayama rule.
-
-    At odd times the involution omega fixes every power sum, so s_mu equals
-    s_mu' (Macdonald, Symmetric Functions, I.2-I.3); the characters are
-    taken on whichever of mu and mu' has fewer rows (mu on a tie).
-    """
+    """Schur function s_mu(t_1, 0, t_3, 0, ...) by `_euler` over `_strips`."""
     if mu.weight > W:
         raise ValueError("partition weight %d exceeds truncation %d" % (mu.weight, W))
-    parts = mu.parts
-    conj = conjugate(mu).parts
-    return _schur_cached(conj if len(conj) < len(parts) else parts, W)
+    return _euler(mu.parts, W, _strips)
 
 
 def miwa(power_sum):

@@ -155,13 +155,18 @@ def test_malformed_multipoly_monomials_raise():
             OddSeries,
             [((2, 1),), ((2, 3),), ((1, -1),), ((9, -1),), ((0, 1),), ((-3, 1),), (("t", 1),)]
             + [((9.5, 1),), ((1, "e"),), (1,)]
-            + [((1, 1.5),), ((9, 1.5),), ((1, "1"),), ((9, "1"),)],
+            + [((1, 1.5),), ((9, 1.5),), ((1, "1"),), ((9, "1"),)]
+            # one tuple per monomial: no zero exponent, no repeated index and
+            # the indices in increasing order, compared by value over the cap too
+            + [((1, 0),), ((1, 1), (1, 1)), ((3, 1), (1, 1)), ((11, 1), (9, 1))],
         ),
         (
             lambda cap, terms=None: BiSeries(cap, cap, terms),
             [(((2, 1),), ()), (((2, 3),), ()), ((), ((1, -1),)), ((), ((4, 1),))]
             + [(((9, 1),), ((2, 1),)), ((1,), ())]
-            + [(((1, 1.5),), ()), ((), ((9, 1.5),)), ((), ((1, "1"),))],
+            + [(((1, 1.5),), ()), ((), ((9, 1.5),)), ((), ((1, "1"),))]
+            + [(((1, 0),), ()), ((), ((1, 1), (1, 1))), (((3, 1), (1, 1)), ())]
+            + [((), ((1, 0),)), (((1, 1), (1, 1)), ()), ((), ((3, 1), (1, 1)))],
         ),
     ]
     for make, monos in malformed:
@@ -527,8 +532,9 @@ def test_packed_keys_round_trip_and_multiply_without_carry(ring, caps):
     else:
         # a weight over a cap, and an odd index above it, which has no field
         over = [[((1, W + 1),), ((W + 1 + W % 2, 1),)] for W in caps]
-        # an even index or a negative exponent
-        malformed = [((2, 1),), ((1, -1),)]
+        # an even index, a negative or zero exponent, a repeated index or
+        # indices out of order
+        malformed = [((2, 1),), ((1, -1),), ((1, 0),), ((1, 1), (1, 1)), ((3, 1), (1, 1))]
         if ring is OddSeries:
             over = over[0]
         else:

@@ -4,14 +4,16 @@ evaluations, and the canonical scalar product."""
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from math import factorial, lcm, prod
 
 import pytest
 
-from bkpq.gseries import OddSeries
+from bkpq.gseries import OddSeries, odd_codec
 from bkpq.partitions import (
     Partition,
     StrictPartition,
+    _parts_of_weight,
     conjugate,
     double,
     enumerate_partitions,
@@ -21,8 +23,7 @@ from bkpq.pfaffian import SkewMatrix, pfaffian
 from bkpq.qschur import (
     XPoint,
     _bars,
-    _character,
-    _odd_classes,
+    _strips,
     delta,
     eval_at_tinfty,
     eval_at_x,
@@ -157,13 +158,84 @@ def _jacobi_trudi_full_rows(mu, W):
 
 
 def test_schur_matches_full_row_jacobi_trudi_on_mu_and_conjugate():
-    # s_mu = s_mu' at odd times; schur_s takes the characters of the shorter
-    # of the two, and the determinant is a route independent of them
+    # s_mu = s_mu' at odd times; schur_s builds mu and mu' each by its own
+    # strip recurrence, and the determinant is a route independent of it
     W = 10
     for mu in [Partition([])] + enumerate_partitions(W):
         got = schur_s(mu, W)
         assert got == _jacobi_trudi_full_rows(mu, W), mu
         assert got == _jacobi_trudi_full_rows(conjugate(mu), W), mu
+
+
+@lru_cache(maxsize=None)
+def _character(parts, rho):
+    """The irreducible character chi^parts at the cycle type rho, an int.
+
+    Murnaghan-Nakayama on the beta-set (abacus) of parts: a border strip of
+    length rho[0] is a bead moved from b down to a free position b - rho[0],
+    signed by the parity of the beads it passes (Macdonald, Symmetric
+    Functions, I.7).  rho[1:] is charged to the shape left over.
+    """
+    if not rho:
+        return 1
+    r, k = rho[0], len(parts)
+    beta = [p + k - 1 - i for i, p in enumerate(parts)]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            moved = sorted((c - r if c == b else c for c in beta), reverse=True)
+            shape = tuple(p for p in (c - (k - 1 - i) for i, c in enumerate(moved)) if p)
+            crossed = sum(b - r < c < b for c in beta)
+            total += (-1) ** crossed * _character(shape, rho[1:])
+    return total
+
+
+@lru_cache(maxsize=None)
+def _odd_classes(n):
+    """(rho, the monomial prod_m t_m^e_m, prod_m e_m!) over the partitions rho
+    of n into odd parts, e_m being the multiplicity of m in rho."""
+    out = []
+    for rho in _parts_of_weight(n):
+        if any(m % 2 == 0 for m in rho):
+            continue
+        exps = Counter(rho)
+        den = prod(factorial(e) for e in exps.values())
+        out.append((rho, tuple(sorted(exps.items())), den))
+    return tuple(out)
+
+
+def _murnaghan_nakayama(parts, W):
+    """s_parts = sum over odd cycle types rho of chi^parts_rho prod_m t_m^e_m / e_m!.
+
+    With h_k = [z^k] e^{sum t_m z^m} the power sums are p_m = m t_m, so the
+    z_rho of the character expansion leaves prod_m e_m! (Macdonald, I.7);
+    even times are zero, so only the rho with odd parts remain.  The terms
+    are summed in integers over the lcm of those factorials.  The reference
+    s_mu is held to: a route that shares no code with the strip recurrence.
+    """
+    classes = _odd_classes(sum(parts))
+    L = lcm(1, *(d for _, _, d in classes))
+    encode = odd_codec(W).encode
+    num = {encode(mono): _character(parts, rho) * (L // d) for rho, mono, d in classes}
+    return OddSeries(W)._like(num, L)
+
+
+def test_schur_matches_murnaghan_nakayama():
+    W = 14
+    for mu in [Partition([])] + enumerate_partitions(W):
+        assert schur_s(mu, W) == _murnaghan_nakayama(mu.parts, W), mu
+
+
+def test_strip_rule_gives_every_partial_derivative():
+    # ds_mu/dt_m is the signed sum of s over the m-border strips of mu
+    W = 12
+    for mu in enumerate_partitions(W):
+        s = schur_s(mu, W)
+        for m in range(1, W + 1, 2):
+            want = OddSeries(W)
+            for c, nu in _strips(mu.parts, m):
+                want = want + schur_s(Partition(nu), W) * c
+            assert s.partial(m) == want, (mu, m)
 
 
 def test_characters_are_column_orthogonal():
