@@ -1,11 +1,12 @@
 """Exact Pfaffian kernel and the Pfaffian representations of the tau function.
 
-The kernel works over any commutative coefficient ring (Fraction, OddSeries,
-MultiPoly).  The matrix builders encode the corrected normalization: entries
-are twice the pairwise expectation values, which makes Pfaff(S) equal
-tau * Delta(x) Delta(y) on the nose (the power of two absorbed by
-Pfaff(2M) = 2^K Pfaff(M)); that choice is certified against the series
-oracle, not assumed.
+One kernel, `pfaffian`, serves both representations over any commutative
+ring (Fraction, OddSeries, MultiPoly); the two-alphabet check passes it the
+denominators its entries owe.  The matrix builders encode the corrected
+normalization: entries are twice the pairwise expectation values, which
+makes Pfaff(S) equal tau * Delta(x) Delta(y) on the nose (the power of two
+absorbed by Pfaff(2M) = 2^K Pfaff(M)); that choice is certified against the
+series oracle, not assumed.
 """
 
 from fractions import Fraction
@@ -37,14 +38,18 @@ class SkewMatrix:
         return -self.upper.get((j, i), self.zero)
 
 
-def pfaffian(A, one=Fraction(1)):
+def pfaffian(A, one=Fraction(1), owed=None):
     """Pfaffian via recursive expansion along the first remaining row.
 
     Pfaff(A)^2 = det(A).  Sub-Pfaffians are memoized per call, keyed by
-    the surviving index subset.
+    the surviving index subset.  `owed` maps a pair (i, j), i < j, to the
+    denominator A's (i, j) entry is held without; the result is Pfaff times
+    every owed factor.  Matching `first` with j leaves (first, k) and
+    (j, k) unmatched for each k in rest, so their factors are paid there.
     """
     if A.dim % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
+    owed = owed or {}
     memo = {}
 
     def pf(idx):
@@ -58,6 +63,10 @@ def pfaffian(A, one=Fraction(1)):
             j = idx[pos]
             rest = idx[1:pos] + idx[pos + 1 :]
             term = A.entry(first, j) * pf(rest)
+            for k in rest:
+                for pair in ((first, k), (min(j, k), max(j, k))):
+                    if pair in owed:
+                        term = term * owed[pair]
             if pos % 2 == 0:
                 term = -term
             acc = term if acc is None else acc + term
@@ -67,6 +76,8 @@ def pfaffian(A, one=Fraction(1)):
     return pf(tuple(range(A.dim)))
 
 
+# Not called here: the tests' brute-force reference, and perfbench's tracer
+# looks the name up in GENERATORS.
 def perfect_matchings(indices):
     """Yield (sign, pairs) over all perfect matchings of the index tuple."""
     if not indices:
@@ -152,12 +163,12 @@ def _sum_power_series(spec, xk, ym, nvars, D):
 
 
 def build_S(spec, N, D):
-    """The 2N x 2N pair-correlation matrix of the two-alphabet Pfaffian formula.
+    """The 2N x 2N two-alphabet pair-correlation matrix, and what it owes.
 
     Variables are the symbolic alphabets x_1..x_N, y_1..y_N in that order,
     and entries are polynomials to total degree D.  A diagonal-block entry
-    holds only its numerator; its (x_k + x_m) denominator is cleared in
-    check_two_alphabet_pfaffian.  Cross-block entries are genuine polynomials.
+    holds only its numerator; `owed` maps its row pair to its (x_k + x_m)
+    denominator.  Cross-block entries are genuine polynomials.
     """
     nvars = 2 * N
 
@@ -170,32 +181,17 @@ def build_S(spec, N, D):
     def xv(row):
         return N - 1 - row
 
-    upper = {}
+    upper, owed = {}, {}
     for k in range(N):
         for m in range(k + 1, N):
             upper[(k, m)] = var(xv(m)) - var(xv(k))
+            owed[(k, m)] = var(xv(m)) + var(xv(k))
             upper[(N + k, N + m)] = var(N + k) - var(N + m)
+            owed[(N + k, N + m)] = var(N + k) + var(N + m)
     for k in range(N):
         for m in range(N):
             upper[(k, N + m)] = _sum_power_series(spec, xv(k), N + m, nvars, D)
-    return SkewMatrix(2 * N, upper, MultiPoly(nvars, D))
-
-
-def _clearing_factors(N, nvars, D):
-    """Row pair (i, j) of a diagonal block -> the denominator of its entry.
-
-    Rows (N-1-m, N-1-k) carry x_k + x_m and rows (N+k, N+m) carry y_k + y_m;
-    the pool is filled in one fixed order, which fixes the product order.
-    """
-    def var(k):
-        return MultiPoly.variable(nvars, D, k)
-
-    out = {}
-    for k in range(N):
-        for m in range(k + 1, N):
-            out[(N - 1 - m, N - 1 - k)] = var(k) + var(m)
-            out[(N + k, N + m)] = var(N + k) + var(N + m)
-    return out
+    return SkewMatrix(2 * N, upper, MultiPoly(nvars, D)), owed
 
 
 def _vandermonde_numerator(N, nvars, cutoff, offset):
@@ -234,26 +230,15 @@ def check_two_alphabet_pfaffian(spec, N, D):
     """Cleared-denominator form of the two-alphabet Pfaffian identity.
 
     Pfaff(S) prod(x_i+x_j)(y_i+y_j) = tau(x, y) prod(x_i-x_j)(y_i-y_j),
-    compared coefficientwise as polynomials to total degree D.  Both sides
-    have degree at least N(N-1) and tau - 1 has degree at least 2, so below
-    D = N(N-1)+2 both sides are 0 or prod(x_i-x_j)(y_i-y_j) whatever r is,
-    and the pfaffian-check command refuses such a D.
+    compared coefficientwise as polynomials to total degree D; the left
+    side is `pfaffian` of build_S's matrix with its owed denominators.  Both
+    sides have degree at least N(N-1) and tau - 1 has degree at least 2, so
+    below D = N(N-1)+2 both sides are 0 or prod(x_i-x_j)(y_i-y_j) whatever
+    r is, and the pfaffian-check command refuses such a D.
     """
     nvars = 2 * N
-    S = build_S(spec, N, D)
-    factors = _clearing_factors(N, nvars, D)
-
-    # a matching's same-block pairs carry the denominators it divides by;
-    # every factor of a pair it does not contain stays as a multiplier
-    lhs = MultiPoly(nvars, D)
-    for sign, pairs in perfect_matchings(tuple(range(2 * N))):
-        num = MultiPoly.constant(nvars, D, sign)
-        for (i, j) in pairs:
-            num = num * S.entry(i, j)
-        for pair, factor in factors.items():
-            if pair not in pairs:
-                num = num * factor
-        lhs = lhs + num
+    S, owed = build_S(spec, N, D)
+    lhs = pfaffian(S, MultiPoly.constant(nvars, D), owed)
 
     rhs = tau_as_multipoly(spec, N, D)
     rhs = rhs * _vandermonde_numerator(N, nvars, D, 0)

@@ -93,6 +93,39 @@ def test_perfect_matchings_agree_with_recursion():
         assert total == pfaffian(A)
 
 
+def test_owed_factors_agree_with_matchings_and_division():
+    # each matching pays the owed factor of every pair it leaves unmatched,
+    # and the whole is Pfaff of the divided matrix times every owed factor
+    rng = random.Random(29)
+    for dim in (0, 2, 4, 6, 8):
+        A = rand_skew(rng, dim)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        for _ in range(4):
+            owed = {
+                p: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+                for p in pairs
+                if rng.random() < 0.5
+            }
+            total = F(0)
+            for sign, matching in perfect_matchings(tuple(range(dim))):
+                term = F(sign)
+                for (i, j) in matching:
+                    term *= A.entry(i, j)
+                for p, factor in owed.items():
+                    if p not in matching:
+                        term *= factor
+                total += term
+            got = pfaffian(A, owed=owed)
+            assert got == total
+            divided = SkewMatrix(
+                dim, {p: v / owed.get(p, 1) for p, v in A.upper.items()}
+            )
+            product = F(1)
+            for factor in owed.values():
+                product *= factor
+            assert got == pfaffian(divided) * product
+
+
 def test_pfaffian_over_series_ring():
     # entries from a commutative ring without division
     W = 4
@@ -132,13 +165,15 @@ def test_two_alphabet_pfaffian_sees_r_from_degree_n_n_minus_1_plus_2(monkeypatch
         return ((c * F(1001, 1000), q) for c, q in real(*args, **kwargs))
 
     monkeypatch.setattr(pfaffian_module, "tau_terms", corrupted)
-    # the failing reports, witness included, as the tuple-keyed MultiPoly gave them
+    # the failing reports, witness included, as earlier kernels gave them: the
+    # tuple-keyed MultiPoly for N <= 3 and the loop over matchings for N = 4
     witnesses = {
         1: ("(1, 1)", 2),
         2: ("(0, 2, 0, 2)", 4),
         3: ("(0, 1, 3, 0, 1, 3)", 8),
+        4: ("(0, 1, 2, 4, 0, 1, 2, 4)", 14),
     }
-    for N in (1, 2, 3):
+    for N in (1, 2, 3, 4):
         low = N * (N - 1) + 2
         spec = RationalPS([F(1, 2), 3], [F(5, 2)])
         assert check_two_alphabet_pfaffian(spec, N, low - 1).passed, N
@@ -168,8 +203,8 @@ print(pairs)
 
 
 def test_two_alphabet_work_is_hash_seed_independent():
-    # the clearing factors are multiplied in a fixed order, so the work does
-    # not follow the iteration order of a set of string-keyed tuples
+    # pfaffian pays the owed denominators in row order, so the work does not
+    # follow the iteration order of a set of string-keyed tuples
     src = os.path.dirname(os.path.dirname(os.path.abspath(bkpq.__file__)))
     counts = []
     for seed in ("0", "1"):
