@@ -518,20 +518,20 @@ class GradedSeries:
     def _scaled(self, a0, shift):
         """The coefficient of each monomial m times a0^shift(m), in ints.
 
-        With a0 = p/q and lo <= 0 <= hi bounding the shifts, a numerator gains
-        p^(s - lo) q^(hi - s) and the denominator p^(-lo) q^hi once; the sign
-        of a negative p^(-lo) moves into the numerators.
+        With a0 = p/q and lo <= 0 <= hi bounding the shifts, a numerator of
+        shift s gains the multiplier p^(s - lo) q^(hi - s), made once per
+        distinct s, and the denominator p^(-lo) q^hi once; the sign of a
+        negative p^(-lo) moves into the multipliers.
         """
         p, q = a0.numerator, a0.denominator
         shifts = {m: shift(m) for m in self.num}
         lo = min([0, *shifts.values()])
         hi = max([0, *shifts.values()])
-        pp = [p ** k for k in range(hi - lo + 1)]
-        qq = [q ** k for k in range(hi - lo + 1)]
-        d = pp[-lo]
+        d = p ** -lo
         sign = -1 if d < 0 else 1
-        num = {m: sign * v * pp[shifts[m] - lo] * qq[hi - shifts[m]] for m, v in self.num.items()}
-        return self._like(num, self.den * abs(d) * qq[hi])
+        factor = {s: sign * p ** (s - lo) * q ** (hi - s) for s in set(shifts.values())}
+        num = {m: v * factor[shifts[m]] for m, v in self.num.items()}
+        return self._like(num, self.den * abs(d) * q ** hi)
 
     def weight_component(self, w):
         """The terms whose first weight (the t weight of a BiSeries) is w."""

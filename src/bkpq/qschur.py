@@ -107,6 +107,39 @@ def _euler(parts, W, removals):
     return OddSeries(W)._like(num, L * n)
 
 
+@lru_cache(maxsize=None)
+def _numbering(w, W):
+    """The keys of odd_codec(W)'s monomials of weight w in increasing order,
+    and the index of each key among them."""
+    codec = odd_codec(W)
+    below = [[0]] + [[] for _ in range(w)]  # weight s -> keys, weight field left out
+    for m in range(1, w + 1, 2):
+        step = codec.variable(m) - m
+        for s in range(m, w + 1):
+            below[s] += [k + step for k in below[s - m]]
+    keys = sorted(k + w for k in below[w])
+    return keys, {k: i for i, k in enumerate(keys)}
+
+
+_INDEXED = {}  # id(f) -> (f, weight, pairs)
+
+
+def _indexed(f):
+    """A weight-homogeneous f as (w, [(index, numerator)]) sorted by index,
+    with each key's index in `_numbering(w, W)`.
+
+    Made once per series and kept beside `_euler`'s cache, for the Q_lambda
+    and s_mu it returns.  The memo holds f, so no other series takes its id.
+    """
+    hit = _INDEXED.get(id(f))
+    if hit is None:
+        w = f.codec.grade(next(iter(f.num), 0))[0]
+        index = _numbering(w, f.truncation_weight)[1]
+        pairs = sorted((index[k], a) for k, a in f.num.items())
+        hit = _INDEXED[id(f)] = (f, w, pairs)
+    return hit[1], hit[2]
+
+
 def h_k(k, W):
     """Complete homogeneous symmetric function at odd times, h_k(t_1,0,t_3,...).
 

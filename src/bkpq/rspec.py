@@ -28,7 +28,9 @@ class RSpec:
         """Exact value of r at any integer n, via reflection for n <= 0."""
         if n <= 0:
             n = 1 - n
-        values = self.__dict__.setdefault("_values", {})
+        values = self.__dict__.get("_values")
+        if values is None:
+            values = self.__dict__["_values"] = {}
         v = values.get(n)
         if v is None:
             v = values[n] = self._r_positive(n)
@@ -40,7 +42,9 @@ class RSpec:
         The products for 0..n are kept on the spec and extended on demand;
         once a product is 0, later ones are 0 without asking r for a value.
         """
-        prefixes = self.__dict__.setdefault("_prefixes", [Fraction(1)])
+        prefixes = self.__dict__.get("_prefixes")
+        if prefixes is None:
+            prefixes = self.__dict__["_prefixes"] = [Fraction(1)]
         while len(prefixes) <= n:
             last = prefixes[-1]
             prefixes.append(last * self.r_value(len(prefixes)) if last else last)
@@ -52,7 +56,9 @@ class RSpec:
         The numerators and denominators of the prefixes are multiplied as
         ints into one Fraction, kept on the spec per parts.
         """
-        kept = self.__dict__.setdefault("_r_lambda", {})
+        kept = self.__dict__.get("_r_lambda")
+        if kept is None:
+            kept = self.__dict__["_r_lambda"] = {}
         out = kept.get(lam.parts)
         if out is None:
             num = den = 1

@@ -8,11 +8,13 @@ truncated series coefficientwise and reports the first failing monomial.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .gseries import BiSeries, OddSeries, odd_codec
+from .gseries import BiSeries, OddSeries, bi_codec, odd_codec
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import (
     XPoint,
     _dual,
+    _indexed,
+    _numbering,
     _pair,
     eval_at_x,
     q_lambda,
@@ -78,38 +80,62 @@ def tau_terms(spec, W, max_length=None):
             yield Fraction(rl.numerator, rl.denominator << lam.length), q_lambda(lam, W)
 
 
+_BLOCK_KEYS = {}  # (w, W, Wstar) -> (triangle keys, mirror keys)
+
+
+def _block_keys(w, W, Wstar):
+    """The (t, t*) keys of the cells i <= j of the weight-w block, row by
+    row, and of their mirror cells (j, i), over `_numbering(w, min(W, Wstar))`."""
+    keys = _BLOCK_KEYS.get((w, W, Wstar))
+    if keys is None:
+        numbered = _numbering(w, min(W, Wstar))[0]
+        codec, half = bi_codec(W, Wstar), odd_codec(min(W, Wstar))
+        t, star = (codec.place(i, numbered, half) for i in (0, 1))
+        cells = [(i, j) for i in range(len(numbered)) for j in range(i, len(numbered))]
+        keys = _BLOCK_KEYS[(w, W, Wstar)] = (
+            [t[i] + star[j] for i, j in cells],
+            [t[j] + star[i] for i, j in cells],
+        )
+    return keys
+
+
 def _diagonal_sum(terms, W, Wstar):
     """1 + sum of c f(t) f(t*) over the (c, f) in terms, as a BiSeries.
 
     Summed in integers: term (c, f) is c.numerator f.num f.num over
     c.denominator f.den^2, every term is scaled to the lcm L of those
-    denominators and the sum is reduced once.  Every f is weight-homogeneous,
-    so a block per weight numbers its keys 0..n-1 and sums k a_i b_j into
-    an n x n table of ints.  Every f is truncated at min(W, Wstar), so every
-    product lies within the caps.
+    denominators and the sum is reduced once.  Every f is weight-homogeneous
+    and truncated at min(W, Wstar), so a term touches one weight block and
+    every product lies within the caps.  A block is the Gram matrix
+    sum k a a^T of its f, so it is symmetric: each f comes as sorted
+    (index, numerator) pairs over its weight's one numbering (`_indexed`),
+    and k a_i a_j is added into the cells i <= j only.  The block is then
+    written twice from one list of values: at the keys t_i t*_j of its
+    triangle, then at the mirror keys t_j t*_i (a diagonal cell is written
+    again with its own value).  The swap half of check_symmetry_scaling
+    pins the mirror; the triangle's values are pinned by every check that
+    compares tau with another route.
     """
-    codec = odd_codec(min(W, Wstar))
-    scaled = [(c.numerator, c.denominator * f.den * f.den, f.num) for c, f in terms]
+    scaled = [(c.numerator, c.denominator * f.den * f.den, _indexed(f)) for c, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
-    blocks = {}  # weight -> (key -> index, [(k, [(index, numerator)])])
-    for k, d, nums in scaled:
-        index, fs = blocks.setdefault(codec.grade(next(iter(nums), 0)), ({}, []))
-        entries = [(index.setdefault(m, len(index)), a) for m, a in nums.items()]
-        fs.append((k * (L // d), entries))
-    series = BiSeries(W, Wstar)
+    blocks = {}  # weight -> [(k, pairs)]
+    for k, d, (w, pairs) in scaled:
+        blocks.setdefault(w, []).append((k * (L // d), pairs))
     out = {}
-    for index, fs in blocks.values():
-        n = len(index)
+    for w, fs in blocks.items():
+        triangle, mirror = _block_keys(w, W, Wstar)
+        n = len(_numbering(w, min(W, Wstar))[0])
         table = [[0] * n for _ in range(n)]
-        for k, entries in fs:
-            for i, a in entries:
+        for k, pairs in fs:
+            for p, (i, a) in enumerate(pairs):
                 ka, row = k * a, table[i]
-                for j, b in entries:
+                for j, b in pairs[p:]:
                     row[j] += ka * b
-        t, star = (series.codec.place(i, index, codec) for i in (0, 1))
-        out.update((kt + ks, v) for kt, row in zip(t, table) for ks, v in zip(star, row) if v)
+        values = [v for i, row in enumerate(table) for v in row[i:]]
+        out.update(zip(triangle, values))
+        out.update(zip(mirror, values))
     out[0] = out.get(0, 0) + L  # the constant 1
-    return series._like(out, L)
+    return BiSeries(W, Wstar)._like(out, L)
 
 
 def tau_bkp(spec, W, Wstar):
@@ -167,8 +193,8 @@ def check_symmetry_scaling(spec, a, W):
 
     Every term c f(t) f(t*) of tau_bkp has equal t- and t*-weight and is
     symmetric, so both halves hold for any r: the check pins the assembly
-    (_diagonal_sum, swap, substitute_scaled), not r.  The witness of a
-    failure is the first monomial that breaks the symmetry.
+    (the mirror half of _diagonal_sum, swap, substitute_scaled), not r.
+    The witness of a failure is the first monomial that breaks the symmetry.
     """
     a = Fraction(a)
     if not a:
@@ -225,20 +251,6 @@ def tau_hyper_tinfty(a_list, b_list, W):
     return acc
 
 
-def tau_symmetric_hyper(alpha, beta, W):
-    """tau_bkp for the symmetric-rational weight with t* = t_infinity.
-
-    (n - 1/2)^2 - alpha^2 = (alpha + 1/2 + n - 1)(-alpha + 1/2 + n - 1), so
-    this is tau_hyper_tinfty with the parameters +-alpha + 1/2, +-beta + 1/2.
-    """
-    half = Fraction(1, 2)
-
-    def shifted(values):
-        return [s * Fraction(v) + half for v in values for s in (1, -1)]
-
-    return tau_hyper_tinfty(shifted(alpha), shifted(beta), W)
-
-
 def hyper_one_var(a_list, b_list, order):
     """Coefficients of the generalized hypergeometric series pFs.
 
@@ -264,7 +276,8 @@ def tau_single_x_coefficients(spec, order):
 
 
 def scalar_product_r_by_weight(f, g, spec):
-    """scalar_product_r split by partition weight: {|lambda|: sum of its terms}.
+    """The deformed pairing sum over lambda of c_lambda(f) c_lambda(g) 2^l
+    r_lambda, split by partition weight: {|lambda|: sum of its terms}.
 
     The constant terms give the entry at weight 0.  With <Q_lambda, f> =
     a / d_a and <Q_lambda, g> = b / d_b (one `_pair` each against the
@@ -292,14 +305,6 @@ def scalar_product_r_by_weight(f, g, spec):
         L = lcm(*(d for _, d in terms))
         out[w] = Fraction(sum(n * (L // d) for n, d in terms), L)
     return out
-
-
-def scalar_product_r(f, g, spec):
-    """Deformed pairing sum over lambda of c_lambda(f) c_lambda(g) 2^l r_lambda.
-
-    Includes the empty partition through the constant terms.
-    """
-    return sum(scalar_product_r_by_weight(f, g, spec).values())
 
 
 def _exp_kernel(t_values, W):

@@ -198,7 +198,7 @@ GOLDEN_SHA256 = [
         "0a0dd51fec53022fd10736d74784bb92af7eae13d2c45339517d72b5413f7623",
     ),
     (
-        # mu' = (5, 1, 1, 1) is shorter than mu, so s_mu is expanded on mu'
+        # an s_mu of length 5, built by the strip recurrence on mu itself
         "schur --mu 4,1,1,1,1 --weight 10 --json",
         "de44ce2ccdd588d6439f9d43b99bd3476686d71d8b7510f89a6596cdf2e34963",
     ),
@@ -238,19 +238,25 @@ GOLDEN_SHA256 = [
         "e758dce4d47c63ec497eb2d2c3e4fa3186fcb384777f30316e663cf28db3f716",
     ),
     (
-        # mu' = (4, 3, 2, 1, 1) is longer, so s_mu is taken on mu; weight 14
+        # an s_mu at weight 14
         "schur --mu 5,3,2,1 --weight 14 --json",
         "98140ec5313309d2fec80f1c2fd2a6b41c7c4c206361d2bd34c5e423b67226fb",
     ),
     (
-        # mu' = (5, 3, 2, 2) is shorter; both have repeated parts
+        # mu and mu' = (5, 3, 2, 2) both have repeated parts
         "schur --mu 4,4,2,1,1 --weight 12 --json",
         "7e8caec07475b1ddadaac889bc019e08379a41f48239561a2212e60c4e5bf218",
     ),
     (
-        # tau_bkp at W=14, whose top weight block is 22 x 22
+        # tau_bkp at W=14, whose top weight block is 22 x 22 (253 cells i <= j)
         "tau --r symrat:alpha=1/3;beta=1/5 --weight 14 --json",
         "7890026322a0dcdd4b9b9e0effb0c93b346bcee2414a853df05655173f065d9f",
+    ),
+    (
+        # r_lambda = 0 for every part >= 4, so some blocks miss a lambda, at
+        # unequal caps: the triangle and its mirror in halves of two widths
+        "tau --r cutoff:M=4 --weight 13 --wstar 11 --json",
+        "691fc539680b6b166ec203b9975bc198728847087ffec37e7383970cb355ad02",
     ),
     (
         # (x r(-D))^5 at order and weight 14, as spec-scan runs it

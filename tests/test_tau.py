@@ -34,14 +34,12 @@ from bkpq.tau import (
     check_symmetry_scaling,
     check_tau_scalar,
     hyper_one_var,
-    scalar_product_r,
     scalar_product_r_by_weight,
     substitute_tstar_tinfty,
     tau_bkp,
     tau_hyper_tinfty,
     tau_kp,
     tau_single_x_coefficients,
-    tau_symmetric_hyper,
     tau_terms,
     vacuum_kernel,
 )
@@ -169,6 +167,9 @@ def test_tau_bkp_and_scalar_route_on_random_specs(data):
     bound = min(W, Wstar)
     got = tau_bkp(spec, W, Wstar)
     assert got == _fraction_diagonal_sum(tau_terms(spec, bound), W, Wstar), spec
+    # the s_mu blocks take the same triangle; a zero r drops some of a block's mu
+    got = tau_kp(spec, W, Wstar)
+    assert got == _fraction_diagonal_sum(_kp_terms(spec, bound), W, Wstar), spec
     t, tstar = data.draw(_fuzz_times(W)), data.draw(_fuzz_times(W))
     assert check_tau_scalar(spec, W, t, tstar).passed, (spec, t, tstar)
 
@@ -292,6 +293,20 @@ def test_tau_hyper_tinfty_matches_substitution():
     assert (d0 - s0).is_zero()
 
 
+def tau_symmetric_hyper(alpha, beta, W):
+    """tau_bkp for the symmetric-rational weight with t* = t_infinity.
+
+    (n - 1/2)^2 - alpha^2 = (alpha + 1/2 + n - 1)(-alpha + 1/2 + n - 1), so
+    this is tau_hyper_tinfty with the parameters +-alpha + 1/2, +-beta + 1/2.
+    """
+    half = Fraction(1, 2)
+
+    def shifted(values):
+        return [s * Fraction(v) + half for v in values for s in (1, -1)]
+
+    return tau_hyper_tinfty(shifted(alpha), shifted(beta), W)
+
+
 def test_tau_symmetric_hyper_matches_substitution():
     W = 6
     alpha = [F(1, 3)]
@@ -326,6 +341,14 @@ def test_tau_single_x_matches_hyper_series():
         got = tau_single_x_coefficients(RationalPS(a, b), 7)
         want = hyper_one_var(a, b, 7)
         assert got == want
+
+
+def scalar_product_r(f, g, spec):
+    """Deformed pairing sum over lambda of c_lambda(f) c_lambda(g) 2^l r_lambda.
+
+    Includes the empty partition through the constant terms.
+    """
+    return sum(scalar_product_r_by_weight(f, g, spec).values())
 
 
 def test_scalar_product_r_orthogonality():
@@ -521,6 +544,23 @@ def test_check_tau_scalar_refuses_an_alphabet_at_zero(zero, monkeypatch):
     with pytest.raises(ValueError, match=r"of the t\* alphabet is zero"):
         check_tau_scalar(spec, 6, other, zero)
     assert not check_tau_scalar(spec, 6, {1: F(1, 3)}, other).passed
+
+
+def test_check_symmetry_scaling_fails_a_cell_written_in_the_wrong_half():
+    # the coefficient of t_1^3 t*_3 moved onto its mirror t_3 t*_1^3, as a
+    # mirror written at the wrong keys would leave it: the weights still
+    # balance, so only the swap half can see it
+    W = 6
+    spec = SymmetricRational([F(1, 3)], [F(1, 5)])
+    cell, mirror = (((1, 3),), ((3, 1),)), (((3, 1),), ((1, 3),))
+    terms = dict(tau_bkp(spec, W, W).terms)
+    c = terms.pop(cell)
+    assert c and terms[mirror] == c
+    terms[mirror] += c
+    spec._tau_bkp[(W, W)] = BiSeries(W, W, terms)
+    rep = check_symmetry_scaling(spec, 2, W).to_json()
+    assert rep["name"] == "symmetry-swap" and not rep["pass"]
+    assert rep["witness"] == {"monomial": "t:{1: 3} t*:{3: 1}", "lhs": str(2 * c), "rhs": "0"}
 
 
 def test_check_symmetry_scaling_sees_unequal_weight_and_asymmetric_terms(monkeypatch):
