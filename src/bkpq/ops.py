@@ -3,14 +3,15 @@
 r(D) x^n = r(n) x^n, so the operator is diagonal on monomials; x r(-D) is a
 diagonal weight followed by a shift.  A series in x is the list
 [c_0, ..., c_n] of its coefficients, OddSeries in t*.  Used for the
-single-point form of the linear constraint on the tau function.
+single-point form of the linear constraint on the tau function and its
+one-variable hypergeometric reduction.
 """
 
 from math import prod
 
 from .gseries import OddSeries
-from .qschur import h_k
-from .tau import TauReport, compare_series
+from .qschur import eval_at_tinfty
+from .tau import TauReport, compare_series, tau_terms
 
 
 def apply_x_r_negD(f, spec, power=1):
@@ -30,15 +31,27 @@ def apply_x_r_negD(f, spec, power=1):
 
 
 def tau_x_series(spec, n_max, W):
-    """tau_r(t(x), t*) = sum_n r(1)...r(n) x^n h_n(t*), h at odd times."""
-    coeffs = []
-    for n in range(n_max + 1):
-        if n > W:
-            coeffs.append(OddSeries(W))
-            continue
-        pref = spec.r_prefix(n)
-        coeffs.append(h_k(n, W) * pref if pref else OddSeries(W))
+    """tau_r(t(x), t*) as [c_0, ..., c_n_max], OddSeries in t*, summed from
+    the terms (c, Q_lambda) of `tau.tau_terms`.
+
+    At one point only the one-row lambda = (n) survive, and
+    Q_(n)(t(x)/2) = 2 x^n (`qschur.miwa` at one point), so c_n is
+    2c Q_(n)(t*/2), that is r(1)...r(n) h_n(t*); c_0 = 1.  Every c_n is
+    truncated at cap = min(n_max, W): c_n has weight n, so below the cap
+    no term is lost, and above it c_n is zero.  r is asked up to r(cap).
+    """
+    cap = min(n_max, W)
+    coeffs = [OddSeries.constant(cap)] + [OddSeries(cap)] * n_max
+    for c, q in tau_terms(spec, cap, max_length=1):
+        n = q.codec.grade(next(iter(q.num)))[0]  # Q_(n) has weight n
+        coeffs[n] = q * (2 * c)
     return coeffs
+
+
+def tau_single_x_coefficients(spec, order):
+    """[x^n] of tau_r at t = t(x) (one point) and t* = t_infinity, n <= order:
+    each coefficient of `tau_x_series` at t_infinity, r(1)...r(n) / n!."""
+    return [eval_at_tinfty(c) for c in tau_x_series(spec, order, order)]
 
 
 def check_linear_eq_N1(spec, m, n_max, W):

@@ -78,45 +78,49 @@ class StrictPartition(Partition):
 ZERO_PARTITION = Partition(())
 
 
+_ENUMERATED = {}  # (strict, max_weight) -> the partitions, in graded order
+
+
+def _enumerate(max_weight, strict):
+    """The partitions with 0 < weight <= max_weight, with distinct parts if
+    strict, graded by weight, then lexicographically descending on parts.
+
+    Built once per (strict, max_weight); each call gets a new list, which
+    the caller may extend.
+    """
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    out = _ENUMERATED.get((strict, max_weight))
+    if out is None:
+        # upto[w][c]: the partitions of w with parts <= c, in that order:
+        # those with first part c, then those whose parts are all below c;
+        # after a first part c the rest has parts <= c - 1 if strict, else <= c
+        cls, below = (StrictPartition, 1) if strict else (Partition, 0)
+        upto = [[[()]] * (max_weight + 1)]
+        out = []
+        for w in range(1, max_weight + 1):
+            row = [[]]
+            for c in range(1, w + 1):
+                row.append([(c,) + rest for rest in upto[w - c][c - below]] + row[c - 1])
+            row += [row[w]] * (max_weight - w)
+            upto.append(row)
+            out.extend(map(cls._trusted, row[w]))
+        _ENUMERATED[(strict, max_weight)] = out
+    return list(out)
+
+
 def enumerate_strict(max_weight):
     """All strict partitions with 0 < weight <= max_weight.
 
     Order is graded by weight, then lexicographically descending on parts,
     so golden files stay stable.
     """
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
-    # upto[w][c]: the strict partitions of w with parts <= c, in that order:
-    # those with first part c, then those whose parts are all below c
-    upto = [[[()]] * (max_weight + 1)]
-    out = []
-    for w in range(1, max_weight + 1):
-        row = [[]]
-        for c in range(1, w + 1):
-            row.append([(c,) + rest for rest in upto[w - c][c - 1]] + row[c - 1])
-        row += [row[w]] * (max_weight - w)
-        upto.append(row)
-        out.extend(map(StrictPartition._trusted, row[w]))
-    return out
+    return _enumerate(max_weight, True)
 
 
 def enumerate_partitions(max_weight):
     """All ordinary partitions with 0 < weight <= max_weight, graded order."""
-    out = []
-    for w in range(1, max_weight + 1):
-        out.extend(Partition(p) for p in _parts_of_weight(w))
-    return out
-
-
-def _parts_of_weight(w, cap=None):
-    if cap is None:
-        cap = w
-    if w == 0:
-        yield ()
-        return
-    for first in range(min(w, cap), 0, -1):
-        for rest in _parts_of_weight(w - first, first):
-            yield (first,) + rest
+    return _enumerate(max_weight, False)
 
 
 def conjugate(mu):

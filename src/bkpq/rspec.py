@@ -191,9 +191,6 @@ class TParam(RSpec):
     def _r_positive(self, n):
         return self._u(n - 1) / self._u(n)
 
-    def r_prefix(self, n):
-        return 1 / self._u(n)
-
     def __repr__(self):
         return "TParam(%s)" % (", ".join("e^T%d=%s" % (n, v) for n, v in sorted(self.u.items())),)
 

@@ -10,17 +10,7 @@ from math import factorial, lcm
 
 from .gseries import BiSeries, OddSeries, bi_codec, odd_codec
 from .partitions import enumerate_partitions, enumerate_strict
-from .qschur import (
-    XPoint,
-    _dual,
-    _indexed,
-    _numbering,
-    _pair,
-    eval_at_x,
-    q_lambda,
-    schur_s,
-    t_infinity,
-)
+from .qschur import _dual, _indexed, _numbering, _pair, q_lambda, schur_s
 from .rspec import content_product_kp, hook_star, pochhammer, pochhammer_lambda
 
 
@@ -211,17 +201,6 @@ def check_symmetry_scaling(spec, a, W):
     )
 
 
-def substitute_tstar_tinfty(bi):
-    """Collapse the t* alphabet of a BiSeries at t* = t_infinity."""
-    W = bi.truncation_weight
-
-    def image(v):
-        alphabet, m = v
-        return t_infinity(m) if alphabet else OddSeries.variable(W, m)
-
-    return bi.substitute(image, OddSeries.constant(W))
-
-
 def _pochhammer_ratio(a_list, b_list, poch, arg):
     """prod poch(a_k, arg) / prod poch(b_k, arg); a zero denominator is refused."""
     c = Fraction(1)
@@ -262,17 +241,6 @@ def hyper_one_var(a_list, b_list, order):
         _pochhammer_ratio(a_list, b_list, pochhammer, n) / factorial(n)
         for n in range(order + 1)
     ]
-
-
-def tau_single_x_coefficients(spec, order):
-    """[x^n] of tau_bkp at t = t(x) (one point), t* = t_infinity.
-
-    A weight-n homogeneous t-polynomial evaluates at a single point x to
-    (value at x=1) x^n, so coefficients group by t-weight.
-    """
-    tau_x = substitute_tstar_tinfty(tau_bkp(spec, order, order))
-    one = XPoint([1])
-    return [eval_at_x(tau_x.weight_component(n), one) for n in range(order + 1)]
 
 
 def scalar_product_r_by_weight(f, g, spec):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bkpq.ops import check_linear_eq_N1
+from bkpq.ops import check_linear_eq_N1, tau_single_x_coefficients
 from bkpq.partitions import StrictPartition, count_shifted_syt, double, enumerate_strict
 from bkpq.pfaffian import (
     SkewMatrix,
@@ -32,7 +32,6 @@ from bkpq.tau import (
     check_square,
     check_symmetry_scaling,
     hyper_one_var,
-    tau_single_x_coefficients,
     vacuum_kernel,
 )
 from test_rspec import rho_check

@@ -89,14 +89,15 @@ def test_checks_ask_r_only_as_far_as_needed(capsys):
             argv = ["pfaffian-check", "--r", r, "--n", "2", "--degree", D, "--json"]
             code, out, _ = run(capsys, argv)
             assert code == 0 and json.loads(out)["pass"] is True, argv
-    code, out, _ = run(
-        capsys,
-        ["linear-check", "--r", five[0], "--m", "1", "--order", "5", "--weight", "5", "--json"],
-    )
-    assert code == 0 and json.loads(out)["pass"] is True
+    # below the weight too: the order, not the weight, bounds r
+    for r, W in [(five[0], "5"), (five[0], "8"), (five[1], "8")]:
+        argv = ["linear-check", "--r", r, "--m", "1", "--order", "5", "--weight", W, "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["pass"] is True, argv
     for argv, n in [
         (["pfaffian-check", "--r", "table:1,1/2,3,2", "--n", "2", "--degree", "10"], 5),
         (["linear-check", "--r", "table:1,1/2,3,2", "--m", "1", "--order", "5", "--weight", "5"], 5),
+        (["linear-check", "--r", "table:1,1/2,3,2", "--m", "1", "--order", "5", "--weight", "8"], 5),
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and "r(%d) outside" % n in err, argv
@@ -262,6 +263,16 @@ GOLDEN_SHA256 = [
         # (x r(-D))^5 at order and weight 14, as spec-scan runs it
         "linear-check --r symrat:alpha=1/3;beta=1/5 --m 5 --order 14 --weight 14 --json",
         "87f281ebbea5735386171374ca99699b108ea5e77a6b440b242cf0a2f330d6df",
+    ),
+    (
+        # r(n) = 0 from n = 4, so the one-row terms of tau stop at n = 3
+        "linear-check --r cutoff:M=4 --m 3 --order 10 --weight 10 --json",
+        "f29faaab5c9ed48399bedf3a112006570a6ab57bc9af879e4f4a3a7aba217649",
+    ),
+    (
+        # the order below the weight
+        "linear-check --r symrat:alpha=1/3;beta=1/5 --m 3 --order 8 --weight 12 --json",
+        "271e30dd698bf1417eb84728486e4e20500856cae04a96589e228ebd17098ed1",
     ),
 ]
 

@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from bkpq import ops
 from bkpq.gseries import OddSeries
 from bkpq.ops import apply_x_r_negD, check_linear_eq_N1, tau_x_series
-from bkpq.qschur import h_k
+from bkpq.partitions import StrictPartition
+from bkpq.qschur import XPoint, eval_at_x, h_k, q_lambda
 from bkpq.rspec import (
     Cutoff,
     Ones,
     RationalPS,
     RSpec,
+    RValueError,
     SymmetricRational,
     Table,
     TParam,
 )
+from bkpq.tau import tau_terms
 
 F = Fraction
 
@@ -102,14 +106,68 @@ def test_operator_power_is_repeated_single_step(spec):
         assert not squared[2].is_zero() and all(c.is_zero() for c in squared[3:])
 
 
+def one_row_route(spec, n_max, W):
+    """tau_x_series as it was built before it read tau.tau_terms, r(1)...r(n)
+    h_n(t*), with every coefficient at the cap min(n_max, W): zero past W."""
+    cap = min(n_max, W)
+    return [h_k(n, cap) * spec.r_prefix(n) if n <= W else OddSeries(cap) for n in range(n_max + 1)]
+
+
+def _outcome(route, *args):
+    """The value of route(*args), or the message of the RValueError it raises."""
+    try:
+        return route(*args)
+    except RValueError as exc:
+        return str(exc)
+
+
 def test_tau_x_series_coefficients():
-    W = 6
-    spec = RationalPS([1], [2])
-    t = tau_x_series(spec, 5, W)
-    assert len(t) == 6
-    for n in range(6):
-        want = h_k(n, W) * spec.r_prefix(n)
-        assert (t[n] - want).is_zero()
+    W = 14
+    for spec in SPECS + [Cutoff(4)]:
+        for n_max in (5, W, W + 3):
+            # both routes ask r up to r(min(n_max, W)): the TParam of SPECS
+            # has e^{T_n} up to n = 8, so past that both raise the same error
+            got = _outcome(tau_x_series, spec, n_max, W)
+            want = _outcome(one_row_route, spec, n_max, W)
+            assert got == want, (spec, n_max)
+            if isinstance(got, list):
+                assert len(got) == n_max + 1
+
+
+@pytest.mark.parametrize("x", [F(1), F(-2, 3), F(5)])
+def test_one_row_q_at_one_point_is_twice_the_power(x):
+    # the constant 2 of tau_x_series, held to the Miwa map of eval_at_x
+    for n in range(1, 15):
+        assert eval_at_x(q_lambda(StrictPartition([n]), 14), XPoint([x])) == 2 * x**n, n
+
+
+def _perturbed_tau_terms(n, factor):
+    """tau.tau_terms with the coefficient of lambda = (n) times factor."""
+
+    def terms(spec, W, max_length=None):
+        target = q_lambda(StrictPartition([n]), W) if n <= W else None
+        for c, q in tau_terms(spec, W, max_length):
+            yield (c * factor if q == target else c), q
+
+    return terms
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SymmetricRational([F(1, 3)], [F(1, 5)]),
+        Ones,
+        lambda: RationalPS([F(1, 2), 3], [F(5, 2)]),
+    ],
+)
+def test_linear_check_reads_tau_terms(make, monkeypatch):
+    assert check_linear_eq_N1(make(), 1, 8, 8).passed
+    for n in range(1, 9):
+        monkeypatch.setattr(ops, "tau_terms", _perturbed_tau_terms(n, F(1001, 1000)))
+        assert not check_linear_eq_N1(make(), 1, 8, 8).passed, n
+        # at m = 5 and order 8 the coefficient of x^4 meets d/dt*_5 h_4 = 0
+        # on the left and nothing on the right: that window is blind
+        assert check_linear_eq_N1(make(), 5, 8, 8).passed == (n == 4), n
 
 
 def test_linear_equation_one_point():

@@ -102,6 +102,16 @@ def test_enumerate_partitions_small():
     assert got == [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
 
 
+def test_each_enumeration_is_a_new_list():
+    # callers extend what they get, as in [Partition([])] + enumerate_partitions(W)
+    for enumerate_ in (enumerate_strict, enumerate_partitions):
+        first = enumerate_(5)
+        first.append(None)
+        assert enumerate_(5) == first[:-1] and enumerate_(5) is not enumerate_(5)
+        with pytest.raises(ValueError):
+            enumerate_(-1)
+
+
 def test_conjugate_examples_and_involution():
     assert conjugate(Partition([3, 1])).parts == (2, 1, 1)
     assert conjugate(Partition([])).parts == ()

@@ -13,7 +13,6 @@ from bkpq.gseries import OddSeries, odd_codec
 from bkpq.partitions import (
     Partition,
     StrictPartition,
-    _parts_of_weight,
     conjugate,
     double,
     enumerate_partitions,
@@ -188,6 +187,27 @@ def _character(parts, rho):
             crossed = sum(b - r < c < b for c in beta)
             total += (-1) ** crossed * _character(shape, rho[1:])
     return total
+
+
+def _parts_of_weight(w, cap=None):
+    """The partitions of w with parts <= cap (default w), first part
+    descending: the recursion that enumerate_partitions ran before its table."""
+    if cap is None:
+        cap = w
+    if w == 0:
+        yield ()
+        return
+    for first in range(min(w, cap), 0, -1):
+        for rest in _parts_of_weight(w - first, first):
+            yield (first,) + rest
+
+
+def test_enumerate_partitions_matches_the_recursion():
+    assert list(_parts_of_weight(0)) == [()]
+    for W in range(16):
+        got = enumerate_partitions(W)
+        assert [p.parts for p in got] == [p for w in range(1, W + 1) for p in _parts_of_weight(w)]
+        assert all(type(p) is Partition and p == Partition(p.parts) for p in got)
 
 
 @lru_cache(maxsize=None)

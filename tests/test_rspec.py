@@ -196,6 +196,9 @@ def test_tparam():
     # u_{-n} = 1/u_n makes the formula itself symmetric under n -> 1-n
     for n in range(-2, 4):
         assert spec._r_positive(1 - n) == spec._r_positive(n)
+    # r(1)...r(n) telescopes to 1/u_n
+    for n in range(4):
+        assert spec.r_prefix(n) == 1 / spec._u(n), n
     assert spec.r_prefix(3) == F(1, 30)
     assert spec.r_lambda(StrictPartition([2, 1])) == F(1, 6) * F(1, 2)
     with pytest.raises(RValueError):

@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 
 from bkpq.gseries import BiSeries, OddSeries
 from bkpq.partitions import StrictPartition, enumerate_partitions, enumerate_strict
-from bkpq.ops import check_linear_eq_N1
-from bkpq.qschur import q_expand, q_lambda, scalar_product, schur_s
+from bkpq.ops import check_linear_eq_N1, tau_single_x_coefficients, tau_x_series
+from bkpq.qschur import (
+    XPoint,
+    eval_at_x,
+    q_expand,
+    q_lambda,
+    scalar_product,
+    schur_s,
+    t_infinity,
+)
 from bkpq.rspec import (
     Cutoff,
     Ones,
@@ -35,14 +43,13 @@ from bkpq.tau import (
     check_tau_scalar,
     hyper_one_var,
     scalar_product_r_by_weight,
-    substitute_tstar_tinfty,
     tau_bkp,
     tau_hyper_tinfty,
     tau_kp,
-    tau_single_x_coefficients,
     tau_terms,
     vacuum_kernel,
 )
+from test_ops import one_row_route
 
 F = Fraction
 
@@ -172,6 +179,9 @@ def test_tau_bkp_and_scalar_route_on_random_specs(data):
     assert got == _fraction_diagonal_sum(_kp_terms(spec, bound), W, Wstar), spec
     t, tstar = data.draw(_fuzz_times(W)), data.draw(_fuzz_times(W))
     assert check_tau_scalar(spec, W, t, tstar).passed, (spec, t, tstar)
+    # the one-point series reads the one-row terms of tau_terms
+    n_max = data.draw(st.integers(0, MAX_FUZZ_WEIGHT + 2))
+    assert tau_x_series(spec, n_max, W) == one_row_route(spec, n_max, W), (spec, n_max)
 
 
 def _fraction_pairing_by_weight(f, g, spec):
@@ -281,6 +291,18 @@ def test_tau_terms_are_weight_balanced():
         assert mono_weight(mt) == mono_weight(ms)
 
 
+def substitute_tstar_tinfty(bi):
+    """Collapse the t* alphabet of a BiSeries at t* = t_infinity: the
+    reference that tau_hyper_tinfty and tau_single_x_coefficients are held to."""
+    W = bi.truncation_weight
+
+    def image(v):
+        alphabet, m = v
+        return t_infinity(m) if alphabet else OddSeries.variable(W, m)
+
+    return bi.substitute(image, OddSeries.constant(W))
+
+
 def test_tau_hyper_tinfty_matches_substitution():
     W = 6
     a, b = [F(1)], [F(2)]
@@ -341,6 +363,18 @@ def test_tau_single_x_matches_hyper_series():
         got = tau_single_x_coefficients(RationalPS(a, b), 7)
         want = hyper_one_var(a, b, 7)
         assert got == want
+
+
+def test_tau_single_x_matches_the_two_alphabet_route():
+    # the route tau_single_x_coefficients took before it read tau_x_series:
+    # t* = t_infinity in the full tau_bkp, then each t-weight at x = 1
+    one = XPoint([1])
+    specs = SPECS[:-1] + [TParam({n: F(n * n + 1) for n in range(1, 11)}), Table([1, F(1, 2), 0, 3])]
+    for spec in specs:
+        for order in range(11):
+            tau_x = substitute_tstar_tinfty(tau_bkp(spec, order, order))
+            want = [eval_at_x(tau_x.weight_component(n), one) for n in range(order + 1)]
+            assert tau_single_x_coefficients(spec, order) == want, (spec, order)
 
 
 def scalar_product_r(f, g, spec):
