@@ -1,14 +1,21 @@
 """Command-line entry point.
 
+Each command is one row of COMMANDS: its name, its help, its arguments and
+a run(args) that returns a JSON payload, one TauReport or a list of them.
+`main` is the one place that parses, runs, prints and picks the exit code.
+
 Exit codes: 0 success / all identities pass, 1 identity failure (witness in
-the JSON output), 2 usage error.  All numbers are emitted as exact "p/q"
-strings; with a fixed --seed the output is byte-identical between runs.
+the JSON output), 2 usage error or refused input: a ValueError, or running
+out of recursion depth (a spec nested too deep, a part too large).  All
+numbers are emitted as exact "p/q" strings; with a fixed --seed the output
+is byte-identical between runs.
 """
 
 import argparse
 import json
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ops, pfaffian, rspec, tau
@@ -27,8 +34,8 @@ def _parse_parts(text):
         raise ValueError("bad partition %r" % text) from e
 
 
-def _int_at_least(low):
-    """An argparse type for integers no less than low."""
+def _at_least(low, **keywords):
+    """argparse keywords for an integer no less than low."""
 
     def parse(text):
         try:
@@ -39,53 +46,7 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
         return value
 
-    return parse
-
-
-def _emit(args, payload):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def cmd_qfun(args):
-    lam = StrictPartition(_parse_parts(args.lam))
-    _emit(args, q_lambda(lam, args.weight).to_json())
-    return 0
-
-
-def cmd_schur(args):
-    mu = Partition(_parse_parts(args.mu))
-    _emit(args, schur_s(mu, args.weight).to_json())
-    return 0
-
-
-def cmd_tau(args):
-    spec = parse_rspec(args.r)
-    wstar = args.wstar if args.wstar is not None else args.weight
-    _emit(args, tau.tau_bkp(spec, args.weight, wstar).to_json())
-    return 0
-
-
-def cmd_hyper(args):
-    a = parse_rational_list(args.a)
-    b = parse_rational_list(args.b)
-    coeffs = tau.hyper_one_var(a, b, args.order)
-    payload = {"coefficients": [str(c) for c in coeffs]}
-    if args.weight:
-        payload["tau_tinfty"] = tau.tau_hyper_tinfty(a, b, args.weight).to_json()
-    _emit(args, payload)
-    return 0
-
-
-def cmd_tableaux(args):
-    lam = StrictPartition(_parse_parts(args.lam))
-    _emit(
-        args,
-        {"count": count_shifted_syt(lam), "hook_star": str(hook_star(lam))},
-    )
-    return 0
+    return dict(type=parse, **keywords)
 
 
 def _shipped_specs():
@@ -125,7 +86,7 @@ def run_verify_suite(suite, W, seed=0):
     if suite == "all":
         for spec in specs:
             for N in (1, 2):
-                if N * (N - 1) + 2 <= W:
+                if pfaffian.two_alphabet_floor(N) <= W:
                     reports.append(pfaffian.check_two_alphabet_pfaffian(spec, N, W))
             reports.append(pfaffian.check_xpoint_pfaffian(spec, _random_xpoint(rng, 2), W))
             for m in (1, 3, 5):
@@ -134,29 +95,71 @@ def run_verify_suite(suite, W, seed=0):
     return reports
 
 
-def cmd_verify(args):
-    reports = run_verify_suite(args.suite, args.weight, args.seed)
-    _emit(args, [r.to_json() for r in reports])
-    return 0 if all(r.passed for r in reports) else 1
+def _hyper(args):
+    a = parse_rational_list(args.a)
+    b = parse_rational_list(args.b)
+    payload = {"coefficients": [str(c) for c in tau.hyper_one_var(a, b, args.order)]}
+    if args.weight:
+        payload["tau_tinfty"] = tau.tau_hyper_tinfty(a, b, args.weight).to_json()
+    return payload
 
 
-def cmd_pfaffian_check(args):
+def _tableaux(args):
+    lam = StrictPartition(_parse_parts(args.lam))
+    return {"count": count_shifted_syt(lam), "hook_star": str(hook_star(lam))}
+
+
+def _pfaffian_check(args):
     spec = parse_rspec(args.r)
-    low = args.n * (args.n - 1) + 2
+    low = pfaffian.two_alphabet_floor(args.n)
     if args.degree < low:
         raise ValueError(
             "degree %d is below N(N-1)+2 = %d: both sides agree for any r" % (args.degree, low)
         )
-    rep = pfaffian.check_two_alphabet_pfaffian(spec, args.n, args.degree)
-    _emit(args, rep.to_json())
-    return 0 if rep.passed else 1
+    return pfaffian.check_two_alphabet_pfaffian(spec, args.n, args.degree)
 
 
-def cmd_linear_check(args):
-    spec = parse_rspec(args.r)
-    rep = ops.check_linear_eq_N1(spec, args.m, args.order, args.weight)
-    _emit(args, rep.to_json())
-    return 0 if rep.passed else 1
+# arguments are (flag, argparse keywords) pairs.  Each run looks its check up
+# through the check's module when it is called, so a check rebound there (by
+# a test or a tracer) is the one that runs.
+Command = namedtuple("Command", "name help arguments run")
+
+_WEIGHT = ("--weight", _at_least(0, required=True))
+
+COMMANDS = [
+    Command("qfun", "projective Schur function Q_lambda(t/2)",
+            [("--lambda", dict(dest="lam", required=True, help="parts, e.g. 2,1")), _WEIGHT],
+            lambda args: q_lambda(StrictPartition(_parse_parts(args.lam)), args.weight).to_json()),
+    Command("schur", "Schur function s_mu at odd times",
+            [("--mu", dict(required=True, help="parts, e.g. 3,1")), _WEIGHT],
+            lambda args: schur_s(Partition(_parse_parts(args.mu)), args.weight).to_json()),
+    Command("tau", "BKP hypergeometric tau-function series",
+            [("--r", dict(required=True, help="weight-function spec, e.g. cutoff:M=3")),
+             _WEIGHT, ("--wstar", _at_least(0, default=None))],
+            lambda args: tau.tau_bkp(parse_rspec(args.r), args.weight,
+                                     args.weight if args.wstar is None else args.wstar).to_json()),
+    Command("hyper", "generalized hypergeometric coefficients",
+            [("--a", dict(default="", help="comma list of a parameters")),
+             ("--b", dict(default="", help="comma list of b parameters")),
+             ("--order", _at_least(0, required=True)),
+             ("--weight", _at_least(0, default=0, help="also emit the t_inf tau"))],
+            _hyper),
+    Command("tableaux", "shifted standard tableaux count",
+            [("--lambda", dict(dest="lam", required=True))], _tableaux),
+    Command("verify", "run an identity suite",
+            [("--suite", dict(choices=["cauchy", "square", "symmetry", "all"], default="all")),
+             ("--weight", _at_least(1, default=8)), ("--seed", dict(type=int, default=0))],
+            lambda args: run_verify_suite(args.suite, args.weight, args.seed)),
+    Command("pfaffian-check", "two-alphabet Pfaffian identity",
+            [("--r", dict(required=True)), ("--n", _at_least(1, default=2)),
+             ("--degree", _at_least(1, default=10))],
+            _pfaffian_check),
+    Command("linear-check", "one-point linear constraint",
+            [("--r", dict(required=True)), ("--m", _at_least(1, default=3)),
+             ("--order", _at_least(1, default=8)), ("--weight", _at_least(1, default=8))],
+            lambda args: ops.check_linear_eq_N1(parse_rspec(args.r), args.m, args.order,
+                                                args.weight)),
+]
 
 
 def build_parser():
@@ -165,84 +168,31 @@ def build_parser():
         description="Projective Schur Q-functions and BKP tau-function checks",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command in COMMANDS:
+        sp = sub.add_parser(command.name, help=command.help)
+        for flag, keywords in command.arguments:
+            sp.add_argument(flag, **keywords)
         sp.add_argument("--json", action="store_true", help="compact JSON output")
-
-    sp = sub.add_parser("qfun", help="projective Schur function Q_lambda(t/2)")
-    sp.add_argument("--lambda", dest="lam", required=True, help="parts, e.g. 2,1")
-    sp.add_argument("--weight", type=_int_at_least(0), required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_qfun)
-
-    sp = sub.add_parser("schur", help="Schur function s_mu at odd times")
-    sp.add_argument("--mu", required=True, help="parts, e.g. 3,1")
-    sp.add_argument("--weight", type=_int_at_least(0), required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_schur)
-
-    sp = sub.add_parser("tau", help="BKP hypergeometric tau-function series")
-    sp.add_argument("--r", required=True, help="weight-function spec, e.g. cutoff:M=3")
-    sp.add_argument("--weight", type=_int_at_least(0), required=True)
-    sp.add_argument("--wstar", type=_int_at_least(0), default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_tau)
-
-    sp = sub.add_parser("hyper", help="generalized hypergeometric coefficients")
-    sp.add_argument("--a", default="", help="comma list of a parameters")
-    sp.add_argument("--b", default="", help="comma list of b parameters")
-    sp.add_argument("--order", type=_int_at_least(0), required=True)
-    sp.add_argument(
-        "--weight", type=_int_at_least(0), default=0, help="also emit the t_inf tau"
-    )
-    common(sp)
-    sp.set_defaults(func=cmd_hyper)
-
-    sp = sub.add_parser("tableaux", help="shifted standard tableaux count")
-    sp.add_argument("--lambda", dest="lam", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_tableaux)
-
-    sp = sub.add_parser("verify", help="run an identity suite")
-    sp.add_argument(
-        "--suite",
-        choices=["cauchy", "square", "symmetry", "all"],
-        default="all",
-    )
-    sp.add_argument("--weight", type=_int_at_least(1), default=8)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("pfaffian-check", help="two-alphabet Pfaffian identity")
-    sp.add_argument("--r", required=True)
-    sp.add_argument("--n", type=_int_at_least(1), default=2)
-    sp.add_argument("--degree", type=_int_at_least(1), default=10)
-    common(sp)
-    sp.set_defaults(func=cmd_pfaffian_check)
-
-    sp = sub.add_parser("linear-check", help="one-point linear constraint")
-    sp.add_argument("--r", required=True)
-    sp.add_argument("--m", type=_int_at_least(1), default=3)
-    sp.add_argument("--order", type=_int_at_least(1), default=8)
-    sp.add_argument("--weight", type=_int_at_least(1), default=8)
-    common(sp)
-    sp.set_defaults(func=cmd_linear_check)
-
+        sp.set_defaults(run=command.run)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except ValueError as e:
+        result = args.run(args)
+    except (ValueError, RecursionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    items = result if isinstance(result, list) else [result]
+    reports = [r for r in items if isinstance(r, tau.TauReport)]
+    if reports:
+        result = [r.to_json() for r in items] if isinstance(result, list) else result.to_json()
+    print(json.dumps(result, indent=None if args.json else 2, sort_keys=True))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -226,15 +226,24 @@ def tau_as_multipoly(spec, N, cutoff):
     return acc
 
 
+def two_alphabet_floor(N):
+    """The lowest degree at which the two-alphabet check can see r.
+
+    Both sides have degree at least N(N-1) and tau - 1 has degree at least
+    2, so below N(N-1)+2 both sides are 0 or prod(x_i-x_j)(y_i-y_j)
+    whatever r is.
+    """
+    return N * (N - 1) + 2
+
+
 def check_two_alphabet_pfaffian(spec, N, D):
     """Cleared-denominator form of the two-alphabet Pfaffian identity.
 
     Pfaff(S) prod(x_i+x_j)(y_i+y_j) = tau(x, y) prod(x_i-x_j)(y_i-y_j),
     compared coefficientwise as polynomials to total degree D; the left
-    side is `pfaffian` of build_S's matrix with its owed denominators.  Both
-    sides have degree at least N(N-1) and tau - 1 has degree at least 2, so
-    below D = N(N-1)+2 both sides are 0 or prod(x_i-x_j)(y_i-y_j) whatever
-    r is, and the pfaffian-check command refuses such a D.
+    side is `pfaffian` of build_S's matrix with its owed denominators.  It
+    takes any D, but below two_alphabet_floor(N) it passes whatever r is,
+    so the pfaffian-check command refuses such a D.
     """
     nvars = 2 * N
     S, owed = build_S(spec, N, D)

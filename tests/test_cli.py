@@ -112,6 +112,13 @@ def test_linear_check(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def _nested_prod(depth):
+    spec = "ones"
+    for _ in range(depth):
+        spec = "prod:(%s),(ones)" % spec
+    return spec
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["qfun", "--lambda", "x,y", "--weight", "4"])[0] == 2
     assert run(capsys, ["tau", "--r", "nope", "--weight", "4"])[0] == 2
@@ -170,6 +177,16 @@ def test_usage_errors_exit_2(capsys):
     ]:
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and text in err and "Traceback" not in err, argv
+    # running out of recursion depth is a refused input, not a failed identity
+    for argv in [
+        ["qfun", "--lambda", "400", "--weight", "400"],
+        ["schur", "--mu", "400", "--weight", "400"],
+        ["tau", "--r", _nested_prod(1200), "--weight", "2"],  # deep in parse_rspec
+        ["tau", "--r", _nested_prod(600), "--weight", "2"],  # deep in Product.r_value
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out and "Traceback" not in err, argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
 
 
 GOLDEN_SHA256 = [
@@ -284,6 +301,65 @@ def test_outputs_byte_identical(capsys):
         code, out, _ = run(capsys, command.split())
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_indented_output(capsys):
+    # without --json, main prints the same payload indented by two spaces
+    code, out, _ = run(capsys, ["tableaux", "--lambda", "3,1"])
+    assert code == 0
+    assert out == '{\n  "count": 2,\n  "hook_star": "12"\n}\n'
+    code, out, _ = run(capsys, ["verify", "--suite", "cauchy", "--weight", "4"])
+    assert code == 0
+    digest = "8acffd92fa1178e2064ef075f7f863f23d2df1d4e99c1168019e191651f671ec"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the smallest valid argv of each command, and the rest of its Namespace
+SMALLEST_ARGV = [
+    (["qfun", "--lambda", "2,1", "--weight", "0"], {"lam": "2,1", "weight": 0}),
+    (["schur", "--mu", "3,1", "--weight", "0"], {"mu": "3,1", "weight": 0}),
+    (["tau", "--r", "ones", "--weight", "0"], {"r": "ones", "weight": 0, "wstar": None}),
+    (["hyper", "--order", "0"], {"a": "", "b": "", "order": 0, "weight": 0}),
+    (["tableaux", "--lambda", "3,1"], {"lam": "3,1"}),
+    (["verify"], {"suite": "all", "weight": 8, "seed": 0}),
+    (["pfaffian-check", "--r", "ones"], {"r": "ones", "n": 2, "degree": 10}),
+    (["linear-check", "--r", "ones"], {"r": "ones", "m": 3, "order": 8, "weight": 8}),
+]
+
+HELP = [
+    ("qfun", "projective Schur function Q_lambda(t/2)"),
+    ("schur", "Schur function s_mu at odd times"),
+    ("tau", "BKP hypergeometric tau-function series"),
+    ("hyper", "generalized hypergeometric coefficients"),
+    ("tableaux", "shifted standard tableaux count"),
+    ("verify", "run an identity suite"),
+    ("pfaffian-check", "two-alphabet Pfaffian identity"),
+    ("linear-check", "one-point linear constraint"),
+]
+
+
+def test_parser_namespaces():
+    runs = {command.name: command.run for command in cli.COMMANDS}
+    assert list(runs) == [argv[0] for argv, _ in SMALLEST_ARGV]
+    for argv, rest in SMALLEST_ARGV:
+        want = dict(rest, command=argv[0], json=False, run=runs[argv[0]])
+        assert vars(cli.build_parser().parse_args(argv)) == want, argv
+        want["json"] = True
+        assert vars(cli.build_parser().parse_args(argv + ["--json"])) == want, argv
+
+
+def test_help_lists_the_commands_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0 and out.startswith("usage: bkpq [-h]")
+    assert "Projective Schur Q-functions and BKP tau-function checks" in out
+    assert "{%s}" % ",".join(name for name, _ in HELP) in out
+    lines = [line.split(None, 1) for line in out.splitlines()]
+    assert [line for line in lines if line and line[0] in dict(HELP)] == [list(h) for h in HELP]
+    for name, _ in HELP:
+        code, out, _ = run(capsys, [name, "--help"])
+        assert code == 0 and out.startswith("usage: bkpq %s [-h]" % name)
+        assert "--json" in out and "compact JSON output" in out
 
 
 def test_failed_identity_exits_1(capsys, monkeypatch):

@@ -22,6 +22,7 @@ from bkpq.pfaffian import (
     perfect_matchings,
     pfaffian,
     tau_at_xpoint,
+    two_alphabet_floor,
 )
 from bkpq.qschur import XPoint, delta, eval_at_x, q_lambda
 from bkpq.rspec import Cutoff, Ones, RationalPS, SymmetricRational
@@ -156,6 +157,10 @@ def test_two_alphabet_pfaffian_identity():
     assert check_two_alphabet_pfaffian(SymmetricRational([F(1, 3)], []), 1, 6).passed
 
 
+def test_two_alphabet_floor_is_n_n_minus_1_plus_2():
+    assert [two_alphabet_floor(N) for N in (1, 2, 3, 4)] == [2, 4, 8, 14]
+
+
 def test_two_alphabet_pfaffian_sees_r_from_degree_n_n_minus_1_plus_2(monkeypatch):
     # every coefficient of tau times 1001/1000: below N(N-1)+2 both sides
     # are the r-free leading term, so the check cannot see it
@@ -174,7 +179,7 @@ def test_two_alphabet_pfaffian_sees_r_from_degree_n_n_minus_1_plus_2(monkeypatch
         4: ("(0, 1, 2, 4, 0, 1, 2, 4)", 14),
     }
     for N in (1, 2, 3, 4):
-        low = N * (N - 1) + 2
+        low = two_alphabet_floor(N)
         spec = RationalPS([F(1, 2), 3], [F(5, 2)])
         assert check_two_alphabet_pfaffian(spec, N, low - 1).passed, N
         monomial, degree = witnesses[N]
