@@ -197,14 +197,6 @@ class BiCodec:
         """((i, m), exponent) for each t_m (i = 0) or t*_m (i = 1) of a part."""
         return [((i, m), e) for m, e in self.halves[i].decode(part)]
 
-    def place(self, i, keys, codec):
-        """Keys of an odd codec placed as half i (0 for t, 1 for t*): a t key
-        and a t* key so placed add up to the key of their pair."""
-        half = self.halves[i]
-        if half is not codec:
-            keys = [half.encode(codec.decode(k)) for k in keys]
-        return [k << self.shift for k in keys] if i else list(keys)
-
 
 _CODECS = {}  # ("odd", W), ("bi", W, Wstar) or ("dense", nvars, cutoff) -> its one codec
 

@@ -110,14 +110,9 @@ def _euler(parts, W, removals):
 @lru_cache(maxsize=None)
 def _numbering(w, W):
     """The keys of odd_codec(W)'s monomials of weight w in increasing order,
-    and the index of each key among them."""
-    codec = odd_codec(W)
-    below = [[0]] + [[] for _ in range(w)]  # weight s -> keys, weight field left out
-    for m in range(1, w + 1, 2):
-        step = codec.variable(m) - m
-        for s in range(m, w + 1):
-            below[s] += [k + step for k in below[s - m]]
-    keys = sorted(k + w for k in below[w])
+    and the index of each key among them: the support of h_w, in one order at
+    every cap W >= w (a key's highest field is its largest t_m)."""
+    keys = sorted(_euler((w,) if w else (), W, _bars).num)
     return keys, {k: i for i, k in enumerate(keys)}
 
 

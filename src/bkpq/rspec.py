@@ -130,11 +130,13 @@ class RationalPS(RSpec):
         )
 
 
-class SymmetricRational(RSpec):
+class SymmetricRational(RationalPS):
     """r(n) = prod((n-1/2)^2 - alpha_k^2) / prod((n-1/2)^2 - beta_k^2).
 
-    Symmetric under n -> 1-n by construction; beta_k must not be a
-    half-integer, else a denominator factor vanishes.
+    Symmetric under n -> 1-n by construction.  As (n-1/2)^2 - c^2 =
+    (1/2+c + n-1)(1/2-c + n-1), this is the RationalPS with a = 1/2 +- alpha_k
+    and b = 1/2 +- beta_k.  beta_k must not be a half-integer, else a
+    denominator factor vanishes.
     """
 
     def __init__(self, alpha, beta):
@@ -143,16 +145,10 @@ class SymmetricRational(RSpec):
         for bk in self.beta:
             if (2 * bk).denominator == 1:
                 raise RValueError("beta parameter %s is a half-integer" % bk)
-
-    def _r_positive(self, n):
-        s = (Fraction(n) - Fraction(1, 2)) ** 2
-        num = Fraction(1)
-        for ak in self.alpha:
-            num *= s - ak * ak
-        den = Fraction(1)
-        for bk in self.beta:
-            den *= s - bk * bk
-        return num / den
+        half = Fraction(1, 2)
+        super().__init__(
+            *([half + s * c for c in cs for s in (1, -1)] for cs in (self.alpha, self.beta))
+        )
 
     def __repr__(self):
         return "SymmetricRational(alpha=[%s], beta=[%s])" % (

@@ -8,7 +8,7 @@ truncated series coefficientwise and reports the first failing monomial.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .gseries import BiSeries, OddSeries, bi_codec, odd_codec
+from .gseries import BiSeries, OddSeries, bi_codec
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import _dual, _indexed, _numbering, _pair, q_lambda, schur_s
 from .rspec import content_product_kp, hook_star, pochhammer, pochhammer_lambda
@@ -75,13 +75,15 @@ _BLOCK_KEYS = {}  # (w, W, Wstar) -> (triangle keys, mirror keys)
 
 def _block_keys(w, W, Wstar):
     """The (t, t*) keys of the cells i <= j of the weight-w block, row by
-    row, and of their mirror cells (j, i), over `_numbering(w, min(W, Wstar))`."""
+    row, and of their mirror cells (j, i).  Cell (i, j) pairs the i-th
+    monomial of `_numbering(w, W)` with the j-th of `_numbering(w, Wstar)`:
+    both number the monomials of weight w in one order."""
     keys = _BLOCK_KEYS.get((w, W, Wstar))
     if keys is None:
-        numbered = _numbering(w, min(W, Wstar))[0]
-        codec, half = bi_codec(W, Wstar), odd_codec(min(W, Wstar))
-        t, star = (codec.place(i, numbered, half) for i in (0, 1))
-        cells = [(i, j) for i in range(len(numbered)) for j in range(i, len(numbered))]
+        shift = bi_codec(W, Wstar).shift
+        t = _numbering(w, W)[0]
+        star = [k << shift for k in _numbering(w, Wstar)[0]]
+        cells = [(i, j) for i in range(len(t)) for j in range(i, len(t))]
         keys = _BLOCK_KEYS[(w, W, Wstar)] = (
             [t[i] + star[j] for i, j in cells],
             [t[j] + star[i] for i, j in cells],

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 from bkpq import cli
 from bkpq.tau import TauReport
@@ -195,6 +198,15 @@ GOLDEN_SHA256 = [
         "4916f20c2f72f995cdcf7303375241f5774897dc14a22f058939c6f7e4545498",
     ),
     (
+        "verify --suite all --weight 10 --seed 3 --json",
+        "b90e07828112dd5e50d2463ad9e463097c8e1848048f855760e06ab28d1dc54b",
+    ),
+    (
+        # every identity at weight 12
+        "verify --suite all --weight 12 --json",
+        "1084a8f49a2a979533060e086a52c5b072289ddf0bd170ee5d4784dc50a9ed4a",
+    ),
+    (
         "tau --r symrat:alpha=1/3 --weight 8 --json",
         "0e99944b690d2ecebb33bb28f3bfa585b77b461594ec3bd0edea8a4f1b6634c9",
     ),
@@ -210,6 +222,18 @@ GOLDEN_SHA256 = [
         # N(N-1) + 2 = 8 is the lowest degree at which r enters
         "pfaffian-check --r ratps:a=1/2,3;b=5/2 --n 3 --degree 8 --json",
         "05dcf95fe8ff86e8856dcc38d7afb5191fa2faba0899d2ce5f2a7ad75e0a44dc",
+    ),
+    (
+        # the two-alphabet Pfaffian at N=4, in 8 packed MultiPoly variables,
+        # at the lowest degree at which r enters, N(N-1) + 2 = 14
+        "pfaffian-check --r cutoff:M=3 --n 4 --degree 14 --json",
+        "0f4bd0a3b7e22ffaa8e499947efbf9b2ada99ce57e17694488e185b5c345bc3f",
+    ),
+    (
+        # a PASS above N(N-1) + 2 at N=4 for a spec with a beta parameter,
+        # whose left side is pfaffian's expansion with owed denominators
+        "pfaffian-check --r symrat:alpha=1/3;beta=1/5 --n 4 --degree 16 --json",
+        "da0d1f8237808b8c5dc252fa45aa82e05a64904b07e4499877d0601b78cccd38",
     ),
     (
         "hyper --a 1/2 --b 3/2 --order 6 --weight 6 --json",
@@ -261,6 +285,16 @@ GOLDEN_SHA256 = [
         "98140ec5313309d2fec80f1c2fd2a6b41c7c4c206361d2bd34c5e423b67226fb",
     ),
     (
+        # s_mu = s_mu' at odd times: a shape and its conjugate, each built
+        # by its own strip recurrence, give one digest
+        "schur --mu 5,3,1,1,1,1 --weight 14 --json",
+        "747ee85dbbbdde3a5d95a24e2921ce281071d70d0f836c20a68d46adae42e183",
+    ),
+    (
+        "schur --mu 6,2,2,1,1 --weight 14 --json",
+        "747ee85dbbbdde3a5d95a24e2921ce281071d70d0f836c20a68d46adae42e183",
+    ),
+    (
         # mu and mu' = (5, 3, 2, 2) both have repeated parts
         "schur --mu 4,4,2,1,1 --weight 12 --json",
         "7e8caec07475b1ddadaac889bc019e08379a41f48239561a2212e60c4e5bf218",
@@ -301,6 +335,26 @@ def test_outputs_byte_identical(capsys):
         code, out, _ = run(capsys, command.split())
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def check_golden_in_fresh_interpreters():
+    """Run each GOLDEN_SHA256 row as `python -m bkpq.cli` in a new
+    interpreter under PYTHONHASHSEED 0 and 1, print each digest and exit 1
+    at the first exit code or digest that differs."""
+    for command, digest in GOLDEN_SHA256:
+        for hashseed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bkpq.cli", *command.split()],
+                env=dict(os.environ, PYTHONHASHSEED=hashseed),
+                stdout=subprocess.PIPE,
+            )
+            got = hashlib.sha256(proc.stdout).hexdigest()
+            print("PYTHONHASHSEED=%s %s: %s" % (hashseed, command, got), flush=True)
+            if proc.returncode or got != digest:
+                sys.exit(
+                    "FAIL under PYTHONHASHSEED=%s: %s exited %d with digest %s, want %s"
+                    % (hashseed, command, proc.returncode, got, digest)
+                )
 
 
 def test_indented_output(capsys):
@@ -397,3 +451,7 @@ def test_verify_schedules_two_alphabet_pfaffians_only_where_r_enters():
         ns = [r["params"]["N"] for r in reports if r["name"] == "pfaffian-two-alphabet"]
         assert ns == want * 4, W
         assert all(r["pass"] for r in reports), W
+
+
+if __name__ == "__main__":
+    check_golden_in_fresh_interpreters()

@@ -22,6 +22,7 @@ from bkpq.pfaffian import SkewMatrix, pfaffian
 from bkpq.qschur import (
     XPoint,
     _bars,
+    _numbering,
     _strips,
     delta,
     eval_at_tinfty,
@@ -55,6 +56,31 @@ def test_h_generating_recurrence():
         for m in range(1, k + 1, 2):
             acc = acc + OddSeries.variable(W, m) * h_k(k - m, W) * m
         assert (h_k(k, W) * k - acc).is_zero()
+
+
+def _numbering_by_odd_parts(w, W):
+    """The sorted keys of odd_codec(W)'s monomials of weight w, built one odd
+    part at a time: the numbering `_numbering` made before it read h_w."""
+    codec = odd_codec(W)
+    below = [[0]] + [[] for _ in range(w)]  # weight s -> keys, weight field left out
+    for m in range(1, w + 1, 2):
+        step = codec.variable(m) - m
+        for s in range(m, w + 1):
+            below[s] += [k + step for k in below[s - m]]
+    return sorted(k + w for k in below[w])
+
+
+def test_numbering_lists_the_monomials_of_weight_w_in_one_order_at_every_cap():
+    # tau's weight blocks pair the i-th monomial of the t cap's numbering
+    # with the j-th of the t* cap's
+    for w in range(13):
+        first = None
+        for W in range(w, 17):
+            keys = _numbering(w, W)[0]
+            assert keys == _numbering_by_odd_parts(w, W), (w, W)
+            monomials = [odd_codec(W).decode(k) for k in keys]
+            first = first or monomials
+            assert monomials == first, (w, W)
 
 
 def test_q_lambda_frozen_values():

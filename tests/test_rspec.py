@@ -182,10 +182,32 @@ def test_symmetric_rational_prefix_pochhammer_identity():
         assert spec.r_prefix(n) == want
 
 
+def _symmetric_rational_formula(alpha, beta, n):
+    """prod((n-1/2)^2 - alpha_k^2) / prod((n-1/2)^2 - beta_k^2) as written."""
+    s = (F(n) - F(1, 2)) ** 2
+    num = den = F(1)
+    for ak in alpha:
+        num *= s - ak * ak
+    for bk in beta:
+        den *= s - bk * bk
+    return num / den
+
+
+@pytest.mark.parametrize(
+    "text", ["symrat:alpha=1/3;beta=1/5", "symrat:alpha=5/3;beta=5/4", "symrat:alpha=;beta=2/3"]
+)
+def test_symmetric_rational_is_its_product_formula(text):
+    # read as a RationalPS with a = 1/2 +- alpha_k and b = 1/2 +- beta_k
+    spec = parse_rspec(text)
+    for n in range(-12, 13):
+        assert spec.r_value(n) == _symmetric_rational_formula(spec.alpha, spec.beta, n), n
+
+
 def test_symmetric_rational_rejects_half_integer_beta():
-    with pytest.raises(RValueError):
+    # its own check comes first: 1/2 - 3/2 = -1 would be RationalPS's zero b
+    with pytest.raises(RValueError, match="^beta parameter 3/2 is a half-integer$"):
         SymmetricRational([], [F(3, 2)])
-    with pytest.raises(RValueError):
+    with pytest.raises(RValueError, match="^beta parameter 2 is a half-integer$"):
         SymmetricRational([], [2])
 
 
