@@ -513,12 +513,15 @@ class GradedSeries:
         With a0 = p/q and lo <= 0 <= hi bounding the shifts, a numerator of
         shift s gains the multiplier p^(s - lo) q^(hi - s), made once per
         distinct s, and the denominator p^(-lo) q^hi once; the sign of a
-        negative p^(-lo) moves into the multipliers.
+        negative p^(-lo) moves into the multipliers.  When every shift is 0
+        the series is its own image and is returned as it is.
         """
         p, q = a0.numerator, a0.denominator
         shifts = {m: shift(m) for m in self.num}
         lo = min([0, *shifts.values()])
         hi = max([0, *shifts.values()])
+        if lo == hi == 0:
+            return self
         d = p ** -lo
         sign = -1 if d < 0 else 1
         factor = {s: sign * p ** (s - lo) * q ** (hi - s) for s in set(shifts.values())}

@@ -7,6 +7,7 @@ single-point form of the linear constraint on the tau function and its
 one-variable hypergeometric reduction.
 """
 
+from fractions import Fraction
 from math import prod
 
 from .gseries import OddSeries
@@ -32,20 +33,28 @@ def apply_x_r_negD(f, spec, power=1):
 
 def tau_x_series(spec, n_max, W):
     """tau_r(t(x), t*) as [c_0, ..., c_n_max], OddSeries in t*, summed from
-    the terms (c, Q_lambda) of `tau.tau_terms`.
+    the terms (n, d, Q_lambda) of `tau.tau_terms`.
 
     At one point only the one-row lambda = (n) survive, and
     Q_(n)(t(x)/2) = 2 x^n (`qschur.miwa` at one point), so c_n is
-    2c Q_(n)(t*/2), that is r(1)...r(n) h_n(t*); c_0 = 1.  Every c_n is
-    truncated at cap = min(n_max, W): c_n has weight n, so below the cap
+    2 (n / d) Q_(n)(t*/2), that is r(1)...r(n) h_n(t*); c_0 = 1.  Every c_n
+    is truncated at cap = min(n_max, W): c_n has weight n, so below the cap
     no term is lost, and above it c_n is zero.  r is asked up to r(cap).
+
+    Kept on the spec per (n_max, W), as tau.tau_bkp keeps tau: the linear
+    checks of one spec share one build, a failed build is not kept, and
+    each call gets a new list.
     """
-    cap = min(n_max, W)
-    coeffs = [OddSeries.constant(cap)] + [OddSeries(cap)] * n_max
-    for c, q in tau_terms(spec, cap, max_length=1):
-        n = q.codec.grade(next(iter(q.num)))[0]  # Q_(n) has weight n
-        coeffs[n] = q * (2 * c)
-    return coeffs
+    built = spec.__dict__.setdefault("_tau_x_series", {})
+    coeffs = built.get((n_max, W))
+    if coeffs is None:
+        cap = min(n_max, W)
+        coeffs = [OddSeries.constant(cap)] + [OddSeries(cap)] * n_max
+        for num, den, q in tau_terms(spec, cap, max_length=1):
+            n = q.codec.grade(next(iter(q.num)))[0]  # Q_(n) has weight n
+            coeffs[n] = q * Fraction(2 * num, den)
+        built[(n_max, W)] = coeffs
+    return list(coeffs)
 
 
 def tau_single_x_coefficients(spec, order):

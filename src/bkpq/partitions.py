@@ -78,20 +78,25 @@ class StrictPartition(Partition):
 ZERO_PARTITION = Partition(())
 
 
-_ENUMERATED = {}  # (strict, max_weight) -> the partitions, in graded order
+_ENUMERATED = {}  # (strict, max_weight, max_length) -> the partitions, in graded order
 
 
-def _enumerate(max_weight, strict):
+def _enumerate(max_weight, strict, max_length=None):
     """The partitions with 0 < weight <= max_weight, with distinct parts if
-    strict, graded by weight, then lexicographically descending on parts.
+    strict, and length <= max_length if given, graded by weight, then
+    lexicographically descending on parts.
 
-    Built once per (strict, max_weight); each call gets a new list, which
-    the caller may extend.
+    Built once per (strict, max_weight, max_length); each call gets a new
+    list, which the caller may extend.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
-    out = _ENUMERATED.get((strict, max_weight))
-    if out is None:
+    key = (strict, max_weight, max_length)
+    out = _ENUMERATED.get(key)
+    if out is None and max_length is not None:
+        out = [lam for lam in _enumerate(max_weight, strict) if lam.length <= max_length]
+        _ENUMERATED[key] = out
+    elif out is None:
         # upto[w][c]: the partitions of w with parts <= c, in that order:
         # those with first part c, then those whose parts are all below c;
         # after a first part c the rest has parts <= c - 1 if strict, else <= c
@@ -105,17 +110,18 @@ def _enumerate(max_weight, strict):
             row += [row[w]] * (max_weight - w)
             upto.append(row)
             out.extend(map(cls._trusted, row[w]))
-        _ENUMERATED[(strict, max_weight)] = out
+        _ENUMERATED[key] = out
     return list(out)
 
 
-def enumerate_strict(max_weight):
-    """All strict partitions with 0 < weight <= max_weight.
+def enumerate_strict(max_weight, max_length=None):
+    """All strict partitions with 0 < weight <= max_weight, and with at
+    most max_length parts if given.
 
     Order is graded by weight, then lexicographically descending on parts,
     so golden files stay stable.
     """
-    return _enumerate(max_weight, True)
+    return _enumerate(max_weight, True, max_length)
 
 
 def enumerate_partitions(max_weight):

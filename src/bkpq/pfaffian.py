@@ -221,8 +221,8 @@ def tau_as_multipoly(spec, N, cutoff):
 
     t_x, t_y = alphabet(0), alphabet(N)
     acc = one
-    for c, q in tau_terms(spec, cutoff // 2, max_length=N):
-        acc = acc + q.substitute(t_x, one) * q.substitute(t_y, one) * c
+    for num, den, q in tau_terms(spec, cutoff // 2, max_length=N):
+        acc = acc + q.substitute(t_x, one) * q.substitute(t_y, one) * Fraction(num, den)
     return acc
 
 
@@ -263,10 +263,10 @@ def tau_at_xpoint(spec, x, W):
     Returns an OddSeries in t*; only partitions of length <= len(x) survive.
     """
     acc = OddSeries.constant(W)
-    for c, q in tau_terms(spec, W, max_length=len(x)):
+    for num, den, q in tau_terms(spec, W, max_length=len(x)):
         val = eval_at_x(q, x)
         if val:
-            acc = acc + q * (c * val)
+            acc = acc + q * (Fraction(num, den) * val)
     return acc
 
 

@@ -16,9 +16,9 @@ class RSpec:
     """Base for weight-function variants.  Subclasses define r at n >= 1.
 
     A spec must not be changed once built: r_value, r_prefix and r_lambda
-    keep the values they have computed on the instance, and tau.tau_bkp
-    keeps its series per (W, Wstar) there too (a failed value or build is
-    not kept).
+    keep the values they have computed on the instance, tau.tau_bkp keeps
+    its series per (W, Wstar) there too, and ops.tau_x_series its one-point
+    coefficients per (n_max, W) (a failed value or build is not kept).
     """
 
     def _r_positive(self, n):

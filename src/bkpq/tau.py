@@ -56,18 +56,19 @@ def compare_series(name, params, lhs, rhs, label=_bi_label):
 
 
 def tau_terms(spec, W, max_length=None):
-    """(2^{-l} r_lambda, Q_lambda(t/2)) over the nonzero strict partitions of
-    weight <= W, and length <= max_length if given, with r_lambda != 0.
+    """(n, d, Q_lambda(t/2)) with n / d = 2^{-l} r_lambda, over the nonzero
+    strict partitions of weight <= W, and length <= max_length if given,
+    with r_lambda != 0.
 
-    Q_lambda is truncated at W.  tau_r is 1 plus the sum of these terms
-    with Q_lambda(t*/2) as a third factor.
+    n / d is r_lambda's numerator over its denominator times 2^l: only a
+    power of two can cancel, so the pair is left unreduced.  Q_lambda is
+    truncated at W.  tau_r is 1 plus the sum of these terms with
+    Q_lambda(t*/2) as a third factor.
     """
-    for lam in enumerate_strict(W):
-        if max_length is not None and lam.length > max_length:
-            continue
+    for lam in enumerate_strict(W, max_length):
         rl = spec.r_lambda(lam)
         if rl:
-            yield Fraction(rl.numerator, rl.denominator << lam.length), q_lambda(lam, W)
+            yield rl.numerator, rl.denominator << lam.length, q_lambda(lam, W)
 
 
 _BLOCK_KEYS = {}  # (w, W, Wstar) -> (triangle keys, mirror keys)
@@ -92,13 +93,14 @@ def _block_keys(w, W, Wstar):
 
 
 def _diagonal_sum(terms, W, Wstar):
-    """1 + sum of c f(t) f(t*) over the (c, f) in terms, as a BiSeries.
+    """1 + sum of (n / d) f(t) f(t*) over the (n, d, f) in terms, as a
+    BiSeries; d > 0, and n / d need not be in lowest terms.
 
-    Summed in integers: term (c, f) is c.numerator f.num f.num over
-    c.denominator f.den^2, every term is scaled to the lcm L of those
-    denominators and the sum is reduced once.  Every f is weight-homogeneous
-    and truncated at min(W, Wstar), so a term touches one weight block and
-    every product lies within the caps.  A block is the Gram matrix
+    Summed in integers: term (n, d, f) is n f.num f.num over d f.den^2,
+    every term is scaled to the lcm L of those denominators and the sum is
+    reduced once, so n / d is read as it comes.  Every f is
+    weight-homogeneous and truncated at min(W, Wstar), so a term touches
+    one weight block and every product lies within the caps.  A block is the Gram matrix
     sum k a a^T of its f, so it is symmetric: each f comes as sorted
     (index, numerator) pairs over its weight's one numbering (`_indexed`),
     and k a_i a_j is added into the cells i <= j only.  The block is then
@@ -108,7 +110,7 @@ def _diagonal_sum(terms, W, Wstar):
     pins the mirror; the triangle's values are pinned by every check that
     compares tau with another route.
     """
-    scaled = [(c.numerator, c.denominator * f.den * f.den, _indexed(f)) for c, f in terms]
+    scaled = [(n, d * f.den * f.den, _indexed(f)) for n, d, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
     blocks = {}  # weight -> [(k, pairs)]
     for k, d, (w, pairs) in scaled:
@@ -151,7 +153,7 @@ def tau_kp(spec, W, Wstar):
         for mu in enumerate_partitions(bound):
             rmu = content_product_kp(spec, mu)
             if rmu:
-                yield rmu, schur_s(mu, bound)
+                yield rmu.numerator, rmu.denominator, schur_s(mu, bound)
 
     return _diagonal_sum(terms(), W, Wstar)
 

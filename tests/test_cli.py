@@ -325,6 +325,12 @@ GOLDEN_SHA256 = [
         "linear-check --r symrat:alpha=1/3;beta=1/5 --m 3 --order 8 --weight 12 --json",
         "271e30dd698bf1417eb84728486e4e20500856cae04a96589e228ebd17098ed1",
     ),
+    (
+        # a 3-value table at order 2 and weight 8: the one-point series stops
+        # at min(order, weight), so r is never asked past r(3)
+        "linear-check --r table:1,2,3 --m 1 --order 2 --weight 8 --json",
+        "7b523ded401acb0cbc30819ad3ca372845556bce76bbfb53c8c615b0d69e211b",
+    ),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bkpq import ops
+from bkpq import ops, partitions, qschur, tau
 from bkpq.gseries import OddSeries
 from bkpq.ops import apply_x_r_negD, check_linear_eq_N1, tau_x_series
 from bkpq.partitions import StrictPartition
@@ -18,8 +18,9 @@ from bkpq.rspec import (
     SymmetricRational,
     Table,
     TParam,
+    parse_rspec,
 )
-from bkpq.tau import tau_terms
+from bkpq.tau import check_tau_scalar, tau_bkp, tau_terms
 
 F = Fraction
 
@@ -134,6 +135,91 @@ def test_tau_x_series_coefficients():
                 assert len(got) == n_max + 1
 
 
+def _counting_tau_terms(builds):
+    """tau.tau_terms that records each (W, max_length) it is asked for."""
+
+    def terms(spec, W, max_length=None):
+        builds.append((W, max_length))
+        return tau_terms(spec, W, max_length)
+
+    return terms
+
+
+def test_one_point_series_is_built_once_per_order_and_weight(monkeypatch):
+    builds = []
+    monkeypatch.setattr(ops, "tau_terms", _counting_tau_terms(builds))
+    spec = RationalPS([F(1, 2), 3], [F(5, 2)])
+    first = tau_x_series(spec, 8, 8)
+    for m in (1, 3, 5):
+        assert check_linear_eq_N1(spec, m, 8, 8).passed, m
+    again = tau_x_series(spec, 8, 8)
+    assert builds == [(8, 1)]
+    assert again == first and again is not first
+    # a caller may change its list: the kept one does not move
+    again[1] = again[0]
+    assert tau_x_series(spec, 8, 8) == first
+    tau_x_series(spec, 5, 8)
+    assert builds == [(8, 1), (5, 1)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        Ones,
+        lambda: Cutoff(4),
+        lambda: RationalPS([F(1, 2), 3], [F(5, 2)]),
+        lambda: SymmetricRational([F(1, 3)], [F(1, 5)]),
+    ],
+)
+def test_kept_one_point_series_equals_a_fresh_build(make):
+    # (5, 14), (14, 14) and (17, 14) share W and (14, 14) and (17, 14) the
+    # cap min(n_max, W): only the pair (n_max, W) tells them apart
+    spec = make()
+    for _ in range(2):
+        for n_max, W in ((5, 14), (14, 14), (17, 14), (2, 8)):
+            assert tau_x_series(spec, n_max, W) == tau_x_series(make(), n_max, W), (n_max, W)
+
+
+def test_a_failed_one_point_build_is_not_kept():
+    spec = parse_rspec("table:1,1/2,3,2")
+    for _ in range(2):
+        with pytest.raises(RValueError):
+            tau_x_series(spec, 5, 5)  # asks r(5) of a 4-value table
+    assert tau_x_series(spec, 4, 4) == tau_x_series(parse_rspec("table:1,1/2,3,2"), 4, 4)
+    assert check_linear_eq_N1(spec, 1, 4, 4).passed
+
+
+def test_a_spec_scan_op_walks_each_partition_list_once(monkeypatch):
+    # tau_bkp and the pairing of check_tau_scalar each walk the 109 strict
+    # partitions of weight <= 14; the three linear checks share one walk of
+    # the 14 one-row ones.  A walk of all 109 per linear check would make
+    # 545 items and 260 r_lambda calls.
+    counts = {"items": 0, "r_lambda": 0}
+    real_enumerate, real_r_lambda = partitions.enumerate_strict, RSpec.r_lambda
+
+    def enumerate_strict(*args, **kwargs):
+        out = real_enumerate(*args, **kwargs)
+        counts["items"] += len(out)
+        return out
+
+    def r_lambda(self, lam):
+        counts["r_lambda"] += 1
+        return real_r_lambda(self, lam)
+
+    for module in (ops, partitions, qschur, tau):
+        if getattr(module, "enumerate_strict", None) is real_enumerate:
+            monkeypatch.setattr(module, "enumerate_strict", enumerate_strict)
+    monkeypatch.setattr(RSpec, "r_lambda", r_lambda)
+    W = 14
+    spec = RationalPS([F(1, 2), 3], [F(5, 2)])
+    tau_bkp(spec, W, W)
+    for m in (1, 3, 5):
+        assert check_linear_eq_N1(spec, m, W, W).passed, m
+    t, tstar = {1: F(1, 2), 3: F(-2, 3), 5: F(3, 4)}, {1: F(-1, 3), 3: F(2, 5), 5: F(1, 7)}
+    assert check_tau_scalar(spec, W, t, tstar).passed
+    assert counts == {"items": 232, "r_lambda": 232}
+
+
 @pytest.mark.parametrize("x", [F(1), F(-2, 3), F(5)])
 def test_one_row_q_at_one_point_is_twice_the_power(x):
     # the constant 2 of tau_x_series, held to the Miwa map of eval_at_x
@@ -146,8 +232,10 @@ def _perturbed_tau_terms(n, factor):
 
     def terms(spec, W, max_length=None):
         target = q_lambda(StrictPartition([n]), W) if n <= W else None
-        for c, q in tau_terms(spec, W, max_length):
-            yield (c * factor if q == target else c), q
+        for num, den, q in tau_terms(spec, W, max_length):
+            if q == target:
+                num, den = num * factor.numerator, den * factor.denominator
+            yield num, den, q
 
     return terms
 

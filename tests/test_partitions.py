@@ -112,6 +112,18 @@ def test_each_enumeration_is_a_new_list():
             enumerate_(-1)
 
 
+def test_enumerate_strict_by_length_is_the_filtered_enumeration():
+    # the same partitions in the same order as the whole list filtered by
+    # length, each call a new list
+    for W in range(16):
+        for L in (0, 1, 2, 3, 4, 5, None):
+            want = [lam for lam in enumerate_strict(W) if L is None or lam.length <= L]
+            got = enumerate_strict(W, max_length=L)
+            assert got == want, (W, L)
+            got.append(None)
+            assert enumerate_strict(W, max_length=L) == want, (W, L)
+
+
 def test_conjugate_examples_and_involution():
     assert conjugate(Partition([3, 1])).parts == (2, 1, 1)
     assert conjugate(Partition([])).parts == ()

@@ -167,7 +167,7 @@ def test_two_alphabet_pfaffian_sees_r_from_degree_n_n_minus_1_plus_2(monkeypatch
     real = pfaffian_module.tau_terms
 
     def corrupted(*args, **kwargs):
-        return ((c * F(1001, 1000), q) for c, q in real(*args, **kwargs))
+        return ((n * 1001, d * 1000, q) for n, d, q in real(*args, **kwargs))
 
     monkeypatch.setattr(pfaffian_module, "tau_terms", corrupted)
     # the failing reports, witness included, as earlier kernels gave them: the

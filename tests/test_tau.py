@@ -108,7 +108,8 @@ def test_square_identity():
 def _fraction_diagonal_sum(terms, W, Wstar):
     """Reference for tau._diagonal_sum: one Fraction product and sum per pair."""
     out = {((), ()): Fraction(1)}
-    for c, f in terms:
+    for n, d, f in terms:
+        c = Fraction(n, d)
         for mt, ct in f.terms.items():
             cct = c * ct
             for ms, cs in f.terms.items():
@@ -121,7 +122,7 @@ def _kp_terms(spec, bound):
     for mu in enumerate_partitions(bound):
         rmu = content_product_kp(spec, mu)
         if rmu:
-            yield rmu, schur_s(mu, bound)
+            yield rmu.numerator, rmu.denominator, schur_s(mu, bound)
 
 
 ORACLE_SPECS = [
@@ -289,6 +290,17 @@ def test_tau_terms_are_weight_balanced():
     assert any(mono_weight(mt) == 3 for (mt, ms) in t.terms)
     for (mt, ms) in t.terms:
         assert mono_weight(mt) == mono_weight(ms)
+
+
+def test_scaling_returns_tau_itself():
+    # equal t- and t*-weight in every term: each shift of the scaling is 0,
+    # so tau is returned as it is, not copied
+    for spec in SPECS:
+        W = 8 if isinstance(spec, TParam) else 10  # the TParam supplies r up to r(8)
+        t = tau_bkp(spec, W, W)
+        for a in (2, F(-1, 3)):
+            assert t.substitute_scaled(a) == t, (spec, a)
+            assert t.substitute_scaled(a) is t, (spec, a)
 
 
 def substitute_tstar_tinfty(bi):
