@@ -25,7 +25,8 @@ caps is one int addition that cannot carry.  The codec is the only reader
 of a tuple monomial: `encode` gives its key, None for a monomial of the
 ring over a cap, and ValueError for one that is not the ring's (an
 odd-time tuple with a zero exponent, a repeated index or indices out of
-order among them), and `variables` names the variables of a key's parts.
+order among them).  Its masks `low` and `shift` split a key into one part
+per alphabet, and `variables` and `name` give the variables of a part.
 
 `exp` runs the Euler recurrence n E_n = sum_j j S_j E_{n-j} over total
 grade, in ints, with no series power and no sum of series.
@@ -53,16 +54,18 @@ class WeightedCodec:
     increasing by value, so each monomial has one tuple; `encode` refuses a
     zero exponent, a repeated variable and pairs out of order.  The low bits
     of a key hold the weight; above them each variable v has a field wide
-    enough for cap // weights[v], for its exponent.  `width` is the number of
-    bits used.  The key of the constant is 0.  Each decoded key is kept with
-    its monomial; there are at most as many as monomials of weight <= cap.  A
+    enough for cap // weights[v], for its exponent.  `shift` is the number of
+    bits used and `low` their mask, so k & low and k >> shift split a key
+    into alphabet parts as in a BiCodec: the key itself and 0.  The key of
+    the constant is 0.  Each decoded key is kept with its monomial; there
+    are at most as many as monomials of weight <= cap.  A
     variable with no field is one of weight over cap if it is an odd positive
     number, the next t_m of the odd alphabet, and not a variable otherwise;
     the variables of a DenseCodec all have fields, and its dense tuples keep
     their zeros: `pairs` reads only the nonzero exponents.
     """
 
-    __slots__ = ("cap", "caps", "mask", "fields", "width", "_decoded")
+    __slots__ = ("cap", "caps", "mask", "fields", "shift", "low", "_decoded")
 
     def __init__(self, cap, weights):
         self.cap = cap
@@ -75,7 +78,8 @@ class WeightedCodec:
             bits = (cap // w).bit_length()
             self.fields[v] = (shift, (1 << bits) - 1, w)
             shift += bits
-        self.width = shift
+        self.shift = shift
+        self.low = (1 << shift) - 1
 
     def __repr__(self):
         weights = {v: w for v, (_, _, w) in self.fields.items()}
@@ -125,15 +129,12 @@ class WeightedCodec:
     def grade(self, key):
         return (key & self.mask,)
 
-    @staticmethod
-    def columns(keys):
-        """The keys split by alphabet: one list of parts per alphabet."""
-        return [list(keys)]
-
     def variables(self, i, part):
-        """(variable, exponent) for each variable of a part of column i, as
-        pairs also in a DenseCodec."""
+        """(variable, exponent) for each variable of a part, as pairs also in
+        a DenseCodec; `name(i, variable)` is the variable that image takes."""
         return WeightedCodec.decode(self, part)
+
+    name = staticmethod(lambda i, v: v)
 
 
 class DenseCodec(WeightedCodec):
@@ -168,7 +169,7 @@ class BiCodec:
     def __init__(self, W, Wstar):
         self.caps = (W, Wstar)
         self.halves = (odd_codec(W), odd_codec(Wstar))
-        self.shift = self.halves[0].width
+        self.shift = self.halves[0].shift
         self.low = (1 << self.shift) - 1
 
     def __repr__(self):
@@ -189,13 +190,12 @@ class BiCodec:
     def grade(self, key):
         return (key & self.halves[0].mask, key >> self.shift & self.halves[1].mask)
 
-    def columns(self, keys):
-        low, shift = self.low, self.shift
-        return [[k & low for k in keys], [k >> shift for k in keys]]
-
     def variables(self, i, part):
-        """((i, m), exponent) for each t_m (i = 0) or t*_m (i = 1) of a part."""
-        return [((i, m), e) for m, e in self.halves[i].decode(part)]
+        """(m, exponent) for each t_m (i = 0) or t*_m (i = 1) of a part, whose
+        name(i, m) is (i, m)."""
+        return self.halves[i].decode(part)
+
+    name = staticmethod(lambda i, m: (i, m))
 
 
 _CODECS = {}  # ("odd", W), ("bi", W, Wstar) or ("dense", nvars, cutoff) -> its one codec
@@ -461,16 +461,17 @@ class GradedSeries:
         """
         if isinstance(one, (int, Fraction)):
             return self._evaluate(image)
-        powers = {}
+        powers = ({}, {})  # per alphabet
         total = one * 0
         den, codec = self.den, self.codec
-        for v, *parts in zip(self.num.values(), *codec.columns(self.num)):
+        low, shift = codec.low, codec.shift
+        for k, v in self.num.items():
             term = Fraction(v, den)
-            for i, part in enumerate(parts):
+            for i, part in enumerate((k & low, k >> shift)):
                 for var, e in codec.variables(i, part):
-                    p = powers.get(var)
+                    p = powers[i].get(var)
                     if p is None:
-                        p = powers[var] = [one, image(var)]
+                        p = powers[i][var] = [one, image(codec.name(i, var))]
                     while len(p) <= e:
                         p.append(p[-1] * p[1])
                     term = p[e] * term
@@ -480,52 +481,60 @@ class GradedSeries:
     def _evaluate(self, image):
         """The series at the numbers image(v), as one Fraction.
 
-        The codec splits the keys into one column of parts per alphabet.
-        Each distinct part of column i is evaluated once, as an int over the
-        lcm D_i of their denominators; one with a variable at zero counts 0.
-        The sum of num * prod_i part_i is one int over den * prod_i D_i.
+        The codec's masks split a key k into one part per alphabet, k & low
+        and k >> shift (0 in a ring of one alphabet).  Each distinct part of
+        alphabet i is valued once, from the numerator and denominator powers
+        of its variables, as an int over the lcm D_i of the part
+        denominators; a part with a variable at zero is dropped.  One pass
+        sums num * A[k & low] * B[k >> shift] over den * D_0 * D_1, skipping
+        every key that holds a dropped part.
         """
-        at = {}
-        codec = self.codec
-
-        def value(i, part):
-            p = q = 1
-            for var, e in codec.variables(i, part):
-                x = at.get(var)
-                if x is None:
-                    x = at[var] = Fraction(image(var))
-                p *= x.numerator ** e
-                q *= x.denominator ** e
-            return p, q
-
-        total, den = list(self.num.values()), self.den
-        for i, column in enumerate(codec.columns(self.num)):
-            values = {part: value(i, part) for part in set(column)}
-            D = lcm(*(q for p, q in values.values() if p))
-            factor = {part: p * (D // q) for part, (p, q) in values.items() if p}
-            total = [v * factor.get(part, 0) for v, part in zip(total, column)]
+        codec, num, den = self.codec, self.num, self.den
+        low, shift = codec.low, codec.shift
+        factors = []
+        for i, parts in enumerate(({k & low for k in num}, {k >> shift for k in num})):
+            at, values = {}, {}  # at: variable -> (numerator, denominator) of its image
+            for part in parts:
+                p = q = 1
+                for var, e in codec.variables(i, part):
+                    x = at.get(var)
+                    if x is None:
+                        x = at[var] = Fraction(image(codec.name(i, var))).as_integer_ratio()
+                    if not x[0]:
+                        break
+                    p *= x[0] ** e
+                    q *= x[1] ** e
+                else:
+                    values[part] = (p, q)
+            D = lcm(*(q for _, q in values.values()))
+            factors.append({part: p * (D // q) for part, (p, q) in values.items()})
             den *= D
-        return Fraction(sum(total), den)
+        A, B = factors
+        total = sum(
+            v * a * b for k, v in num.items() if (a := A.get(k & low)) and (b := B.get(k >> shift))
+        )
+        return Fraction(total, den)
 
-    def _scaled(self, a0, shift):
-        """The coefficient of each monomial m times a0^shift(m), in ints.
+    def _scaled(self, a0, mask, shift, mask_star):
+        """The coefficient of each key k times a0^s(k), in ints, with the
+        shift s(k) = (k & mask) - (k >> shift & mask_star).
 
-        With a0 = p/q and lo <= 0 <= hi bounding the shifts, a numerator of
+        When every shift is 0, as one set comprehension over the keys shows,
+        the series is its own image and is returned as it is.  Otherwise,
+        with a0 = p/q and lo <= 0 <= hi bounding the shifts, a numerator of
         shift s gains the multiplier p^(s - lo) q^(hi - s), made once per
         distinct s, and the denominator p^(-lo) q^hi once; the sign of a
-        negative p^(-lo) moves into the multipliers.  When every shift is 0
-        the series is its own image and is returned as it is.
+        negative p^(-lo) moves into the multipliers.
         """
-        p, q = a0.numerator, a0.denominator
-        shifts = {m: shift(m) for m in self.num}
-        lo = min([0, *shifts.values()])
-        hi = max([0, *shifts.values()])
-        if lo == hi == 0:
+        shifts = {(k & mask) - (k >> shift & mask_star) for k in self.num}
+        if shifts <= {0}:
             return self
+        p, q = a0.numerator, a0.denominator
+        lo, hi = min(0, *shifts), max(0, *shifts)
         d = p ** -lo
         sign = -1 if d < 0 else 1
-        factor = {s: sign * p ** (s - lo) * q ** (hi - s) for s in set(shifts.values())}
-        num = {m: v * factor[shifts[m]] for m, v in self.num.items()}
+        factor = {s: sign * p ** (s - lo) * q ** (hi - s) for s in shifts}
+        num = {k: v * factor[(k & mask) - (k >> shift & mask_star)] for k, v in self.num.items()}
         return self._like(num, self.den * abs(d) * q ** hi)
 
     def weight_component(self, w):
@@ -593,8 +602,7 @@ class OddSeries(GradedSeries):
 
     def substitute_scaled(self, a0):
         """Apply t_m -> a0^m t_m."""
-        mask = self.codec.mask
-        return self._scaled(Fraction(a0), lambda k: k & mask)
+        return self._scaled(Fraction(a0), self.codec.mask, 0, 0)
 
     def to_json(self):
         decode, den = self.codec.decode, self.den
@@ -640,7 +648,7 @@ class BiSeries(GradedSeries):
         """Exchange the t and t* alphabets."""
         W, Wstar = self.caps
         codec = self.codec
-        low, shift, up = codec.low, codec.shift, codec.halves[1].width
+        low, shift, up = codec.low, codec.shift, codec.halves[1].shift
         num = {k >> shift | (k & low) << up: v for k, v in self.num.items()}
         return _fill(object.__new__(BiSeries), num, self.den, bi_codec(Wstar, W))
 
@@ -650,8 +658,8 @@ class BiSeries(GradedSeries):
         if not a0:
             raise ValueError("scale must be nonzero")
         codec = self.codec
-        mask, shift, mask_star = codec.halves[0].mask, codec.shift, codec.halves[1].mask
-        return self._scaled(a0, lambda k: (k & mask) - (k >> shift & mask_star))
+        t, star = codec.halves
+        return self._scaled(a0, t.mask, codec.shift, star.mask)
 
     def to_json(self):
         decode, den = self.codec.decode, self.den

@@ -251,15 +251,16 @@ def hook_star(lam):
 
 
 def content_product_kp(spec, mu):
-    """prod over nodes (i,j) of mu of r(j-i), reflection-served below 1."""
+    """prod over nodes (i,j) of mu of r(j-i), reflection-served below 1, as
+    the int pair (numerator, denominator), not reduced; (0, 1) if it is 0."""
     num = den = 1
     for (i, j) in mu.cells():
         v = spec.r_value(j - i)
         if not v:
-            return Fraction(0)
+            return 0, 1
         num *= v.numerator
         den *= v.denominator
-    return Fraction(num, den)
+    return num, den
 
 
 def parse_rational(text):

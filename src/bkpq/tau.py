@@ -6,9 +6,10 @@ truncated series coefficientwise and reports the first failing monomial.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import compress
+from math import factorial, gcd, lcm
 
-from .gseries import BiSeries, OddSeries, bi_codec
+from .gseries import BiSeries, OddSeries, _fill, bi_codec
 from .partitions import enumerate_partitions, enumerate_strict
 from .qschur import _dual, _indexed, _numbering, _pair, q_lambda, schur_s
 from .rspec import content_product_kp, hook_star, pochhammer, pochhammer_lambda
@@ -94,30 +95,30 @@ def _block_keys(w, W, Wstar):
 
 def _diagonal_sum(terms, W, Wstar):
     """1 + sum of (n / d) f(t) f(t*) over the (n, d, f) in terms, as a
-    BiSeries; d > 0, and n / d need not be in lowest terms.
+    canonical BiSeries; d > 0, and n / d need not be in lowest terms.
 
-    Summed in integers: term (n, d, f) is n f.num f.num over d f.den^2,
-    every term is scaled to the lcm L of those denominators and the sum is
-    reduced once, so n / d is read as it comes.  Every f is
-    weight-homogeneous and truncated at min(W, Wstar), so a term touches
-    one weight block and every product lies within the caps.  A block is the Gram matrix
-    sum k a a^T of its f, so it is symmetric: each f comes as sorted
-    (index, numerator) pairs over its weight's one numbering (`_indexed`),
-    and k a_i a_j is added into the cells i <= j only.  The block is then
-    written twice from one list of values: at the keys t_i t*_j of its
-    triangle, then at the mirror keys t_j t*_i (a diagonal cell is written
-    again with its own value).  The swap half of check_symmetry_scaling
-    pins the mirror; the triangle's values are pinned by every check that
-    compares tau with another route.
+    Summed in integers: term (n, d, f) is n f.num f.num over d f.den^2, and
+    every term is scaled to the lcm L of those denominators, so n / d is
+    read as it comes.  Every f is weight-homogeneous and truncated at
+    min(W, Wstar), so a term touches one weight block and every product
+    lies within the caps.  A block is the Gram matrix sum k a a^T of its f,
+    so it is symmetric: each f comes as sorted (index, numerator) pairs over
+    its weight's one numbering (`_indexed`), and k a_i a_j is added into the
+    cells i <= j only.  The sum is reduced on the triangles: with g the gcd
+    of L and every triangle value, each nonzero value over g is written at
+    its key t_i t*_j and at the mirror key t_j t*_i (a diagonal cell twice),
+    over L / g, the canonical form; a cell can cancel, as every off-diagonal
+    one of Ones' tau does.  The swap half of check_symmetry_scaling pins the
+    mirror; the triangle's values are pinned by every check that compares
+    tau with another route.
     """
     scaled = [(n, d * f.den * f.den, _indexed(f)) for n, d, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
     blocks = {}  # weight -> [(k, pairs)]
     for k, d, (w, pairs) in scaled:
         blocks.setdefault(w, []).append((k * (L // d), pairs))
-    out = {}
+    g, cells = L, []  # cells: (triangle keys, mirror keys, values) per block
     for w, fs in blocks.items():
-        triangle, mirror = _block_keys(w, W, Wstar)
         n = len(_numbering(w, min(W, Wstar))[0])
         table = [[0] * n for _ in range(n)]
         for k, pairs in fs:
@@ -126,10 +127,14 @@ def _diagonal_sum(terms, W, Wstar):
                 for j, b in pairs[p:]:
                     row[j] += ka * b
         values = [v for i, row in enumerate(table) for v in row[i:]]
-        out.update(zip(triangle, values))
-        out.update(zip(mirror, values))
-    out[0] = out.get(0, 0) + L  # the constant 1
-    return BiSeries(W, Wstar)._like(out, L)
+        g = gcd(g, *values)
+        cells.append((*_block_keys(w, W, Wstar), values))
+    out = {0: L // g}  # the constant 1
+    for triangle, mirror, values in cells:
+        kept = [v // g for v in compress(values, values)]
+        out.update(zip(compress(triangle, values), kept))
+        out.update(zip(compress(mirror, values), kept))
+    return _fill(object.__new__(BiSeries), out, L // g, bi_codec(W, Wstar))
 
 
 def tau_bkp(spec, W, Wstar):
@@ -151,9 +156,9 @@ def tau_kp(spec, W, Wstar):
 
     def terms():
         for mu in enumerate_partitions(bound):
-            rmu = content_product_kp(spec, mu)
-            if rmu:
-                yield rmu.numerator, rmu.denominator, schur_s(mu, bound)
+            n, d = content_product_kp(spec, mu)
+            if n:
+                yield n, d, schur_s(mu, bound)
 
     return _diagonal_sum(terms(), W, Wstar)
 

@@ -1,0 +1,167 @@
+"""Mutation table: each entry breaks `src/` on purpose and names the tests
+that must notice.
+
+For every entry the script copies `src/` to a temporary directory, replaces
+one snippet of one file there, and runs the entry's test selection with
+`pytest -x` against the copy.  A mutant is killed when pytest reports a
+failing test (exit status 1); a mutant that breaks the import or the
+collection counts as an error, not a kill.  Entries marked `survives` are
+known blind spots: the script requires them to pass, so a change that
+starts to kill one shows up here too.  Each distinct selection is first run
+on the unmodified copy, which must pass.
+
+Run it from the repository root; the name keeps it out of the tier-1
+collection:
+
+    python tests/mutants.py
+
+It prints one row per entry and exits 1 when any outcome differs from the
+table.  It uses only the standard library and pytest.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _mutant(name, path, old, new, tests, survives=None):
+    return dict(name=name, path=path, old=old, new=new, tests=tests, survives=survives)
+
+
+MUTANTS = [
+    _mutant(
+        "tau: the mirror written at the triangle keys",
+        "bkpq/tau.py",
+        "out.update(zip(compress(mirror, values), kept))",
+        "out.update(zip(compress(triangle, values), kept))",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: one block not divided by g",
+        "bkpq/tau.py",
+        "kept = [v // g for v in compress(values, values)]",
+        "kept = [v // (g if values is not cells[0][2] else 1) for v in compress(values, values)]",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "gseries: the t* time read for a t variable (FOUND 21)",
+        "bkpq/gseries.py",
+        "Fraction(image(codec.name(i, var)))",
+        "Fraction(image(codec.name(1 - i, var)))",
+        ["tests/test_gseries.py"],
+    ),
+    _mutant(
+        "gseries: a part with a zero time kept, the zero read as 1",
+        "bkpq/gseries.py",
+        "if not x[0]:\n                        break",
+        "if not x[0]:\n                        continue",
+        ["tests/test_gseries.py", "tests/test_qschur.py"],
+    ),
+    _mutant(
+        "gseries: the identity rescale taken when one shift is nonzero",
+        "bkpq/gseries.py",
+        "if shifts <= {0}:",
+        "if 0 in shifts:",
+        ["tests/test_gseries.py"],
+    ),
+    _mutant(
+        "rspec: the content-product denominator dropped",
+        "bkpq/rspec.py",
+        "    return num, den\n",
+        "    return num, 1\n",
+        ["tests/test_rspec.py", "tests/test_tau.py"],
+    ),
+    _mutant(
+        "qschur: the sign of an m-border strip flipped in _strips",
+        "bkpq/qschur.py",
+        "out.append(((-1) ** sum(b - m < c < b for c in beta), left))",
+        "out.append((-(-1) ** sum(b - m < c < b for c in beta), left))",
+        ["tests/test_qschur.py"],
+    ),
+    _mutant(
+        "qschur: m * c read as c in _euler",
+        "bkpq/qschur.py",
+        "(m * c, codec.variable(m), _euler(mu, W, removals))",
+        "(c, codec.variable(m), _euler(mu, W, removals))",
+        ["tests/test_qschur.py"],
+    ),
+    _mutant(
+        "pfaffian: tau_at_xpoint returns 2 tau + 7",
+        "bkpq/pfaffian.py",
+        "            acc = acc + q * (Fraction(num, den) * val)\n    return acc\n",
+        "            acc = acc + q * (Fraction(num, den) * val)\n    return acc * 2 + 7\n",
+        ["tests/test_cli.py", "-k", "verify"],
+        survives="verify runs the x-point check only at N=2, where it holds "
+        "for any tau (ROADMAP item 2)",
+    ),
+]
+
+
+def _pytest(src, tests):
+    """pytest -x on tests, with bkpq imported from src: its exit status and
+    the first failing test, if any."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    failing = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    return run.returncode, failing[0] if failing else ""
+
+
+def _copy_src(tmp, name):
+    src = os.path.join(tmp, name)
+    shutil.copytree(os.path.join(ROOT, "src"), src)
+    return src
+
+
+def _check_imports_from(src):
+    """bkpq must come from the copy, not from an installed package."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    code = "import bkpq, sys; sys.stdout.write(bkpq.__file__)"
+    where = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True)
+    if not where.stdout.decode().startswith(src):
+        sys.exit("bkpq is not imported from the copy under test: %r" % where.stdout)
+
+
+def main():
+    start = time.perf_counter()
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = _copy_src(tmp, "clean")
+        _check_imports_from(clean)
+        for tests in sorted({tuple(m["tests"]) for m in MUTANTS}):
+            if _pytest(clean, tests)[0] != 0:
+                print("unmodified source fails: %s" % " ".join(tests))
+                failed = True
+        if failed:
+            return 1
+        head = ("mutant", "expected", "outcome", "s", "first failing test")
+        print("%-64s %-9s %-9s %5s  %s" % head)
+        for i, m in enumerate(MUTANTS):
+            src = _copy_src(tmp, "mutant%d" % i)
+            path = os.path.join(src, m["path"])
+            with open(path) as f:
+                text = f.read()
+            if text.count(m["old"]) != 1:
+                sys.exit("%s: the snippet to replace is not in %s once" % (m["name"], m["path"]))
+            with open(path, "w") as f:
+                f.write(text.replace(m["old"], m["new"]))
+            began = time.perf_counter()
+            code, first = _pytest(src, m["tests"])
+            outcome = {0: "survived", 1: "killed"}.get(code, "error %d" % code)
+            expected = "survived" if m["survives"] else "killed"
+            failed |= outcome != expected
+            row = (m["name"], expected, outcome, time.perf_counter() - began, first)
+            print("%-64s %-9s %-9s %5.1f  %s" % row)
+            if m["survives"]:
+                print("    survives: %s" % m["survives"])
+    print("total %.1f s" % (time.perf_counter() - start))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -457,6 +457,88 @@ def test_biseries_evaluation_matches_fraction_loop():
             assert type(got) is Fraction and got == _fraction_bi_eval(f, t, ts), (f, t, ts)
 
 
+def _fraction_dense_eval(f, x):
+    """A MultiPoly at x_i = x[i], one Fraction operation per factor."""
+    total = Fraction(0)
+    for mono, c in f.terms.items():
+        for v, e in zip(x, mono):
+            c *= Fraction(v) ** e
+        total += c
+    return total
+
+
+def test_multipoly_evaluation_matches_fraction_loop():
+    rng = random.Random(59)
+    nvars, cutoff = 4, 7
+    series = [MultiPoly(nvars, cutoff)]
+    for _ in range(4):
+        monos = [_dense_monos(rng, nvars, cutoff, 1)[0] for _ in range(25)]
+        terms = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for m in monos}
+        series.append(MultiPoly(nvars, cutoff, terms) + rng.randint(-2, 2))
+    points = [
+        (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(3)),
+        # a zero variable drops every monomial that holds it
+        (0, Fraction(-7, 5), 0, Fraction(2, 9)),
+        (0, 0, 0, 0),
+    ]
+    for f in series:
+        for x in points:
+            got = f.substitute(lambda v: x[v], Fraction(1))
+            assert type(got) is Fraction and got == _fraction_dense_eval(f, x), (f, x)
+
+
+def _mixed_biseries(W, Wstar, seed):
+    """A weight-balanced tau and random terms of unequal weight, summed."""
+    from bkpq.rspec import RationalPS
+    from bkpq.tau import tau_bkp
+
+    rng = random.Random(seed)
+    tau = tau_bkp(RationalPS([3, Fraction(1, 2)], [Fraction(5, 4)]), W, Wstar)
+    monos = [(_odd_monos(rng, W, 1)[0], _odd_monos(rng, Wstar, 1)[0]) for _ in range(20)]
+    extra = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for m in monos}
+    return tau + BiSeries(W, Wstar, extra)
+
+
+def test_evaluation_with_zero_times_in_one_alphabet():
+    """Every time of one alphabet zero, or every zero time in the t* half:
+    a part is dropped only for its own alphabet's zeros."""
+    W = 10
+    ts = {1: Fraction(-2, 3), 3: Fraction(5, 2), 5: Fraction(1, 4), 7: -3, 9: Fraction(2, 7)}
+    zero = {m: 0 for m in ts}
+    half = {1: Fraction(3, 5), 3: 0, 5: Fraction(-1, 2), 7: 0, 9: 0}
+    for f in [_mixed_biseries(W, W, 61), _mixed_biseries(W, 6, 67)]:
+        for t, tstar in [(ts, half), (ts, zero), (zero, ts), (zero, zero), (half, ts)]:
+            got = f.substitute(lambda v: (t, tstar)[v[0]].get(v[1], 0), Fraction(1))
+            assert got == _fraction_bi_eval(f, t, tstar), (f, t, tstar)
+        # with the t alphabet at zero only the t-free terms count
+        t_free = BiSeries(W, f.caps[1], {m: c for m, c in f.terms.items() if not m[0]})
+        assert f.substitute(lambda v: (zero, half)[v[0]].get(v[1], 0), Fraction(1)) == (
+            t_free.substitute(lambda v: half.get(v[1], 0), Fraction(1))
+        )
+    g = OddSeries(8, {((1, 2), (3, 1)): 3, ((5, 1),): -1, (): Fraction(2, 3)})
+    assert g.substitute(lambda m: 0, Fraction(1)) == Fraction(2, 3)
+
+
+def test_scaling_rescales_one_unbalanced_monomial():
+    """A tau with one monomial of unequal t and t* weight added is rescaled
+    as a whole, not returned as it is."""
+    from bkpq.rspec import SymmetricRational
+    from bkpq.tau import tau_bkp
+
+    W = 8
+    tau = tau_bkp(SymmetricRational([Fraction(1, 3)], [Fraction(1, 5)]), W, W)
+    for mono in [(((3, 1),), ((1, 1),)), ((), ((1, 2),)), (((1, 1), (5, 1)), ())]:
+        f = tau + BiSeries(W, W, {mono: Fraction(7, 2)})
+        for a in (Fraction(2), Fraction(-1, 3)):
+            g = f.substitute_scaled(a)
+            assert g is not f and g != f, (mono, a)
+            want = {
+                (mt, ms): c * a ** (mono_weight(mt) - mono_weight(ms))
+                for (mt, ms), c in f.terms.items()
+            }
+            assert g == BiSeries(W, W, want), (mono, a)
+
+
 def _odd_monos(rng, cap, count=2):
     """count odd-time monomials whose weights sum to at most cap; an exponent
     is often the largest the remaining weight allows, to fill its field."""

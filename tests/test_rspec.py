@@ -277,7 +277,13 @@ def test_content_product_kp():
     # to r(1), r(1), r(2)
     spec = RationalPS([2], [])  # r(n) = n + 1
     got = content_product_kp(spec, Partition([2, 1]))
-    assert got == spec.r_value(1) ** 2 * spec.r_value(2) == 12
+    assert got == (12, 1) and F(*got) == spec.r_value(1) ** 2 * spec.r_value(2)
+    # the pair is the product of the numerators over that of the
+    # denominators, not reduced: r(1)^2 r(2) = (2/3)^2 (3/2) = 12/18
+    assert content_product_kp(Table([F(2, 3), F(3, 2)]), Partition([2, 1])) == (12, 18)
+    # a zero factor gives (0, 1) before r is asked for a later content
+    assert content_product_kp(Table([1, 0]), Partition([2, 1])) == (0, 1)
+    assert content_product_kp(Table([1, 0]), Partition([3, 2, 1])) == (0, 1)
 
 
 def rho_content_product(rho, mu, orientation="i-j"):

@@ -4,7 +4,7 @@ invariances, hypergeometric reductions, and the deformed scalar product."""
 import hashlib
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -120,9 +120,9 @@ def _fraction_diagonal_sum(terms, W, Wstar):
 
 def _kp_terms(spec, bound):
     for mu in enumerate_partitions(bound):
-        rmu = content_product_kp(spec, mu)
-        if rmu:
-            yield rmu.numerator, rmu.denominator, schur_s(mu, bound)
+        n, d = content_product_kp(spec, mu)
+        if n:
+            yield n, d, schur_s(mu, bound)
 
 
 ORACLE_SPECS = [
@@ -243,6 +243,30 @@ def test_integer_tau_sum_matches_fraction_sum(W, Wstar):
             assert got == want, make()
             assert got.to_json() == want.to_json(), make()
             assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("W, Wstar", [(8, 8), (8, 5), (5, 8)])
+def test_diagonal_sum_is_canonical(W, Wstar):
+    """The series _diagonal_sum returns is the Fraction oracle's, field for
+    field: no zero numerator, and no factor shared by den and every one."""
+    bound = min(W, Wstar)
+    q = q_lambda(StrictPartition([3, 1]), bound)
+    h = q_lambda(StrictPartition([2]), bound)
+    cancel = [[(3, 7, q), (-3, 7, q)], [(3, 7, q), (1, 2, h), (-6, 14, q)]]
+    # g > 1: a 3 shared by 3/12 and L; a pure power of two; and r(n) = 2,
+    # whose 2^{|lambda|} over 2^l leaves a power of two in every term
+    common = [[(3, 12, q)], [(4, 8, q), (8, 16, h)], list(tau_terms(Table([2] * bound), bound))]
+    for terms in cancel + common + [list(tau_terms(Ones(), bound))]:
+        got = tau_module._diagonal_sum(terms, W, Wstar)
+        want = _fraction_diagonal_sum(terms, W, Wstar)
+        assert got == want and got.to_json() == want.to_json(), terms
+        assert all(got.num.values()) and gcd(got.den, *got.num.values()) == 1, terms
+    for terms in common:
+        L = lcm(*(d * f.den**2 for _, d, f in terms))
+        assert tau_module._diagonal_sum(terms, W, Wstar).den < L, terms
+    # f against -f leaves the constant; Ones' tau keeps only diagonal cells
+    assert tau_module._diagonal_sum(cancel[0], W, Wstar) == BiSeries.constant(W, Wstar)
+    assert all(mt == ms for mt, ms in tau_bkp(Ones(), W, Wstar).terms)
 
 
 def _power_loop_exp(s):
