@@ -102,8 +102,11 @@ class Cutoff(RSpec):
 class RationalPS(RSpec):
     """r(n) = prod(a_i + n - 1) / prod(b_i + n - 1) for n > 0.
 
-    Reflection-extended to nonpositive n.  No b_i may make a denominator
-    factor vanish at any n >= 1.
+    Reflection-extended to nonpositive n.  The prefix r(1)...r(n) is the
+    Pochhammer quotient prod (a_i)_n / prod (b_i)_n, the n-th coefficient of
+    pFs times n!; tau.hyper_one_var and tau.tau_hyper_tinfty read it from
+    here.  A nonpositive integer b_i, which makes a denominator factor
+    vanish at some n >= 1, is refused.
     """
 
     def __init__(self, a, b):
@@ -218,23 +221,6 @@ class Product(RSpec):
 
     def __repr__(self):
         return "Product(%r, %r)" % (self.left, self.right)
-
-
-def pochhammer(a, n):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1)."""
-    a = Fraction(a)
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
-
-
-def pochhammer_lambda(a, lam):
-    """prod_i (a)_{n_i} over the parts of a strict partition."""
-    out = Fraction(1)
-    for p in lam.parts:
-        out *= pochhammer(a, p)
-    return out
 
 
 def hook_star(lam):

@@ -11,8 +11,8 @@ from math import factorial, gcd, lcm
 
 from .gseries import BiSeries, OddSeries, _fill, bi_codec
 from .partitions import enumerate_partitions, enumerate_strict
-from .qschur import _dual, _indexed, _numbering, _pair, q_lambda, schur_s
-from .rspec import content_product_kp, hook_star, pochhammer, pochhammer_lambda
+from .qschur import _dual, _indexed, _numbering, _pair, eval_at_tinfty, q_lambda, schur_s
+from .rspec import Ones, RationalPS, content_product_kp
 
 
 class TauReport:
@@ -174,8 +174,6 @@ def vacuum_kernel(W, Wstar):
 
 def check_cauchy(W):
     """Vacuum tau function: the Q-sum equals exp(sum (n/2) t_n t*_n)."""
-    from .rspec import Ones
-
     lhs = tau_bkp(Ones(), W, W)
     rhs = vacuum_kernel(W, W)
     return compare_series("cauchy", {"weight": W}, lhs, rhs)
@@ -210,46 +208,30 @@ def check_symmetry_scaling(spec, a, W):
     )
 
 
-def _pochhammer_ratio(a_list, b_list, poch, arg):
-    """prod poch(a_k, arg) / prod poch(b_k, arg); a zero denominator is refused."""
-    c = Fraction(1)
-    for a in a_list:
-        c *= poch(a, arg)
-    for b in b_list:
-        den = poch(b, arg)
-        if not den:
-            raise ValueError("b parameter %s is a nonpositive integer" % b)
-        c /= den
-    return c
-
-
 def tau_hyper_tinfty(a_list, b_list, W):
-    """tau_bkp for the rational Pochhammer weight with t* = t_infinity.
+    """tau_bkp for RationalPS(a_list, b_list) with t* = t_infinity: an
+    OddSeries in t, truncated at W.
 
-    1 + sum 2^{-l} Q_lambda(t/2) (1/H*_lambda) prod (a_k)_lambda / (b_k)_lambda.
+    1 + sum of (n / d) Q_lambda(t_infinity/2) Q_lambda(t/2) over tau_terms,
+    that is 2^{-l} r_lambda Q_lambda(t/2) / H*_lambda with r_lambda =
+    prod (a_k)_lambda / (b_k)_lambda.  A nonpositive integer b_k is refused,
+    as RationalPS refuses it.
     """
-    a_list = [Fraction(a) for a in a_list]
-    b_list = [Fraction(b) for b in b_list]
     acc = OddSeries.constant(W)
-    for lam in enumerate_strict(W):
-        c = _pochhammer_ratio(a_list, b_list, pochhammer_lambda, lam)
-        c = c / hook_star(lam) / Fraction(2) ** lam.length
-        if c:
-            acc = acc + q_lambda(lam, W) * c
+    for num, den, q in tau_terms(RationalPS(a_list, b_list), W):
+        acc = acc + q * (Fraction(num, den) * eval_at_tinfty(q))
     return acc
 
 
 def hyper_one_var(a_list, b_list, order):
     """Coefficients of the generalized hypergeometric series pFs.
 
-    Returns [c_0..c_order] with c_n = prod (a_k)_n / prod (b_k)_n / n!.
+    Returns [c_0..c_order] with c_n = r(1)...r(n) / n! for RationalPS(a_list,
+    b_list), that is prod (a_k)_n / prod (b_k)_n / n!.  A nonpositive
+    integer b_k is refused at every order, as RationalPS refuses it.
     """
-    a_list = [Fraction(a) for a in a_list]
-    b_list = [Fraction(b) for b in b_list]
-    return [
-        _pochhammer_ratio(a_list, b_list, pochhammer, n) / factorial(n)
-        for n in range(order + 1)
-    ]
+    spec = RationalPS(a_list, b_list)
+    return [spec.r_prefix(n) / factorial(n) for n in range(order + 1)]
 
 
 def scalar_product_r_by_weight(f, g, spec):

@@ -91,6 +91,85 @@ MUTANTS = [
         ["tests/test_qschur.py"],
     ),
     _mutant(
+        "tau: the diagonal cell left out of _diagonal_sum",
+        "bkpq/tau.py",
+        "for j, b in pairs[p:]:",
+        "for j, b in pairs[p + 1:]:",
+        ["tests/test_tau.py::test_tau_bkp_ones_is_vacuum_kernel"],
+    ),
+    _mutant(
+        "tau: the 2^l dropped in tau_terms",
+        "bkpq/tau.py",
+        "rl.denominator << lam.length",
+        "rl.denominator",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: check_tau_scalar's zero-alphabet refusal removed",
+        "bkpq/tau.py",
+        "if not any(times.values()):",
+        "if False:",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: the t_infinity value dropped from tau_hyper_tinfty's sum",
+        "bkpq/tau.py",
+        "q * (Fraction(num, den) * eval_at_tinfty(q))",
+        "q * Fraction(num, den)",
+        ["tests/test_tau.py", "-k", "hyper"],
+    ),
+    _mutant(
+        "tau: 1/n! dropped from hyper_one_var",
+        "bkpq/tau.py",
+        "spec.r_prefix(n) / factorial(n)",
+        "spec.r_prefix(n)",
+        ["tests/test_tau.py", "-k", "hyper"],
+    ),
+    _mutant(
+        "ops: tau_x_series without its factor 2",
+        "bkpq/ops.py",
+        "Fraction(2 * num, den)",
+        "Fraction(num, den)",
+        ["tests/test_ops.py"],
+    ),
+    _mutant(
+        "ops: tau_x_series truncated at W, not min(n_max, W)",
+        "bkpq/ops.py",
+        "cap = min(n_max, W)\n",
+        "cap = W\n",
+        ["tests/test_ops.py"],
+    ),
+    _mutant(
+        "partitions: enumerate_partitions on the strict rule",
+        "bkpq/partitions.py",
+        "(Partition, 0)",
+        "(Partition, 1)",
+        ["tests/test_partitions.py"],
+    ),
+    _mutant(
+        "pfaffian: the unreversed x-row in owed",
+        "bkpq/pfaffian.py",
+        "var(xv(m)) + var(xv(k))",
+        "var(m) + var(k)",
+        ["tests/test_pfaffian.py"],
+    ),
+    _mutant(
+        "pfaffian: the unreversed x-row in the cross block",
+        "bkpq/pfaffian.py",
+        "xv(k), N + m",
+        "k, N + m",
+        ["tests/test_pfaffian.py"],
+    ),
+    _mutant(
+        "qschur: h_k built by _strips, not _bars",
+        "bkpq/qschur.py",
+        "return _euler((k,) if k else (), W, _bars)",
+        "return _euler((k,) if k else (), W, _strips)",
+        ["tests"],
+        survives="h_k = Q_(k) = s_(k) at odd times, so either removal rule "
+        "builds the same series",
+    ),
+    _mutant(
         "pfaffian: tau_at_xpoint returns 2 tau + 7",
         "bkpq/pfaffian.py",
         "            acc = acc + q * (Fraction(num, den) * val)\n    return acc\n",

@@ -152,8 +152,11 @@ def test_usage_errors_exit_2(capsys):
         (["tau", "--r", "tparam:T1=2/0", "--weight", "4"], "'2/0'"),
         (["hyper", "--a", "1/0", "--order", "2"], "'1/0'"),
         (["hyper", "--b", "x", "--order", "2"], "'x'"),
-        # (-1)_1 is nonzero, but (-1)_2 is zero in the t_infinity series
+        # a nonpositive integer b is refused at every order, as ratps refuses it,
+        # though (-1)_1 and (0)_0 are nonzero
         (["hyper", "--b", "-1", "--order", "1", "--weight", "3"], "-1"),
+        (["hyper", "--b", "-1", "--order", "1"], "b parameter -1 hits zero denominator"),
+        (["hyper", "--b", "0", "--order", "0"], "b parameter 0 hits zero denominator"),
         (["tau", "--r", "symrat:alpha=1/3;bta=1/5", "--weight", "4"], "'bta'"),
         (["tau", "--r", "ratps:a=1;c=2", "--weight", "4"], "'c'"),
         (["tau", "--r", "tparam:T1=2,T1=3", "--weight", "4"], "T1"),

@@ -18,11 +18,27 @@ from bkpq.rspec import (
     content_product_kp,
     hook_star,
     parse_rspec,
-    pochhammer,
-    pochhammer_lambda,
 )
 
 F = Fraction
+
+
+def pochhammer(a, n):
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1): the oracle that
+    RationalPS's prefixes and tau's hypergeometric outputs are held to."""
+    a = Fraction(a)
+    out = Fraction(1)
+    for k in range(n):
+        out *= a + k
+    return out
+
+
+def pochhammer_lambda(a, lam):
+    """prod_i (a)_{n_i} over the parts of a strict partition."""
+    out = Fraction(1)
+    for p in lam.parts:
+        out *= pochhammer(a, p)
+    return out
 
 
 def test_ones():

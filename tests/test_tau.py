@@ -32,6 +32,7 @@ from bkpq.rspec import (
     Table,
     TParam,
     content_product_kp,
+    hook_star,
     parse_rspec,
 )
 from bkpq import tau as tau_module
@@ -50,6 +51,7 @@ from bkpq.tau import (
     vacuum_kernel,
 )
 from test_ops import one_row_route
+from test_rspec import pochhammer, pochhammer_lambda
 
 F = Fraction
 
@@ -339,16 +341,42 @@ def substitute_tstar_tinfty(bi):
     return bi.substitute(image, OddSeries.constant(W))
 
 
+def hook_formula_tinfty(a_list, b_list, W):
+    """The Pochhammer and hook-product route to tau_bkp at t* = t_infinity:
+    1 + sum 2^{-l} Q_lambda(t/2) prod (a_k)_lambda / prod (b_k)_lambda /
+    H*_lambda, reading Q_lambda(t_infinity/2) as 1/H*_lambda (which
+    test_eval_at_tinfty_hook_product checks)."""
+    acc = OddSeries.constant(W)
+    for lam in enumerate_strict(W):
+        c = F(1, 2 ** lam.length) / hook_star(lam)
+        for a in a_list:
+            c *= pochhammer_lambda(a, lam)
+        for b in b_list:
+            c /= pochhammer_lambda(b, lam)
+        acc = acc + q_lambda(lam, W) * c
+    return acc
+
+
+# (a, b) of pFs; a = 0 and a = -2 end the series, at n = 1 and n = 3
+HYPER_PARAMS = [
+    ([], []),
+    ([F(1)], [F(2)]),
+    ([F(1, 2)], [F(3, 2)]),
+    ([F(1, 2), F(3)], [F(5, 2)]),
+    ([F(0)], []),
+    ([F(-2)], [F(1, 3)]),
+    ([F(3, 4), F(-1, 2)], [F(7, 3), F(5)]),
+]
+
+
 def test_tau_hyper_tinfty_matches_substitution():
-    W = 6
-    a, b = [F(1)], [F(2)]
-    direct = tau_hyper_tinfty(a, b, W)
-    via_sub = substitute_tstar_tinfty(tau_bkp(RationalPS(a, b), W, W))
-    assert (direct - via_sub).is_zero()
+    for a, b in HYPER_PARAMS:
+        for W in (0, 1, 4, 8, 12):
+            direct = tau_hyper_tinfty(a, b, W)
+            assert direct == substitute_tstar_tinfty(tau_bkp(RationalPS(a, b), W, W)), (a, b, W)
+            assert direct == hook_formula_tinfty(a, b, W), (a, b, W)
     # empty parameters give the weight-one reduction
-    d0 = tau_hyper_tinfty([], [], W)
-    s0 = substitute_tstar_tinfty(tau_bkp(Ones(), W, W))
-    assert (d0 - s0).is_zero()
+    assert tau_hyper_tinfty([], [], 8) == substitute_tstar_tinfty(tau_bkp(Ones(), 8, 8))
 
 
 def tau_symmetric_hyper(alpha, beta, W):
@@ -387,11 +415,28 @@ def test_hyper_one_var_frozen():
         assert c == F(1, fact)
 
 
+def test_hyper_one_var_is_the_pochhammer_quotient():
+    for a, b in HYPER_PARAMS:
+        got = hyper_one_var(a, b, 40)
+        assert len(got) == 41
+        for n, c in enumerate(got):
+            want = F(1, factorial(n))
+            for ak in a:
+                want *= pochhammer(ak, n)
+            for bk in b:
+                want /= pochhammer(bk, n)
+            assert c == want, (a, b, n)
+
+
 def test_hyper_one_var_rejects_bad_b():
-    with pytest.raises(ValueError):
-        hyper_one_var([F(1)], [F(0)], 4)
-    with pytest.raises(ValueError):
-        hyper_one_var([], [-3], 4)
+    # (b)_n vanishes for n > -b, outside the domain of pFs: refused as
+    # RationalPS refuses it, even where the order stops short of that n
+    for b in (0, -1, -3):
+        for order in (0, 1, 4):
+            with pytest.raises(RValueError, match="hits zero denominator"):
+                hyper_one_var([F(1)], [F(b)], order)
+        with pytest.raises(RValueError, match="hits zero denominator"):
+            tau_hyper_tinfty([], [F(b)], 2)
 
 
 def test_tau_single_x_matches_hyper_series():
