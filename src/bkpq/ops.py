@@ -3,15 +3,13 @@
 r(D) x^n = r(n) x^n, so the operator is diagonal on monomials; x r(-D) is a
 diagonal weight followed by a shift.  A series in x is the list
 [c_0, ..., c_n] of its coefficients, OddSeries in t*.  Used for the
-single-point form of the linear constraint on the tau function and its
-one-variable hypergeometric reduction.
+single-point form of the linear constraint on the tau function.
 """
 
 from fractions import Fraction
 from math import prod
 
 from .gseries import OddSeries
-from .qschur import eval_at_tinfty
 from .tau import TauReport, compare_series, tau_terms
 
 
@@ -55,12 +53,6 @@ def tau_x_series(spec, n_max, W):
             coeffs[n] = q * Fraction(2 * num, den)
         built[(n_max, W)] = coeffs
     return list(coeffs)
-
-
-def tau_single_x_coefficients(spec, order):
-    """[x^n] of tau_r at t = t(x) (one point) and t* = t_infinity, n <= order:
-    each coefficient of `tau_x_series` at t_infinity, r(1)...r(n) / n!."""
-    return [eval_at_tinfty(c) for c in tau_x_series(spec, order, order)]
 
 
 def check_linear_eq_N1(spec, m, n_max, W):

@@ -10,9 +10,10 @@ series oracle, not assumed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .gseries import GradedSeries, OddSeries, dense_codec
-from .qschur import XPoint, delta, eval_at_x, miwa
+from .qschur import XPoint, _miwa_reader, delta
 from .tau import compare_series, tau_terms
 
 # Not called here.  Kept because perfbench/tests checks that its tracer
@@ -207,22 +208,22 @@ def _vandermonde_numerator(N, nvars, cutoff, offset):
 
 
 def tau_as_multipoly(spec, N, cutoff):
-    """tau_bkp with t = t(x), t* = t(y) substituted, as a polynomial in x, y."""
-    nvars = 2 * N
+    """tau_bkp with t = t(x), t* = t(y) substituted, as a polynomial in x, y:
+    each Q_lambda is read off one table of MultiPoly values per alphabet."""
+    nvars, W = 2 * N, cutoff // 2
     one = MultiPoly.constant(nvars, cutoff)
 
     def alphabet(offset):
-        zero = MultiPoly(nvars, cutoff)
-        return miwa(
-            lambda m: sum(
-                (MultiPoly.variable(nvars, cutoff, offset + k, m) for k in range(N)), zero
-            )
-        )
+        def power_sum(m):
+            return sum(MultiPoly.variable(nvars, cutoff, offset + k, m) for k in range(N)), 1
 
-    t_x, t_y = alphabet(0), alphabet(N)
+        return _miwa_reader(power_sum, W, one)
+
+    at_x, at_y = alphabet(0), alphabet(N)
     acc = one
-    for num, den, q in tau_terms(spec, cutoff // 2, max_length=N):
-        acc = acc + q.substitute(t_x, one) * q.substitute(t_y, one) * Fraction(num, den)
+    for num, den, q in tau_terms(spec, W, max_length=N):
+        (a, da), (b, db) = at_x(q), at_y(q)
+        acc = acc + a * b * Fraction(num, den * da * db)
     return acc
 
 
@@ -261,13 +262,22 @@ def tau_at_xpoint(spec, x, W):
     """tau_bkp with the t alphabet evaluated at the points of x.
 
     Returns an OddSeries in t*; only partitions of length <= len(x) survive.
+    Each Q_lambda(t(x)/2) is read off one table of the points' monomials,
+    and the terms are summed in integers over the lcm L of their denominators.
     """
-    acc = OddSeries.constant(W)
-    for num, den, q in tau_terms(spec, W, max_length=len(x)):
-        val = eval_at_x(q, x)
-        if val:
-            acc = acc + q * (Fraction(num, den) * val)
-    return acc
+    at = _miwa_reader(lambda m: sum(v ** m for v in x.values).as_integer_ratio(), W)
+    scaled = []
+    for n, d, q in tau_terms(spec, W, max_length=len(x)):
+        v, D = at(q)
+        if v:
+            scaled.append((n * v, d * D * q.den, q.num))
+    L = lcm(1, *(d for _, d, _ in scaled))
+    out = {0: L}  # the constant 1
+    for k, d, num in scaled:
+        k *= L // d
+        for key, a in num.items():
+            out[key] = out.get(key, 0) + k * a
+    return OddSeries(W)._like(out, L)
 
 
 def build_R(x, spec, W):

@@ -162,12 +162,35 @@ def schur_s(mu, W):
     return _euler(mu.parts, W, _strips)
 
 
-def miwa(power_sum):
-    """The Miwa map t_m = (2/m) p_m, as an image for GradedSeries.substitute.
+def _miwa_reader(power_sum, W, one=1):
+    """The reader at t_m = (2/m) p_m: read(f), for a Q_lambda or s_mu of weight
+    w <= W, is (f's `_indexed` pairs dotted with row w, f.den D_w).
 
-    power_sum(m) is the m-th power sum p_m of the points in the target ring.
+    power_sum(m) gives p_m = P / B as (P, B): P an int or a MultiPoly, B a
+    positive int; t_m is imaged once, as (2P, mB).  Row w holds the monomials
+    of `_numbering(w, W)` over the lcm D_w of their denominators, each its
+    key less its largest t_m times that t_m: one product per monomial.
     """
-    return lambda m: power_sum(m) * Fraction(2, m)
+    codec = odd_codec(W)
+    image, at, rows = {}, {0: (one, 1)}, []
+    for w in range(W + 1):
+        keys = _numbering(w, W)[0]
+        for key in filter(None, keys):  # the constant is at[0]
+            m = codec.decode(key)[-1][0]
+            if m not in image:
+                p, q = power_sum(m)
+                image[m] = (2 * p, m * q)
+            (p, q), (a, b) = at[key - codec.variable(m)], image[m]
+            at[key] = (p * a, q * b)
+        D = lcm(*(at[k][1] for k in keys))
+        rows.append(([at[k][0] * (D // at[k][1]) for k in keys], D))
+
+    def read(f):
+        w, pairs = _indexed(f)
+        row, D = rows[w]
+        return sum(a * row[i] for i, a in pairs), f.den * D
+
+    return read
 
 
 def t_infinity(m):
@@ -176,8 +199,8 @@ def t_infinity(m):
 
 
 def eval_at_x(a, x):
-    """Substitute t_m = (2/m) sum_k x_k^m into an OddSeries; exact rational."""
-    return a.substitute(miwa(lambda m: sum(v ** m for v in x.values)), Fraction(1))
+    """Substitute t_m = (2/m) sum_k x_k^m into any OddSeries; exact rational."""
+    return a.substitute(lambda m: Fraction(2, m) * sum(v ** m for v in x.values), Fraction(1))
 
 
 def eval_at_tinfty(a):

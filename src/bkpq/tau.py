@@ -10,7 +10,7 @@ from itertools import compress
 from math import factorial, gcd, lcm
 
 from .gseries import BiSeries, OddSeries, _fill, bi_codec
-from .partitions import enumerate_partitions, enumerate_strict
+from .partitions import conjugate, enumerate_partitions, enumerate_strict
 from .qschur import _dual, _indexed, _numbering, _pair, eval_at_tinfty, q_lambda, schur_s
 from .rspec import Ones, RationalPS, content_product_kp
 
@@ -150,13 +150,27 @@ def tau_bkp(spec, W, Wstar):
     return t
 
 
+_CONJUGATE_PAIRS = {}  # bound -> [(mu, mu')] with mu >= mu', one per pair
+
+
 def tau_kp(spec, W, Wstar):
-    """KP tau function of hypergeometric type at odd times."""
+    """KP tau function of hypergeometric type at odd times.
+
+    There s_mu = s_mu', so each conjugate pair, found once per bound, is one
+    term on its larger shape, weighted r_mu + r_mu' (r_mu if mu = mu').
+    """
     bound = min(W, Wstar)
+    pairs = _CONJUGATE_PAIRS.get(bound)
+    if pairs is None:
+        shapes = ((mu, conjugate(mu)) for mu in enumerate_partitions(bound))
+        pairs = _CONJUGATE_PAIRS[bound] = [(mu, c) for mu, c in shapes if mu.parts >= c.parts]
 
     def terms():
-        for mu in enumerate_partitions(bound):
+        for mu, c in pairs:
             n, d = content_product_kp(spec, mu)
+            if c != mu:
+                m, e = content_product_kp(spec, c)
+                n, d = n * e + m * d, d * e
             if n:
                 yield n, d, schur_s(mu, bound)
 

@@ -170,13 +170,27 @@ MUTANTS = [
         "builds the same series",
     ),
     _mutant(
+        "qschur: the Miwa 2/m dropped from _miwa_reader's table",
+        "bkpq/qschur.py",
+        "image[m] = (2 * p, m * q)",
+        "image[m] = (p, q)",
+        ["tests/test_qschur.py"],
+    ),
+    _mutant(
+        "tau: r_mu' dropped from a conjugate pair of tau_kp",
+        "bkpq/tau.py",
+        "n, d = n * e + m * d, d * e",
+        "n, d = n * e, d * e",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
         "pfaffian: tau_at_xpoint returns 2 tau + 7",
         "bkpq/pfaffian.py",
-        "            acc = acc + q * (Fraction(num, den) * val)\n    return acc\n",
-        "            acc = acc + q * (Fraction(num, den) * val)\n    return acc * 2 + 7\n",
+        "    return OddSeries(W)._like(out, L)\n",
+        "    return OddSeries(W)._like(out, L) * 2 + 7\n",
         ["tests/test_cli.py", "-k", "verify"],
         survives="verify runs the x-point check only at N=2, where it holds "
-        "for any tau (ROADMAP item 2)",
+        "for any tau, until ROADMAP item 1 moves it to N=3",
     ),
 ]
 

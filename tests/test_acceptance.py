@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bkpq.ops import check_linear_eq_N1, tau_single_x_coefficients
+from bkpq.ops import check_linear_eq_N1
 from bkpq.partitions import StrictPartition, count_shifted_syt, double, enumerate_strict
 from bkpq.pfaffian import (
     SkewMatrix,
@@ -34,6 +34,7 @@ from bkpq.tau import (
     hyper_one_var,
     vacuum_kernel,
 )
+from test_ops import tau_single_x_coefficients
 from test_rspec import rho_check
 
 F = Fraction

@@ -8,7 +8,7 @@ from bkpq import ops, partitions, qschur, tau
 from bkpq.gseries import OddSeries
 from bkpq.ops import apply_x_r_negD, check_linear_eq_N1, tau_x_series
 from bkpq.partitions import StrictPartition
-from bkpq.qschur import XPoint, eval_at_x, h_k, q_lambda
+from bkpq.qschur import XPoint, eval_at_tinfty, eval_at_x, h_k, q_lambda
 from bkpq.rspec import (
     Cutoff,
     Ones,
@@ -112,6 +112,13 @@ def one_row_route(spec, n_max, W):
     h_n(t*), with every coefficient at the cap min(n_max, W): zero past W."""
     cap = min(n_max, W)
     return [h_k(n, cap) * spec.r_prefix(n) if n <= W else OddSeries(cap) for n in range(n_max + 1)]
+
+
+def tau_single_x_coefficients(spec, order):
+    """[x^n] of tau_r at t = t(x) (one point) and t* = t_infinity, n <= order:
+    each coefficient of `tau_x_series` at t_infinity, r(1)...r(n) / n!.  An
+    oracle for tau.hyper_one_var on RationalPS, reached through tau_terms."""
+    return [eval_at_tinfty(c) for c in tau_x_series(spec, order, order)]
 
 
 def _outcome(route, *args):

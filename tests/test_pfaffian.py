@@ -14,6 +14,7 @@ from bkpq import pfaffian as pfaffian_module
 from bkpq.gseries import OddSeries
 from bkpq.partitions import StrictPartition, enumerate_strict
 from bkpq.pfaffian import (
+    MultiPoly,
     SkewMatrix,
     build_R,
     check_two_alphabet_pfaffian,
@@ -21,11 +22,14 @@ from bkpq.pfaffian import (
     det_fraction_free,
     perfect_matchings,
     pfaffian,
+    tau_as_multipoly,
     tau_at_xpoint,
     two_alphabet_floor,
 )
 from bkpq.qschur import XPoint, delta, eval_at_x, q_lambda
-from bkpq.rspec import Cutoff, Ones, RationalPS, SymmetricRational
+from bkpq.rspec import Cutoff, Ones, RationalPS, SymmetricRational, TParam
+from bkpq.tau import tau_terms
+from test_tau import ORACLE_SPECS
 
 F = Fraction
 
@@ -226,18 +230,57 @@ def test_two_alphabet_work_is_hash_seed_independent():
     assert counts[0] == counts[1] > 0
 
 
-def test_tau_at_xpoint_matches_direct_sum():
-    W = 6
-    spec = RationalPS([1], [2])
-    x = XPoint([F(1, 2), F(1, 3)])
+def _direct_xpoint_sum(spec, x, W):
+    """The per-lambda route to tau_at_xpoint: one eval_at_x and one
+    OddSeries sum per lambda, r_lambda read directly."""
     direct = OddSeries.constant(W, 1)
     for lam in enumerate_strict(W):
-        if lam.length > 2:
+        if lam.length > len(x):
             continue
         c = eval_at_x(q_lambda(lam, W), x) * spec.r_lambda(lam) * F(1, 2 ** lam.length)
         if c:
             direct = direct + q_lambda(lam, W) * c
-    assert (tau_at_xpoint(spec, x, W) - direct).is_zero()
+    return direct
+
+
+def test_tau_at_xpoint_matches_direct_sum():
+    points = [
+        XPoint([F(-1, 2)]),
+        XPoint([F(1, 2), F(-1, 3)]),
+        XPoint([F(2), F(-1, 3), F(1, 5)]),
+    ]
+    for make in ORACLE_SPECS + [lambda: Cutoff(6)]:
+        spec = make()
+        # the TParam supplies e^{T_n} up to n = 8
+        for W in range(9 if isinstance(spec, TParam) else 11):
+            for x in points:
+                assert tau_at_xpoint(spec, x, W) == _direct_xpoint_sum(spec, x, W), (spec, W, x)
+
+
+def _substitute_route(spec, N, cutoff):
+    """The per-lambda substitute route to tau_as_multipoly: each Q_lambda
+    substituted into both alphabets, t_m = (2/m) p_m as MultiPolys."""
+    nvars = 2 * N
+    one, zero = MultiPoly.constant(nvars, cutoff), MultiPoly(nvars, cutoff)
+
+    def alphabet(offset):
+        return lambda m: F(2, m) * sum(
+            (MultiPoly.variable(nvars, cutoff, offset + k, m) for k in range(N)), zero
+        )
+
+    t_x, t_y = alphabet(0), alphabet(N)
+    acc = one
+    for num, den, q in tau_terms(spec, cutoff // 2, max_length=N):
+        acc = acc + q.substitute(t_x, one) * q.substitute(t_y, one) * F(num, den)
+    return acc
+
+
+def test_tau_as_multipoly_matches_substitute_route():
+    for make in ORACLE_SPECS:
+        spec = make()
+        for N, cutoffs in ((1, range(11)), (2, (2, 7, 10)), (3, (5, 8))):
+            for D in cutoffs:
+                assert tau_as_multipoly(spec, N, D) == _substitute_route(spec, N, D), (spec, N, D)
 
 
 def test_two_point_expansion():

@@ -22,6 +22,7 @@ from bkpq.pfaffian import SkewMatrix, pfaffian
 from bkpq.qschur import (
     XPoint,
     _bars,
+    _miwa_reader,
     _numbering,
     _strips,
     delta,
@@ -320,6 +321,30 @@ def test_eval_at_x():
     # length above the number of variables kills the evaluation
     assert eval_at_x(q_lambda(StrictPartition([2, 1]), W), XPoint([F(1, 3)])) == 0
     assert eval_at_x(q_lambda(StrictPartition([3, 2, 1]), W), XPoint([F(1), F(1, 2)])) == 0
+
+
+def _point_sums(x):
+    """p_m at the points of x, as the int pair _miwa_reader takes."""
+    return lambda m: sum(v ** m for v in x.values).as_integer_ratio()
+
+
+def test_miwa_table_reading_matches_eval_at_x():
+    # every strict lambda to 16, and the s_mu to 8, at 1, 2 and 3 points
+    # with a negative one; the last set has every odd power sum 0
+    W = 16
+    points = [
+        XPoint([F(-3, 2)]),
+        XPoint([F(2, 3), F(-5, 4)]),
+        XPoint([F(3), F(-1, 6), F(2, 5)]),
+        XPoint([F(2, 3), F(-2, 3)]),
+    ]
+    series = [q_lambda(lam, W) for lam in enumerate_strict(W)]
+    series += [schur_s(mu, W) for mu in enumerate_partitions(8)]
+    for x in points:
+        read = _miwa_reader(_point_sums(x), W)
+        for f in series:
+            v, d = read(f)
+            assert type(v) is int and F(v, d) == eval_at_x(f, x), (x, f)
 
 
 def test_eval_at_tinfty_hook_product():
