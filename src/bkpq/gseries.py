@@ -3,7 +3,8 @@
 `GradedSeries` is the one sparse core: integer numerators over one common
 denominator, truncated grade by grade, on int keys packed by one codec per
 ring.  A subclass only passes its interned codec; the ring operations, exp,
-substitution, equality and the first differing monomial live here once.
+evaluation at numbers, equality and the first differing monomial live here
+once.
 
 `OddSeries` is one alphabet of odd times t_1, t_3, t_5, ... with weight m
 for t_m, and `BiSeries` is two such alphabets t and t* with a cap each.
@@ -29,7 +30,10 @@ order among them).  Its masks `low` and `shift` split a key into one part
 per alphabet, and `variables` and `name` give the variables of a part.
 
 `exp` runs the Euler recurrence n E_n = sum_j j S_j E_{n-j} over total
-grade, in ints, with no series power and no sum of series.
+grade, in ints, with no series power and no sum of series.  `substitute`
+values a series at numbers, summed in ints.  Where the odd times go to
+another ring, as in `pfaffian.tau_as_multipoly`, `qschur._miwa_reader`
+reads each Q_lambda off a table of monomials instead.
 """
 
 from collections.abc import Mapping
@@ -450,44 +454,18 @@ class GradedSeries:
             scale *= n * d
         return self._like(num, factorial(top) * d ** top)
 
-    def substitute(self, image, one):
-        """The ring map that sends each variable v to image(v).
-
-        The target ring has unit `one` (a Fraction, MultiPoly, OddSeries ...);
-        the codec names the variables of each part of a key with their
-        exponents.  Each image is computed once per call and its powers are
-        built from the previous one.  A number target (`one` an int or a
-        Fraction) is summed in integers, see `_evaluate`.
-        """
-        if isinstance(one, (int, Fraction)):
-            return self._evaluate(image)
-        powers = ({}, {})  # per alphabet
-        total = one * 0
-        den, codec = self.den, self.codec
-        low, shift = codec.low, codec.shift
-        for k, v in self.num.items():
-            term = Fraction(v, den)
-            for i, part in enumerate((k & low, k >> shift)):
-                for var, e in codec.variables(i, part):
-                    p = powers[i].get(var)
-                    if p is None:
-                        p = powers[i][var] = [one, image(codec.name(i, var))]
-                    while len(p) <= e:
-                        p.append(p[-1] * p[1])
-                    term = p[e] * term
-            total = total + term
-        return total
-
-    def _evaluate(self, image):
+    def substitute(self, image):
         """The series at the numbers image(v), as one Fraction.
 
-        The codec's masks split a key k into one part per alphabet, k & low
-        and k >> shift (0 in a ring of one alphabet).  Each distinct part of
-        alphabet i is valued once, from the numerator and denominator powers
-        of its variables, as an int over the lcm D_i of the part
-        denominators; a part with a variable at zero is dropped.  One pass
-        sums num * A[k & low] * B[k >> shift] over den * D_0 * D_1, skipping
-        every key that holds a dropped part.
+        v is a variable as the codec names it: m for t_m, (0, m) and (1, m)
+        for t_m and t*_m of a BiSeries, k for x_k.  The codec's masks split
+        a key k into one part per alphabet, k & low and k >> shift (0 in a
+        ring of one alphabet).  Each distinct part of alphabet i is valued
+        once, from the numerator and denominator powers of its variables, as
+        an int over the lcm D_i of the part denominators; a part with a
+        variable at zero is dropped.  One pass sums num * A[k & low] *
+        B[k >> shift] over den * D_0 * D_1, skipping every key that holds a
+        dropped part.
         """
         codec, num, den = self.codec, self.num, self.den
         low, shift = codec.low, codec.shift

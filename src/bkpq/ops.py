@@ -34,7 +34,7 @@ def tau_x_series(spec, n_max, W):
     the terms (n, d, Q_lambda) of `tau.tau_terms`.
 
     At one point only the one-row lambda = (n) survive, and
-    Q_(n)(t(x)/2) = 2 x^n (`qschur.miwa` at one point), so c_n is
+    Q_(n)(t(x)/2) = 2 x^n (`qschur._miwa_reader` at one point), so c_n is
     2 (n / d) Q_(n)(t*/2), that is r(1)...r(n) h_n(t*); c_0 = 1.  Every c_n
     is truncated at cap = min(n_max, W): c_n has weight n, so below the cap
     no term is lost, and above it c_n is zero.  r is asked up to r(cap).

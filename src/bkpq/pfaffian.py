@@ -10,11 +10,10 @@ series oracle, not assumed.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .gseries import GradedSeries, OddSeries, dense_codec
 from .qschur import XPoint, _miwa_reader, delta
-from .tau import compare_series, tau_terms
+from .tau import compare_series, tau_at, tau_terms
 
 # Not called here.  Kept because perfbench/tests checks that its tracer
 # rebinds these names in this module too.
@@ -259,25 +258,9 @@ def check_two_alphabet_pfaffian(spec, N, D):
 
 
 def tau_at_xpoint(spec, x, W):
-    """tau_bkp with the t alphabet evaluated at the points of x.
-
-    Returns an OddSeries in t*; only partitions of length <= len(x) survive.
-    Each Q_lambda(t(x)/2) is read off one table of the points' monomials,
-    and the terms are summed in integers over the lcm L of their denominators.
-    """
-    at = _miwa_reader(lambda m: sum(v ** m for v in x.values).as_integer_ratio(), W)
-    scaled = []
-    for n, d, q in tau_terms(spec, W, max_length=len(x)):
-        v, D = at(q)
-        if v:
-            scaled.append((n * v, d * D * q.den, q.num))
-    L = lcm(1, *(d for _, d, _ in scaled))
-    out = {0: L}  # the constant 1
-    for k, d, num in scaled:
-        k *= L // d
-        for key, a in num.items():
-            out[key] = out.get(key, 0) + k * a
-    return OddSeries(W)._like(out, L)
+    """tau_bkp with t at the points of x, `tau_at` at their power sums: an
+    OddSeries in t*, where only partitions of length <= len(x) survive."""
+    return tau_at(spec, lambda m: sum(v ** m for v in x.values).as_integer_ratio(), W, len(x))
 
 
 def build_R(x, spec, W):
@@ -286,17 +269,15 @@ def build_R(x, spec, W):
     R_ik = (x_i - x_k)/(x_i + x_k) tau_r(t(x_i, x_k), t*) as OddSeries in t*;
     odd N gets a border row/column of one-point tau functions.
     """
+    delta(x)  # refuses a vanishing x_i + x_k, named by its indices in x
     N = len(x)
     vals = x.values
     dim = N if N % 2 == 0 else N + 1
     upper = {}
     for i in range(N):
         for k in range(i + 1, N):
-            den = vals[i] + vals[k]
-            if den == 0:
-                raise ZeroDivisionError("x_%d + x_%d vanishes" % (i + 1, k + 1))
-            pref = (vals[i] - vals[k]) / den
-            upper[(i, k)] = tau_at_xpoint(spec, XPoint([vals[i], vals[k]]), W) * pref
+            pair = XPoint([vals[i], vals[k]])
+            upper[(i, k)] = tau_at_xpoint(spec, pair, W) * delta(pair)
     if dim == N + 1:
         for i in range(N):
             upper[(i, N)] = tau_at_xpoint(spec, XPoint([vals[i]]), W)

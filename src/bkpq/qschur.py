@@ -193,19 +193,9 @@ def _miwa_reader(power_sum, W, one=1):
     return read
 
 
-def t_infinity(m):
-    """The principal specialization t_infinity: t_1 = 1, t_m = 0 for m > 1."""
-    return Fraction(m == 1)
-
-
 def eval_at_x(a, x):
     """Substitute t_m = (2/m) sum_k x_k^m into any OddSeries; exact rational."""
-    return a.substitute(lambda m: Fraction(2, m) * sum(v ** m for v in x.values), Fraction(1))
-
-
-def eval_at_tinfty(a):
-    """Substitute t = t_infinity into an OddSeries."""
-    return a.substitute(t_infinity, Fraction(1))
+    return a.substitute(lambda m: Fraction(2, m) * sum(v ** m for v in x.values))
 
 
 def delta(x):

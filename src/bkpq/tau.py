@@ -11,7 +11,7 @@ from math import factorial, gcd, lcm
 
 from .gseries import BiSeries, OddSeries, _fill, bi_codec
 from .partitions import conjugate, enumerate_partitions, enumerate_strict
-from .qschur import _dual, _indexed, _numbering, _pair, eval_at_tinfty, q_lambda, schur_s
+from .qschur import _dual, _indexed, _miwa_reader, _numbering, _pair, q_lambda, schur_s
 from .rspec import Ones, RationalPS, content_product_kp
 
 
@@ -222,19 +222,38 @@ def check_symmetry_scaling(spec, a, W):
     )
 
 
+def tau_at(spec, power_sum, W, max_length=None):
+    """tau_bkp with one alphabet at t_m = (2/m) p_m, as an OddSeries in the
+    other truncated at W; power_sum(m) gives p_m as an int pair (P, B), B > 0.
+
+    Only the lambda of length <= max_length, if given, enter.  Each Q_lambda
+    is read off one `_miwa_reader` table, and the terms are summed in
+    integers over the lcm L of their denominators.
+    """
+    at = _miwa_reader(power_sum, W)
+    scaled = []
+    for n, d, q in tau_terms(spec, W, max_length):
+        v, D = at(q)
+        if v:
+            scaled.append((n * v, d * D * q.den, q.num))
+    L = lcm(1, *(d for _, d, _ in scaled))
+    out = {0: L}  # the constant 1
+    for k, d, num in scaled:
+        k *= L // d
+        for key, a in num.items():
+            out[key] = out.get(key, 0) + k * a
+    return OddSeries(W)._like(out, L)
+
+
 def tau_hyper_tinfty(a_list, b_list, W):
     """tau_bkp for RationalPS(a_list, b_list) with t* = t_infinity: an
     OddSeries in t, truncated at W.
 
-    1 + sum of (n / d) Q_lambda(t_infinity/2) Q_lambda(t/2) over tau_terms,
-    that is 2^{-l} r_lambda Q_lambda(t/2) / H*_lambda with r_lambda =
-    prod (a_k)_lambda / (b_k)_lambda.  A nonpositive integer b_k is refused,
-    as RationalPS refuses it.
+    t_infinity is t_1 = 1, t_m = 0 for m > 1, that is p_1 = 1/2 and p_m = 0
+    otherwise, where Q_lambda(t_infinity/2) = 1/H*_lambda.  A nonpositive
+    integer b_k is refused, as RationalPS refuses it.
     """
-    acc = OddSeries.constant(W)
-    for num, den, q in tau_terms(RationalPS(a_list, b_list), W):
-        acc = acc + q * (Fraction(num, den) * eval_at_tinfty(q))
-    return acc
+    return tau_at(RationalPS(a_list, b_list), lambda m: (int(m == 1), 2), W)
 
 
 def hyper_one_var(a_list, b_list, order):
@@ -320,7 +339,7 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
         return Fraction(values[v[0]].get(v[1], 0))
 
     bkp = tau_bkp(spec, W, W)
-    rhs = bkp.substitute(image, Fraction(1))
+    rhs = bkp.substitute(image)
     params = {
         "r": repr(spec),
         "weight": W,
@@ -333,7 +352,7 @@ def check_tau_scalar(spec, W, t_values, tstar_values):
     # Q_lambda(t/2) Q_lambda(t*/2) has t-weight |lambda|: the lowest weight
     # whose two parts differ is the witness
     def rhs_at(w):
-        return bkp.weight_component(w).substitute(image, Fraction(1))
+        return bkp.weight_component(w).substitute(image)
 
     for w in range(W + 1):
         lhs_w, rhs_w = lhs_by_weight.get(w, Fraction(0)), rhs_at(w)

@@ -112,10 +112,10 @@ MUTANTS = [
         ["tests/test_tau.py"],
     ),
     _mutant(
-        "tau: the t_infinity value dropped from tau_hyper_tinfty's sum",
+        "tau: t_infinity read with p_m = 1/2 at every m, not only m = 1",
         "bkpq/tau.py",
-        "q * (Fraction(num, den) * eval_at_tinfty(q))",
-        "q * Fraction(num, den)",
+        "(int(m == 1), 2)",
+        "(1, 2)",
         ["tests/test_tau.py", "-k", "hyper"],
     ),
     _mutant(
@@ -186,8 +186,8 @@ MUTANTS = [
     _mutant(
         "pfaffian: tau_at_xpoint returns 2 tau + 7",
         "bkpq/pfaffian.py",
-        "    return OddSeries(W)._like(out, L)\n",
-        "    return OddSeries(W)._like(out, L) * 2 + 7\n",
+        "W, len(x))\n",
+        "W, len(x)) * 2 + 7\n",
         ["tests/test_cli.py", "-k", "verify"],
         survives="verify runs the x-point check only at N=2, where it holds "
         "for any tau, until ROADMAP item 1 moves it to N=3",

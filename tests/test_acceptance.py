@@ -18,7 +18,7 @@ from bkpq.pfaffian import (
     det_fraction_free,
     pfaffian,
 )
-from bkpq.qschur import XPoint, eval_at_tinfty, q_lambda, schur_s
+from bkpq.qschur import XPoint, q_lambda, schur_s
 from bkpq.rspec import (
     Cutoff,
     Ones,
@@ -35,6 +35,7 @@ from bkpq.tau import (
     vacuum_kernel,
 )
 from test_ops import tau_single_x_coefficients
+from test_qschur import eval_at_tinfty
 from test_rspec import rho_check
 
 F = Fraction

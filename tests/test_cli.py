@@ -243,6 +243,16 @@ GOLDEN_SHA256 = [
         "0a0dd51fec53022fd10736d74784bb92af7eae13d2c45339517d72b5413f7623",
     ),
     (
+        # tau at t* = t_infinity with two a's, to weight 14
+        "hyper --a 1/3,2 --b 5/2 --order 8 --weight 14 --json",
+        "97bdba0d8f7e52965cada18fd0eaaaa52a60474cf20e22568895b8c411496741",
+    ),
+    (
+        # a = -2 ends the series: only lambda with parts <= 2 carry r_lambda
+        "hyper --a -2 --b 7/3 --order 5 --weight 12 --json",
+        "6d6e660aa952d537ba93ec9049a7f517b8a66131b5a74c484da43cabce2853cc",
+    ),
+    (
         # an s_mu of length 5, built by the strip recurrence on mu itself
         "schur --mu 4,1,1,1,1 --weight 10 --json",
         "de44ce2ccdd588d6439f9d43b99bd3476686d71d8b7510f89a6596cdf2e34963",

@@ -8,7 +8,7 @@ from bkpq import ops, partitions, qschur, tau
 from bkpq.gseries import OddSeries
 from bkpq.ops import apply_x_r_negD, check_linear_eq_N1, tau_x_series
 from bkpq.partitions import StrictPartition
-from bkpq.qschur import XPoint, eval_at_tinfty, eval_at_x, h_k, q_lambda
+from bkpq.qschur import XPoint, eval_at_x, h_k, q_lambda
 from bkpq.rspec import (
     Cutoff,
     Ones,
@@ -21,6 +21,7 @@ from bkpq.rspec import (
     parse_rspec,
 )
 from bkpq.tau import check_tau_scalar, tau_bkp, tau_terms
+from test_qschur import eval_at_tinfty
 
 F = Fraction
 

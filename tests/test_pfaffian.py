@@ -29,6 +29,7 @@ from bkpq.pfaffian import (
 from bkpq.qschur import XPoint, delta, eval_at_x, q_lambda
 from bkpq.rspec import Cutoff, Ones, RationalPS, SymmetricRational, TParam
 from bkpq.tau import tau_terms
+from test_gseries_oracle import substitute_terms
 from test_tau import ORACLE_SPECS
 
 F = Fraction
@@ -259,7 +260,8 @@ def test_tau_at_xpoint_matches_direct_sum():
 
 def _substitute_route(spec, N, cutoff):
     """The per-lambda substitute route to tau_as_multipoly: each Q_lambda
-    substituted into both alphabets, t_m = (2/m) p_m as MultiPolys."""
+    mapped into both alphabets, t_m = (2/m) p_m as MultiPolys, one Fraction
+    per term (`substitute_terms`)."""
     nvars = 2 * N
     one, zero = MultiPoly.constant(nvars, cutoff), MultiPoly(nvars, cutoff)
 
@@ -271,7 +273,7 @@ def _substitute_route(spec, N, cutoff):
     t_x, t_y = alphabet(0), alphabet(N)
     acc = one
     for num, den, q in tau_terms(spec, cutoff // 2, max_length=N):
-        acc = acc + q.substitute(t_x, one) * q.substitute(t_y, one) * F(num, den)
+        acc = acc + substitute_terms(q, t_x, one) * substitute_terms(q, t_y, one) * F(num, den)
     return acc
 
 
@@ -310,6 +312,14 @@ def test_build_r_constant_terms():
     assert R.dim == 2
     c = R.entry(0, 1).constant_term()
     assert c == (F(1, 2) - F(1, 3)) / (F(1, 2) + F(1, 3))
+
+
+def test_vanishing_pair_is_named_by_its_indices_in_x():
+    # the pair's own indices would be "x_1 + x_2" in both cases
+    with pytest.raises(ZeroDivisionError, match=r"^x_1 \+ x_3 vanishes$"):
+        build_R(XPoint([1, 2, -1]), Ones(), 4)
+    with pytest.raises(ZeroDivisionError, match=r"^x_2 \+ x_4 vanishes$"):
+        check_xpoint_pfaffian(Ones(), XPoint([3, 1, 2, -1]), 4)
 
 
 def test_xpoint_pfaffian_representation():

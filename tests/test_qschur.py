@@ -26,7 +26,6 @@ from bkpq.qschur import (
     _numbering,
     _strips,
     delta,
-    eval_at_tinfty,
     eval_at_x,
     h_k,
     q_expand,
@@ -323,6 +322,16 @@ def test_eval_at_x():
     assert eval_at_x(q_lambda(StrictPartition([3, 2, 1]), W), XPoint([F(1), F(1, 2)])) == 0
 
 
+def t_infinity(m):
+    """The principal specialization t_infinity: t_1 = 1, t_m = 0 for m > 1."""
+    return F(m == 1)
+
+
+def eval_at_tinfty(a):
+    """An OddSeries at t = t_infinity, by `substitute`."""
+    return a.substitute(t_infinity)
+
+
 def _point_sums(x):
     """p_m at the points of x, as the int pair _miwa_reader takes."""
     return lambda m: sum(v ** m for v in x.values).as_integer_ratio()
@@ -345,6 +354,10 @@ def test_miwa_table_reading_matches_eval_at_x():
         for f in series:
             v, d = read(f)
             assert type(v) is int and F(v, d) == eval_at_x(f, x), (x, f)
+    # t_infinity is p_1 = 1/2 and every other p_m = 0, as tau_hyper_tinfty reads it
+    read = _miwa_reader(lambda m: (int(m == 1), 2), W)
+    for f in series:
+        assert F(*read(f)) == eval_at_tinfty(f), f
 
 
 def test_eval_at_tinfty_hook_product():

@@ -20,7 +20,6 @@ from bkpq.qschur import (
     q_lambda,
     scalar_product,
     schur_s,
-    t_infinity,
 )
 from bkpq.rspec import (
     Cutoff,
@@ -50,7 +49,9 @@ from bkpq.tau import (
     tau_terms,
     vacuum_kernel,
 )
+from test_gseries_oracle import substitute_terms
 from test_ops import one_row_route, tau_single_x_coefficients
+from test_qschur import t_infinity
 from test_rspec import pochhammer, pochhammer_lambda
 
 F = Fraction
@@ -332,15 +333,16 @@ def test_scaling_returns_tau_itself():
 
 
 def substitute_tstar_tinfty(bi):
-    """Collapse the t* alphabet of a BiSeries at t* = t_infinity: the
-    reference that tau_hyper_tinfty and tau_single_x_coefficients are held to."""
+    """Collapse the t* alphabet of a BiSeries at t* = t_infinity, one
+    Fraction per term (`substitute_terms`): the reference that
+    tau_hyper_tinfty and tau_single_x_coefficients are held to."""
     W = bi.truncation_weight
 
     def image(v):
         alphabet, m = v
         return t_infinity(m) if alphabet else OddSeries.variable(W, m)
 
-    return bi.substitute(image, OddSeries.constant(W))
+    return substitute_terms(bi, image, OddSeries.constant(W))
 
 
 def hook_formula_tinfty(a_list, b_list, W):
@@ -373,7 +375,7 @@ HYPER_PARAMS = [
 
 def test_tau_hyper_tinfty_matches_substitution():
     for a, b in HYPER_PARAMS:
-        for W in (0, 1, 4, 8, 12):
+        for W in (0, 1, 4, 8, 12, 16):
             direct = tau_hyper_tinfty(a, b, W)
             assert direct == substitute_tstar_tinfty(tau_bkp(RationalPS(a, b), W, W)), (a, b, W)
             assert direct == hook_formula_tinfty(a, b, W), (a, b, W)
