@@ -7,7 +7,6 @@ single-point form of the linear constraint on the tau function.
 """
 
 from fractions import Fraction
-from math import prod
 
 from .gseries import OddSeries
 from .tau import TauReport, compare_series, tau_terms
@@ -15,18 +14,21 @@ from .tau import TauReport, compare_series, tau_terms
 
 def apply_x_r_negD(f, spec, power=1):
     """(x r(-D))^power, one scalar per coefficient: x^n goes to
-    r(-n) r(-n-1) ... r(-n-power+1) x^(n+power).  The result is zero below
-    x^power and the top `power` coefficients of f drop off; a power below 1
-    is the identity and asks r for nothing.
+    r(-n) r(-n-1) ... r(-n-power+1) x^(n+power), the product taken in ints.
+    The result is zero below x^power and the top `power` coefficients of f
+    drop off; a power below 1 is the identity and asks r for nothing.
     """
     if power < 1:
         return f
     weights = [spec.r_value(-j) for j in range(len(f) - 1)]
     kept = f[: max(len(f) - power, 0)]
-    zero = OddSeries(f[0].truncation_weight)
-    return [zero] * (len(f) - len(kept)) + [
-        c * prod(weights[n : n + power]) for n, c in enumerate(kept)
-    ]
+    out = [OddSeries(f[0].truncation_weight)] * (len(f) - len(kept))
+    for n, c in enumerate(kept):
+        num = den = 1
+        for v in weights[n : n + power]:
+            num, den = num * v.numerator, den * v.denominator
+        out.append(c._like({key: a * num for key, a in c.num.items()}, c.den * den))
+    return out
 
 
 def tau_x_series(spec, n_max, W):

@@ -57,12 +57,6 @@ class Partition:
     def to_json(self):
         return list(self.parts)
 
-    def cells(self):
-        """Iterate over the nodes (i, j) of the Young diagram, 1-based."""
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
 
 class StrictPartition(Partition):
     """A strict partition: strictly decreasing positive integers."""

@@ -10,6 +10,7 @@ series oracle, not assumed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .gseries import GradedSeries, OddSeries, dense_codec
 from .qschur import XPoint, _miwa_reader, delta
@@ -206,24 +207,39 @@ def _vandermonde_numerator(N, nvars, cutoff, offset):
     return acc
 
 
-def tau_as_multipoly(spec, N, cutoff):
-    """tau_bkp with t = t(x), t* = t(y) substituted, as a polynomial in x, y:
-    each Q_lambda is read off one table of MultiPoly values per alphabet."""
-    nvars, W = 2 * N, cutoff // 2
+_ALPHABET_READERS = {}  # (N, W, cutoff) -> the x and y `_miwa_reader`s
+
+
+def tau_as_multipoly(spec, N, cutoff, degree=None):
+    """tau_bkp with t = t(x), t* = t(y) substituted, as a polynomial in x, y
+    to total degree cutoff, read to degree `degree` (default cutoff; below
+    0, tau reads as 1).  Each Q_lambda is read off one table of MultiPoly
+    values per alphabet, kept per (N, W, cutoff), and the terms are summed
+    in integers over the lcm of their denominators.
+    """
+    nvars, W = 2 * N, max(cutoff if degree is None else degree, 0) // 2
     one = MultiPoly.constant(nvars, cutoff)
+    readers = _ALPHABET_READERS.get((N, W, cutoff))
+    if readers is None:
 
-    def alphabet(offset):
-        def power_sum(m):
-            return sum(MultiPoly.variable(nvars, cutoff, offset + k, m) for k in range(N)), 1
+        def power_sum(xs):
+            return lambda m: (sum(MultiPoly.variable(nvars, cutoff, v, m) for v in xs), 1)
 
-        return _miwa_reader(power_sum, W, one)
-
-    at_x, at_y = alphabet(0), alphabet(N)
-    acc = one
-    for num, den, q in tau_terms(spec, W, max_length=N):
+        readers = [_miwa_reader(power_sum(xs), W, one) for xs in (range(N), range(N, nvars))]
+        _ALPHABET_READERS[(N, W, cutoff)] = readers
+    at_x, at_y = readers
+    scaled = []
+    for n, d, q in tau_terms(spec, W, max_length=N):
         (a, da), (b, db) = at_x(q), at_y(q)
-        acc = acc + a * b * Fraction(num, den * da * db)
-    return acc
+        scaled.append((n, d * da * a.den * db * b.den, a.num, b.num))
+    L = lcm(1, *(d for _, d, _, _ in scaled))
+    out = {0: L}  # the constant 1
+    for k, d, xs, ys in scaled:
+        k *= L // d
+        for kx, u in xs.items():  # disjoint variables, degree |lambda| each
+            for ky, v in ys.items():
+                out[kx + ky] = out.get(kx + ky, 0) + k * u * v
+    return one._like(out, L)
 
 
 def two_alphabet_floor(N):
@@ -241,15 +257,17 @@ def check_two_alphabet_pfaffian(spec, N, D):
 
     Pfaff(S) prod(x_i+x_j)(y_i+y_j) = tau(x, y) prod(x_i-x_j)(y_i-y_j),
     compared coefficientwise as polynomials to total degree D; the left
-    side is `pfaffian` of build_S's matrix with its owed denominators.  It
-    takes any D, but below two_alphabet_floor(N) it passes whatever r is,
-    so the pfaffian-check command refuses such a D.
+    side is `pfaffian` of build_S's matrix with its owed denominators.  The
+    Vandermonde product has degree N(N-1), so tau is read only to degree
+    D - N(N-1), off readers kept across specs.  It takes any D, but below
+    two_alphabet_floor(N) it passes whatever r is, so the pfaffian-check
+    command refuses such a D.
     """
     nvars = 2 * N
     S, owed = build_S(spec, N, D)
     lhs = pfaffian(S, MultiPoly.constant(nvars, D), owed)
 
-    rhs = tau_as_multipoly(spec, N, D)
+    rhs = tau_as_multipoly(spec, N, D, D - N * (N - 1))
     rhs = rhs * _vandermonde_numerator(N, nvars, D, 0)
     rhs = rhs * _vandermonde_numerator(N, nvars, D, N)
 

@@ -16,9 +16,10 @@ class RSpec:
     """Base for weight-function variants.  Subclasses define r at n >= 1.
 
     A spec must not be changed once built: r_value, r_prefix and r_lambda
-    keep the values they have computed on the instance, tau.tau_bkp keeps
-    its series per (W, Wstar) there too, and ops.tau_x_series its one-point
-    coefficients per (n_max, W) (a failed value or build is not kept).
+    keep the values they have computed on the instance, content_product_kp
+    its content rows, tau.tau_bkp its series per (W, Wstar) and
+    ops.tau_x_series its one-point coefficients per (n_max, W) (a failed
+    value or build is not kept).
     """
 
     def _r_positive(self, n):
@@ -238,14 +239,28 @@ def hook_star(lam):
 
 def content_product_kp(spec, mu):
     """prod over nodes (i,j) of mu of r(j-i), reflection-served below 1, as
-    the int pair (numerator, denominator), not reduced; (0, 1) if it is 0."""
+    the int pair (numerator, denominator), not reduced; (0, 1) if it is 0.
+
+    Row i (from 0) of length p gives r(-i)...r(p-i-1) whatever the other
+    rows are: it is walked once, up to its first zero cell, and kept on the
+    spec.  So r is asked in the order of a walk over every cell, once.
+    """
+    rows = spec.__dict__.setdefault("_content_rows", {})
     num = den = 1
-    for (i, j) in mu.cells():
-        v = spec.r_value(j - i)
-        if not v:
+    for i, p in enumerate(mu.parts):
+        key = (i, p)
+        row = rows.get(key)
+        if row is None:
+            n = d = 1
+            for c in range(-i, p - i):
+                v = spec.r_value(c)
+                n, d = n * v.numerator, d * v.denominator
+                if not n:
+                    break
+            row = rows[key] = n, d
+        if not row[0]:
             return 0, 1
-        num *= v.numerator
-        den *= v.denominator
+        num, den = num * row[0], den * row[1]
     return num, den
 
 

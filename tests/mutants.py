@@ -77,6 +77,13 @@ MUTANTS = [
         ["tests/test_rspec.py", "tests/test_tau.py"],
     ),
     _mutant(
+        "rspec: a content row kept by its length alone",
+        "bkpq/rspec.py",
+        "key = (i, p)",
+        "key = p",
+        ["tests/test_rspec.py"],
+    ),
+    _mutant(
         "qschur: the sign of an m-border strip flipped in _strips",
         "bkpq/qschur.py",
         "out.append(((-1) ** sum(b - m < c < b for c in beta), left))",
@@ -158,6 +165,13 @@ MUTANTS = [
         "bkpq/pfaffian.py",
         "xv(k), N + m",
         "k, N + m",
+        ["tests/test_pfaffian.py"],
+    ),
+    _mutant(
+        "pfaffian: tau cut two degrees below D - N(N-1)",
+        "bkpq/pfaffian.py",
+        "D - N * (N - 1)",
+        "D - N * (N - 1) - 2",
         ["tests/test_pfaffian.py"],
     ),
     _mutant(

@@ -1,6 +1,7 @@
 """The diagonal operator r(D) and the one-point linear constraint."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -106,6 +107,26 @@ def test_operator_power_is_repeated_single_step(spec):
         # r(1) r(2) = 1 carries x^0 to x^2; every later window holds r(3) = 0
         squared = apply_x_r_negD(f, spec, power=2)
         assert not squared[2].is_zero() and all(c.is_zero() for c in squared[3:])
+
+
+def _fraction_prod_route(f, spec, power):
+    """apply_x_r_negD as a Fraction product per coefficient: the reference
+    that its int products are held to."""
+    weights = [spec.r_value(-j) for j in range(len(f) - 1)]
+    kept = f[: max(len(f) - power, 0)]
+    zero = [OddSeries(f[0].truncation_weight)] * (len(f) - len(kept))
+    return zero + [c * prod(weights[n : n + power]) for n, c in enumerate(kept)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_operator_power_is_the_fraction_product_route(spec):
+    f = tau_x_series(spec, 8, 8)
+    for m in (1, 3, 5):
+        got, want = apply_x_r_negD(f, spec, m), _fraction_prod_route(f, spec, m)
+        assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want], m
+    if isinstance(spec, Cutoff):
+        # the weight r(1 - M) = r(M) = 0 meets the nonzero x^(M-1)
+        assert not f[spec.M - 1].is_zero() and apply_x_r_negD(f, spec)[spec.M].is_zero()
 
 
 def one_row_route(spec, n_max, W):

@@ -16,6 +16,7 @@ from bkpq.partitions import StrictPartition, enumerate_strict
 from bkpq.pfaffian import (
     MultiPoly,
     SkewMatrix,
+    _vandermonde_numerator,
     build_R,
     check_two_alphabet_pfaffian,
     check_xpoint_pfaffian,
@@ -30,6 +31,7 @@ from bkpq.qschur import XPoint, delta, eval_at_x, q_lambda
 from bkpq.rspec import Cutoff, Ones, RationalPS, SymmetricRational, TParam
 from bkpq.tau import tau_terms
 from test_gseries_oracle import substitute_terms
+from test_ops import _perturbed_tau_terms
 from test_tau import ORACLE_SPECS
 
 F = Fraction
@@ -194,6 +196,39 @@ def test_two_alphabet_pfaffian_sees_r_from_degree_n_n_minus_1_plus_2(monkeypatch
             "pass": False,
             "witness": {"monomial": monomial, "lhs": "6/5", "rhs": "3003/2500"},
         }, N
+
+
+CUT_SIZES = ((1, 10), (2, 10), (3, 12), (4, 14))
+
+
+def test_two_alphabet_check_reads_tau_to_degree_d_minus_n_n_minus_1(monkeypatch):
+    # V(x)V(y) has degree N(N-1), so r_(n) x 1001/1000 reaches the compared
+    # window iff 2n <= D - N(N-1); past it the window is blind, and a
+    # failure's witness is the one the full-degree route gives
+    spec = SymmetricRational([F(1, 3)], [F(1, 5)])
+    full = pfaffian_module.tau_as_multipoly
+    for N, D in CUT_SIZES:
+        for n in range(1, D // 2 + 1):
+            monkeypatch.setattr(pfaffian_module, "tau_terms", _perturbed_tau_terms(n, F(1001, 1000)))
+            rep = check_two_alphabet_pfaffian(spec, N, D)
+            assert rep.passed == (2 * n > D - N * (N - 1)), (N, D, n)
+            if not rep.passed:
+                with monkeypatch.context() as m:
+                    m.setattr(pfaffian_module, "tau_as_multipoly", lambda s, N, D, _: full(s, N, D))
+                    assert check_two_alphabet_pfaffian(spec, N, D).to_json() == rep.to_json()
+
+
+def test_tau_as_multipoly_cut_keeps_the_product_with_vandermonde():
+    for make in (lambda: SymmetricRational([F(1, 3)], [F(1, 5)]), Ones):
+        spec = make()
+        for N, D in CUT_SIZES:
+            nvars = 2 * N
+            vv = _vandermonde_numerator(N, nvars, D, 0) * _vandermonde_numerator(N, nvars, D, N)
+            cut, full = tau_as_multipoly(spec, N, D, D - N * (N - 1)), tau_as_multipoly(spec, N, D)
+            assert cut * vv == full * vv, (spec, N, D)
+            assert (cut == full) == (N == 1), (spec, N, D)
+    # below 0 tau reads as 1
+    assert tau_as_multipoly(Ones(), 2, 6, -1) == MultiPoly.constant(4, 6)
 
 
 # counts the term pairs of every MultiPoly product in one two-alphabet check

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from bkpq.partitions import Partition, StrictPartition, double, enumerate_strict
+from bkpq.partitions import (
+    Partition,
+    StrictPartition,
+    double,
+    enumerate_partitions,
+    enumerate_strict,
+)
 from bkpq.rspec import (
     Cutoff,
     Ones,
@@ -302,14 +308,84 @@ def test_content_product_kp():
     assert content_product_kp(Table([1, 0]), Partition([3, 2, 1])) == (0, 1)
 
 
+def content_walk(spec, mu):
+    """The cell walk that content_product_kp is held to: r(j - i) asked at
+    every node (i, j) of mu, row by row, returning (0, 1) at the first 0."""
+    num = den = 1
+    for i, p in enumerate(mu.parts):
+        for j in range(p):
+            v = spec.r_value(j - i)
+            if not v:
+                return 0, 1
+            num *= v.numerator
+            den *= v.denominator
+    return num, den
+
+
+def _outcome(content_product, spec, mu):
+    try:
+        return content_product(spec, mu)
+    except RValueError as e:
+        return "RValueError: %s" % e
+
+
+class Asked(Table):
+    """A Table that records every r_value it is asked for."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.asked = []
+
+    def r_value(self, n):
+        self.asked.append(n)
+        return super().r_value(n)
+
+
+# the four specs verify ships, and specs whose r is 0 or runs out of values
+CONTENT_SPECS = [
+    Ones,
+    lambda: Cutoff(2),
+    lambda: Cutoff(3),
+    lambda: SymmetricRational([F(1, 3)], []),
+    lambda: RationalPS([F(1, 2), 3], [F(5, 2)]),
+    lambda: Table([1, F(1, 2), 0, 3]),
+    lambda: TParam({1: F(2), 2: F(6), 3: F(30), 4: F(7, 2)}),
+]
+
+
+@pytest.mark.parametrize("make", CONTENT_SPECS)
+def test_content_product_kp_is_the_cell_walk(make):
+    # one spec across every shape, so that rows kept for one shape are
+    # read for the next: the same pair, or the same RValueError
+    shapes = enumerate_partitions(12)
+    for order in (shapes, shapes[::-1]):
+        spec = make()
+        for mu in order:
+            got = _outcome(content_product_kp, spec, mu)
+            assert got == _outcome(content_walk, make(), mu), (spec, mu)
+            assert _outcome(content_product_kp, spec, mu) == got, (spec, mu)
+
+
+def test_content_product_kp_asks_r_as_the_walk_does_and_once():
+    values = [F(1, 2), 3, F(2, 5), 0, 7]
+    for parts in ([3, 2, 1], [6, 1], [2, 2, 2, 1], [5, 5], [4, 4, 1]):
+        mu = Partition(parts)
+        spec, walk = Asked(values), Asked(values)
+        assert _outcome(content_product_kp, spec, mu) == _outcome(content_walk, walk, mu)
+        assert spec.asked == walk.asked, parts
+        _outcome(content_product_kp, spec, mu)
+        assert spec.asked == walk.asked, parts
+
+
 def rho_content_product(rho, mu, orientation="i-j"):
     """Content product of a user-supplied rho table over an ordinary partition."""
     out = Fraction(1)
-    for (i, j) in mu.cells():
-        c = i - j if orientation == "i-j" else j - i
-        if c not in rho:
-            raise RValueError("rho(%d) not supplied" % c)
-        out *= Fraction(rho[c])
+    for i, p in enumerate(mu.parts, start=1):  # the nodes (i, j), 1-based
+        for j in range(1, p + 1):
+            c = i - j if orientation == "i-j" else j - i
+            if c not in rho:
+                raise RValueError("rho(%d) not supplied" % c)
+            out *= Fraction(rho[c])
     return out
 
 
