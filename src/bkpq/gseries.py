@@ -360,17 +360,21 @@ class GradedSeries:
         self._check_match(other)
         return other
 
-    def _product(self, left, right):
-        """{key: numerator} of the product of two grade groupings, truncated:
-        a pair of grades over a cap is skipped whole."""
+    def _product(self, left, right, num=None, scale=1):
+        """{key: numerator} of scale times the product of two grade
+        groupings, truncated: a pair of grades over a cap is skipped whole.
+        The terms are added into num when it is given, else into a new dict.
+        """
         caps = self.caps
         right = right.items()
-        num = {}
+        if num is None:
+            num = {}
         for ga, left_terms in left.items():
             for gb, right_terms in right:
                 if any(a + b > cap for a, b, cap in zip(ga, gb, caps)):
                     continue
                 for ka, va in left_terms:
+                    va *= scale
                     for kb, vb in right_terms:
                         key = ka + kb
                         num[key] = num.get(key, 0) + va * vb
@@ -424,7 +428,8 @@ class GradedSeries:
         total grade n satisfies n E_n = sum_{j=1..n} j S_j E_{n-j} (scale
         each grade-j term by z^j and differentiate in z).  With d = S.den,
         F_n = n! d^n E_n is an integer series:
-        F_n = sum_j (n-1)!/(n-j)! d^(j-1) (j d S_j) F_{n-j}.
+        F_n = sum_j (n-1)!/(n-j)! d^(j-1) (j d S_j) F_{n-j}, each product
+        added into F_n's numerators as `_product` makes it.
         """
         if 0 in self.num:
             raise ValueError("exp requires zero constant term")
@@ -440,8 +445,7 @@ class GradedSeries:
             c = 1
             for j in range(1, n + 1):
                 if j in S and F[n - j]:
-                    for k, v in self._product(S[j], F[n - j]).items():
-                        Fn[k] = Fn.get(k, 0) + c * v
+                    self._product(S[j], F[n - j], Fn, c)
                 c *= (n - j) * d
             F.append(_grouped(grade, Fn))
         # exp(S) = sum_n F_n (top!/n!) d^(top-n) / (top! d^top)

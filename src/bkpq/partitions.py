@@ -128,7 +128,8 @@ def conjugate(mu):
     parts = mu.parts
     if not parts:
         return ZERO_PARTITION
-    return Partition(tuple(sum(1 for p in parts if p > j) for j in range(parts[0])))
+    # the column lengths of a valid partition are positive and non-increasing
+    return Partition._trusted(tuple(sum(1 for p in parts if p > j) for j in range(parts[0])))
 
 
 def frobenius(mu):

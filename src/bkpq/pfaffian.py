@@ -208,6 +208,17 @@ def _vandermonde_numerator(N, nvars, cutoff, offset):
 
 
 _ALPHABET_READERS = {}  # (N, W, cutoff) -> the x and y `_miwa_reader`s
+_VANDERMONDES = {}  # (N, D) -> V(x) V(y) in 2N variables to degree D
+
+
+def _vandermonde_xy(N, D):
+    """V(x) V(y), the product of the two alphabets' Vandermonde numerators,
+    kept per (N, D)."""
+    vv = _VANDERMONDES.get((N, D))
+    if vv is None:
+        x, y = (_vandermonde_numerator(N, 2 * N, D, offset) for offset in (0, N))
+        vv = _VANDERMONDES[(N, D)] = x * y
+    return vv
 
 
 def tau_as_multipoly(spec, N, cutoff, degree=None):
@@ -258,18 +269,16 @@ def check_two_alphabet_pfaffian(spec, N, D):
     Pfaff(S) prod(x_i+x_j)(y_i+y_j) = tau(x, y) prod(x_i-x_j)(y_i-y_j),
     compared coefficientwise as polynomials to total degree D; the left
     side is `pfaffian` of build_S's matrix with its owed denominators.  The
-    Vandermonde product has degree N(N-1), so tau is read only to degree
-    D - N(N-1), off readers kept across specs.  It takes any D, but below
-    two_alphabet_floor(N) it passes whatever r is, so the pfaffian-check
-    command refuses such a D.
+    Vandermonde product V(x) V(y), kept across specs, has degree N(N-1),
+    so tau is read only to degree D - N(N-1), off readers kept across specs
+    too.  It takes any D, but below two_alphabet_floor(N) it passes
+    whatever r is, so the pfaffian-check command refuses such a D.
     """
     nvars = 2 * N
     S, owed = build_S(spec, N, D)
     lhs = pfaffian(S, MultiPoly.constant(nvars, D), owed)
 
-    rhs = tau_as_multipoly(spec, N, D, D - N * (N - 1))
-    rhs = rhs * _vandermonde_numerator(N, nvars, D, 0)
-    rhs = rhs * _vandermonde_numerator(N, nvars, D, N)
+    rhs = tau_as_multipoly(spec, N, D, D - N * (N - 1)) * _vandermonde_xy(N, D)
 
     params = {"r": repr(spec), "N": N, "degree": D}
     return compare_series("pfaffian-two-alphabet", params, lhs, rhs, str)

@@ -15,11 +15,12 @@ class RValueError(ValueError):
 class RSpec:
     """Base for weight-function variants.  Subclasses define r at n >= 1.
 
-    A spec must not be changed once built: r_value, r_prefix and r_lambda
-    keep the values they have computed on the instance, content_product_kp
-    its content rows, tau.tau_bkp its series per (W, Wstar) and
-    ops.tau_x_series its one-point coefficients per (n_max, W) (a failed
-    value or build is not kept).
+    A spec must not be changed once built: r_value and r_prefix keep the
+    values they have computed on the instance, r_lambda_pair its unreduced
+    int pair per parts, __repr__ its text, content_product_kp its content
+    rows, tau.tau_bkp its series per (W, Wstar) and ops.tau_x_series its
+    one-point coefficients per (n_max, W) (a failed value or build is not
+    kept).  A subclass gives its repr text as `_describe()`.
     """
 
     def _r_positive(self, n):
@@ -51,34 +52,53 @@ class RSpec:
             prefixes.append(last * self.r_value(len(prefixes)) if last else last)
         return prefixes[max(n, 0)]
 
-    def r_lambda(self, lam):
-        """prod_i r(1)...r(n_i) over the parts of a strict partition.
+    def r_lambda_pair(self, lam):
+        """r_lambda = prod_i r(1)...r(n_i) over the parts of a strict
+        partition, as the int pair (numerator, denominator), not reduced:
+        the products of the prefixes' numerators and of their denominators,
+        or (0, 1) when r_lambda is 0.
 
-        The numerators and denominators of the prefixes are multiplied as
-        ints into one Fraction, kept on the spec per parts.
+        Kept on the spec per parts.  r_prefix is asked once, at the largest
+        part, so r is asked in the order of the prefixes; the other parts
+        read the kept prefixes.
         """
         kept = self.__dict__.get("_r_lambda")
         if kept is None:
             kept = self.__dict__["_r_lambda"] = {}
         out = kept.get(lam.parts)
         if out is None:
-            num = den = 1
+            self.r_prefix(lam.parts[0] if lam.parts else 0)
+            prefixes, num, den = self._prefixes, 1, 1
             for p in lam.parts:
-                r = self.r_prefix(p)
+                r = prefixes[p]
                 if not r:
-                    num = 0
+                    num, den = 0, 1
                     break
-                num *= r.numerator
-                den *= r.denominator
-            out = kept[lam.parts] = Fraction(num, den)
+                num, den = num * r.numerator, den * r.denominator
+            out = kept[lam.parts] = num, den
         return out
+
+    def r_lambda(self, lam):
+        """r_lambda as one Fraction, from `r_lambda_pair`."""
+        return Fraction(*self.r_lambda_pair(lam))
+
+    def __repr__(self):
+        """The spec's `_describe()` text, kept on the spec; a subclass with
+        no `_describe` reads as `object.__repr__`."""
+        text = self.__dict__.get("_repr")
+        if text is None:
+            text = self.__dict__["_repr"] = self._describe()
+        return text
+
+    def _describe(self):
+        return object.__repr__(self)
 
 
 class Ones(RSpec):
     def _r_positive(self, n):
         return Fraction(1)
 
-    def __repr__(self):
+    def _describe(self):
         return "Ones()"
 
 
@@ -96,7 +116,7 @@ class Cutoff(RSpec):
     def _r_positive(self, n):
         return Fraction(1) if n < self.M else Fraction(0)
 
-    def __repr__(self):
+    def _describe(self):
         return "Cutoff(M=%d)" % self.M
 
 
@@ -127,7 +147,7 @@ class RationalPS(RSpec):
             den *= bi + n - 1
         return num / den
 
-    def __repr__(self):
+    def _describe(self):
         return "RationalPS(a=[%s], b=[%s])" % (
             ",".join(map(str, self.a)),
             ",".join(map(str, self.b)),
@@ -154,7 +174,7 @@ class SymmetricRational(RationalPS):
             *([half + s * c for c in cs for s in (1, -1)] for cs in (self.alpha, self.beta))
         )
 
-    def __repr__(self):
+    def _describe(self):
         return "SymmetricRational(alpha=[%s], beta=[%s])" % (
             ",".join(map(str, self.alpha)),
             ",".join(map(str, self.beta)),
@@ -191,7 +211,7 @@ class TParam(RSpec):
     def _r_positive(self, n):
         return self._u(n - 1) / self._u(n)
 
-    def __repr__(self):
+    def _describe(self):
         return "TParam(%s)" % (", ".join("e^T%d=%s" % (n, v) for n, v in sorted(self.u.items())),)
 
 
@@ -206,7 +226,7 @@ class Table(RSpec):
             raise RValueError("r(%d) outside tabulated range" % n)
         return self.values[n - 1]
 
-    def __repr__(self):
+    def _describe(self):
         return "Table([%s])" % (",".join(map(str, self.values)),)
 
 
@@ -220,7 +240,7 @@ class Product(RSpec):
     def _r_positive(self, n):
         return self.left.r_value(n) * self.right.r_value(n)
 
-    def __repr__(self):
+    def _describe(self):
         return "Product(%r, %r)" % (self.left, self.right)
 
 

@@ -61,15 +61,17 @@ def tau_terms(spec, W, max_length=None):
     strict partitions of weight <= W, and length <= max_length if given,
     with r_lambda != 0.
 
-    n / d is r_lambda's numerator over its denominator times 2^l: only a
-    power of two can cancel, so the pair is left unreduced.  Q_lambda is
-    truncated at W.  tau_r is 1 plus the sum of these terms with
-    Q_lambda(t*/2) as a third factor.
+    n / d is `r_lambda_pair` with its denominator times 2^l, left
+    unreduced: the pair multiplies the prefixes' numerators and
+    denominators part by part, so factors of any prime may cancel, and every
+    sum of these terms reduces once at its end.  Q_lambda is truncated at
+    W.  tau_r is 1 plus the sum of these terms with Q_lambda(t*/2) as a
+    third factor.
     """
     for lam in enumerate_strict(W, max_length):
-        rl = spec.r_lambda(lam)
-        if rl:
-            yield rl.numerator, rl.denominator << lam.length, q_lambda(lam, W)
+        n, d = spec.r_lambda_pair(lam)
+        if n:
+            yield n, d << lam.length, q_lambda(lam, W)
 
 
 _BLOCK_KEYS = {}  # (w, W, Wstar) -> (triangle keys, mirror keys)
@@ -273,25 +275,28 @@ def scalar_product_r_by_weight(f, g, spec):
 
     The constant terms give the entry at weight 0.  With <Q_lambda, f> =
     a / d_a and <Q_lambda, g> = b / d_b (one `_pair` each against the
-    `_dual` of f and of g), the term of lambda is a b r_lambda / (d_a d_b
-    2^l), kept as an int pair; a lambda with r_lambda = 0 is skipped before
-    it is paired.  Each weight is summed over the lcm of its denominators
-    into one Fraction; a weight with no nonzero term may be missing.
+    `_dual` of f and of g, off one Q_lambda when f and g share a cap), and
+    r_lambda = n / d from `r_lambda_pair`, the term of lambda is the int
+    pair a b n / (d_a d_b d 2^l); a lambda with r_lambda = 0 is skipped
+    before it is paired.  Each weight is summed over the lcm of its
+    denominators into one Fraction; a weight with no nonzero term may be
+    missing.
     """
     out = {0: f.constant_term() * g.constant_term()}
     Wf, Wg = f.truncation_weight, g.truncation_weight
     dual_f, dual_g = _dual(f), _dual(g)
     by_weight = {}
     for lam in enumerate_strict(min(Wf, Wg)):
-        rl = spec.r_lambda(lam)
-        if not rl:
+        n, d = spec.r_lambda_pair(lam)
+        if not n:
             continue
-        a, da = _pair(dual_f, q_lambda(lam, Wf))
+        q = q_lambda(lam, Wf)
+        a, da = _pair(dual_f, q)
         if not a:
             continue
-        b, db = _pair(dual_g, q_lambda(lam, Wg))
+        b, db = _pair(dual_g, q if Wf == Wg else q_lambda(lam, Wg))
         if b:
-            term = (a * b * rl.numerator, (da * db * rl.denominator) << lam.length)
+            term = (a * b * n, (da * db * d) << lam.length)
             by_weight.setdefault(lam.weight, []).append(term)
     for w, terms in by_weight.items():
         L = lcm(*(d for _, d in terms))

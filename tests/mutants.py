@@ -107,8 +107,22 @@ MUTANTS = [
     _mutant(
         "tau: the 2^l dropped in tau_terms",
         "bkpq/tau.py",
-        "rl.denominator << lam.length",
-        "rl.denominator",
+        "yield n, d << lam.length,",
+        "yield n, d,",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "rspec: r_lambda_pair reads the prefix below each part",
+        "bkpq/rspec.py",
+        "prefixes[p]",
+        "prefixes[p - 1]",
+        ["tests/test_rspec.py"],
+    ),
+    _mutant(
+        "tau: the t* kernel paired with Q_lambda at the t cap, caps unequal",
+        "bkpq/tau.py",
+        "q if Wf == Wg else q_lambda(lam, Wg)",
+        "q",
         ["tests/test_tau.py"],
     ),
     _mutant(

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from bkpq.gseries import BiSeries, OddSeries
 from bkpq.pfaffian import MultiPoly
 
+F = Fraction
+
 
 def _odd_product(a, b):
     d = dict(a)
@@ -203,6 +205,29 @@ def _assert_same(got, ref):
     assert got.caps == tuple(ref.caps)
     assert dict(got.terms) == ref.terms
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# (ring, caps, unit, terms), each with zero constant term: a denominator d
+# > 1 that F_n carries as d^n, the vacuum kernel sum (m/2) t_m t*_m,
+# terms of unequal t and t* weight under unequal caps, and total degree
+EXP_CASES = [
+    (OddSeries, (9,), (), {((1, 1),): F(1, 2), ((3, 1),): F(-2, 3), ((1, 2),): F(5, 4)}),
+    (BiSeries, (7, 7), ((), ()), {(((m, 1),), ((m, 1),)): F(m, 2) for m in (1, 3, 5, 7)}),
+    (
+        BiSeries,
+        (6, 3),
+        ((), ()),
+        {(((1, 1),), ((1, 1),)): F(1, 2), (((3, 1),), ()): F(-2, 3), ((), ((1, 2),)): F(5, 7)},
+    ),
+    (MultiPoly, (6,), (0, 0), {(1, 0): F(1, 3), (0, 1): F(-1, 2), (1, 1): 2, (0, 3): F(3, 4)}),
+]
+
+
+@pytest.mark.parametrize("ring, caps, unit, terms", EXP_CASES)
+def test_exp_matches_fraction_reference(ring, caps, unit, terms):
+    got = _build(ring, caps, terms).exp()
+    _assert_same(got, RefSeries(ring, caps, unit, terms).exp())
+    assert len(got.num) > len(terms)
 
 
 @pytest.mark.parametrize("kind", sorted(RINGS))

@@ -222,23 +222,23 @@ def test_a_spec_scan_op_walks_each_partition_list_once(monkeypatch):
     # tau_bkp and the pairing of check_tau_scalar each walk the 109 strict
     # partitions of weight <= 14; the three linear checks share one walk of
     # the 14 one-row ones.  A walk of all 109 per linear check would make
-    # 545 items and 260 r_lambda calls.
-    counts = {"items": 0, "r_lambda": 0}
-    real_enumerate, real_r_lambda = partitions.enumerate_strict, RSpec.r_lambda
+    # 545 items and 260 r_lambda_pair reads.
+    counts = {"items": 0, "r_lambda_pair": 0}
+    real_enumerate, real_pair = partitions.enumerate_strict, RSpec.r_lambda_pair
 
     def enumerate_strict(*args, **kwargs):
         out = real_enumerate(*args, **kwargs)
         counts["items"] += len(out)
         return out
 
-    def r_lambda(self, lam):
-        counts["r_lambda"] += 1
-        return real_r_lambda(self, lam)
+    def r_lambda_pair(self, lam):
+        counts["r_lambda_pair"] += 1
+        return real_pair(self, lam)
 
     for module in (ops, partitions, qschur, tau):
         if getattr(module, "enumerate_strict", None) is real_enumerate:
             monkeypatch.setattr(module, "enumerate_strict", enumerate_strict)
-    monkeypatch.setattr(RSpec, "r_lambda", r_lambda)
+    monkeypatch.setattr(RSpec, "r_lambda_pair", r_lambda_pair)
     W = 14
     spec = RationalPS([F(1, 2), 3], [F(5, 2)])
     tau_bkp(spec, W, W)
@@ -246,7 +246,7 @@ def test_a_spec_scan_op_walks_each_partition_list_once(monkeypatch):
         assert check_linear_eq_N1(spec, m, W, W).passed, m
     t, tstar = {1: F(1, 2), 3: F(-2, 3), 5: F(3, 4)}, {1: F(-1, 3), 3: F(2, 5), 5: F(1, 7)}
     assert check_tau_scalar(spec, W, t, tstar).passed
-    assert counts == {"items": 232, "r_lambda": 232}
+    assert counts == {"items": 232, "r_lambda_pair": 232}
 
 
 @pytest.mark.parametrize("x", [F(1), F(-2, 3), F(5)])
@@ -314,6 +314,8 @@ def test_linear_equation_fails_without_reflection():
     rep = check_linear_eq_N1(spec, 1, 6, 6)
     # the override is asked, not a value kept by the base class
     assert [spec.r_value(n) for n in (-1, 2, -1)] == [4, 7, 4]
+    # a spec with no _describe reads as object.__repr__, as before the text was kept
+    assert repr(spec) == object.__repr__(spec) == rep.params["r"]
     assert not rep.passed
     assert rep.witness is not None
     lhs, rhs = rep.witness[1], rep.witness[2]

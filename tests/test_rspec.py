@@ -126,27 +126,112 @@ def test_r_prefix_out_of_range_raises_every_time():
     assert spec.r_prefix(1) == 1
 
 
-# one spec per family that the spec-scan benchmark draws, and Cutoff(3),
-# whose prefixes reach 0
+# one spec per family that the spec-scan benchmark draws, Cutoff(3), whose
+# prefixes reach 0, the other three specs that verify ships, a RationalPS
+# with r(1) = 0, a table whose prefixes reach 0 before it runs out, a
+# symmetric form with a beta, and a product
 R_LAMBDA_SPECS = [
     "table:" + ",".join(["1/2", "4", "1", "5/3", "5/2", "3/2", "2/5", "1/3"] * 2),
     "tparam:" + ",".join("T%d=%s" % (n, F(n % 4 + 1, n % 3 + 1)) for n in range(1, 17)),
     "ratps:a=5,1/3;b=5/4",
     "symrat:alpha=5/3;beta=5/4",
     "cutoff:M=3",
+    "ones",
+    "cutoff:M=2",
+    "symrat:alpha=1/3;beta=",
+    "ratps:a=0,1/2;b=3/2",
+    "table:1,1/2,0,3",
+    "symrat:alpha=1/3;beta=2/7",
+    "prod:(ratps:a=2;b=1/3),(symrat:alpha=1/4;beta=3/5)",
 ]
+
+
+def prefix_pair(spec, lam):
+    """r_lambda as RSpec.r_lambda built it before the pair was kept: r_prefix
+    asked at each part, largest first, the numerators and denominators
+    multiplied as ints, and (0, 1) from the first zero prefix on.  The
+    reference that r_lambda_pair is held to."""
+    num = den = 1
+    for p in lam.parts:
+        r = spec.r_prefix(p)
+        if not r:
+            return 0, 1
+        num *= r.numerator
+        den *= r.denominator
+    return num, den
 
 
 @pytest.mark.parametrize("text", R_LAMBDA_SPECS)
 def test_r_lambda_is_the_fraction_product_of_prefixes(text):
     spec, oracle = parse_rspec(text), parse_rspec(text)
     for lam in enumerate_strict(14):
+        want = prefix_pair(oracle, lam)
+        assert spec.r_lambda_pair(lam) == want, (text, lam)
         want = F(1)
         for p in lam.parts:
             want *= oracle.r_prefix(p)
         got = spec.r_lambda(lam)
         assert type(got) is Fraction and got == want, (text, lam)
-        assert spec.r_lambda(lam) == want
+        assert F(*spec.r_lambda_pair(lam)) == spec.r_lambda(lam) == want
+
+
+class AskedTParam(TParam):
+    """A TParam that records each n it is asked r(n) at."""
+
+    def __init__(self, exp_values):
+        super().__init__(exp_values)
+        self.asked = []
+
+    def _r_positive(self, n):
+        self.asked.append(n)
+        return super()._r_positive(n)
+
+
+# e^{T_n} for n <= 5 only: every lambda with a part above 5 raises
+RUNS_OUT = {1: 2, 2: F(1, 3), 3: 5, 4: F(3, 2), 5: 7}
+
+
+def test_r_lambda_pair_of_a_tparam_that_runs_out_follows_the_prefix_route():
+    spec, oracle = AskedTParam(RUNS_OUT), AskedTParam(RUNS_OUT)
+    raised = 0
+    for _ in range(2):
+        for lam in enumerate_strict(14):
+            try:
+                want = prefix_pair(oracle, lam)
+            except RValueError as e:
+                want = "raises %s" % e
+            try:
+                got = spec.r_lambda_pair(lam)
+            except RValueError as e:
+                got = "raises %s" % e
+                raised += 1
+                assert lam.parts not in spec.__dict__["_r_lambda"], lam
+            assert got == want and spec.asked == oracle.asked, lam
+    assert raised == 2 * sum(lam.parts[0] > 5 for lam in enumerate_strict(14))
+    # r(1)..r(5) once each; r(6), which fails, is asked again at each raise
+    assert spec.asked == [1, 2, 3, 4, 5] + [6] * raised
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("ones", "Ones()"),
+        ("cutoff:M=3", "Cutoff(M=3)"),
+        ("ratps:a=1/2,3;b=5/2", "RationalPS(a=[1/2,3], b=[5/2])"),
+        ("ratps:a=;b=", "RationalPS(a=[], b=[])"),
+        ("symrat:alpha=1/3;beta=1/5", "SymmetricRational(alpha=[1/3], beta=[1/5])"),
+        ("tparam:T2=6,T1=2", "TParam(e^T1=2, e^T2=6)"),
+        ("table:1,1/2,0", "Table([1,1/2,0])"),
+        (
+            "prod:(ones),(prod:(cutoff:M=2),(table:1/3))",
+            "Product(Ones(), Product(Cutoff(M=2), Table([1/3])))",
+        ),
+    ],
+)
+def test_repr_text_of_every_spec_kind(text, want):
+    spec = parse_rspec(text)
+    for _ in range(2):  # the second read is the kept text
+        assert repr(spec) == want
 
 
 def test_r_lambda_out_of_range_raises_every_time():

@@ -15,6 +15,8 @@ from bkpq.partitions import StrictPartition, enumerate_partitions, enumerate_str
 from bkpq.ops import check_linear_eq_N1, tau_x_series
 from bkpq.qschur import (
     XPoint,
+    _dual,
+    _pair,
     eval_at_x,
     q_expand,
     q_lambda,
@@ -52,7 +54,14 @@ from bkpq.tau import (
 from test_gseries_oracle import substitute_terms
 from test_ops import one_row_route, tau_single_x_coefficients
 from test_qschur import t_infinity
-from test_rspec import pochhammer, pochhammer_lambda
+from test_rspec import (
+    R_LAMBDA_SPECS,
+    RUNS_OUT,
+    AskedTParam,
+    pochhammer,
+    pochhammer_lambda,
+    prefix_pair,
+)
 
 F = Fraction
 
@@ -231,6 +240,62 @@ def test_integer_r_pairing_matches_fraction_pairing(data):
     f = _exp_kernel(data.draw(_fuzz_times(Wf)), Wf)
     g = _exp_kernel(data.draw(_fuzz_times(Wg)), Wg)
     _assert_pairing_matches_oracle(f, g, spec)
+
+
+def _per_lambda_pairing(f, g, spec):
+    """The r-pairing as tau.scalar_product_r_by_weight summed it before one
+    Q_lambda served both kernels: per lambda two q_lambda reads, one at each
+    kernel's cap, two `_pair`s and the Fraction r_lambda, every term a
+    Fraction."""
+    out = {0: f.constant_term() * g.constant_term()}
+    Wf, Wg = f.truncation_weight, g.truncation_weight
+    dual_f, dual_g = _dual(f), _dual(g)
+    for lam in enumerate_strict(min(Wf, Wg)):
+        a = F(*_pair(dual_f, q_lambda(lam, Wf)))
+        b = F(*_pair(dual_g, q_lambda(lam, Wg)))
+        term = a * b * spec.r_lambda(lam) / 2**lam.length
+        if term:
+            out[lam.weight] = out.get(lam.weight, 0) + term
+    return out
+
+
+@pytest.mark.parametrize("Wf, Wg", [(14, 14), (14, 9), (9, 14)])
+@pytest.mark.parametrize("text", [R_LAMBDA_SPECS[k] for k in (0, 1, 3, 4, 11)])
+def test_r_pairing_matches_the_per_lambda_route(text, Wf, Wg):
+    # with unequal caps the t* kernel must pair with Q_lambda read at its cap
+    t = {1: F(1, 2), 3: F(-2, 3), 5: F(3, 4), 9: F(1, 3)}
+    tstar = {1: F(-1, 3), 3: F(2, 5), 7: 2}
+    f, g = _exp_kernel(t, Wf), _exp_kernel(tstar, Wg)
+    got = scalar_product_r_by_weight(f, g, parse_rspec(text))
+    want = _per_lambda_pairing(f, g, parse_rspec(text))
+    assert {w: v for w, v in got.items() if v} == want
+    assert all(type(v) is Fraction for v in got.values())
+    assert len(want) > 3  # weight 0 and some lambda
+
+
+@pytest.mark.parametrize("text", R_LAMBDA_SPECS)
+def test_tau_terms_are_2_to_the_minus_l_r_lambda(text):
+    spec, oracle = parse_rspec(text), parse_rspec(text)
+    want = []
+    for lam in enumerate_strict(14):
+        n, d = prefix_pair(oracle, lam)
+        if n:
+            want.append((F(n, d << lam.length), q_lambda(lam, 14)))
+    assert [(F(n, d), q) for n, d, q in tau_terms(spec, 14)] == want
+
+
+def test_tau_terms_of_a_tparam_that_runs_out_raise_where_the_prefix_route_does():
+    spec, oracle = AskedTParam(RUNS_OUT), AskedTParam(RUNS_OUT)
+    got, want = [], []
+    with pytest.raises(RValueError) as raised:
+        for n, d, _ in tau_terms(spec, 14):
+            got.append(F(n, d))
+    with pytest.raises(RValueError) as expected:
+        for lam in enumerate_strict(14):
+            n, d = prefix_pair(oracle, lam)
+            want.append(F(n, d << lam.length))
+    assert str(raised.value) == str(expected.value)
+    assert got == want and spec.asked == oracle.asked
 
 
 @pytest.mark.parametrize("W, Wstar", [(8, 8), (8, 5), (5, 8), (13, 9), (14, 14)])
