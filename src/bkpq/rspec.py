@@ -6,6 +6,7 @@ nonpositive arguments are always served through that reflection.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class RValueError(ValueError):
@@ -15,12 +16,13 @@ class RValueError(ValueError):
 class RSpec:
     """Base for weight-function variants.  Subclasses define r at n >= 1.
 
-    A spec must not be changed once built: r_value and r_prefix keep the
-    values they have computed on the instance, r_lambda_pair its unreduced
-    int pair per parts, __repr__ its text, content_product_kp its content
-    rows, tau.tau_bkp its series per (W, Wstar) and ops.tau_x_series its
-    one-point coefficients per (n_max, W) (a failed value or build is not
-    kept).  A subclass gives its repr text as `_describe()`.
+    A spec must not be changed once built: r_value keeps the values it has
+    computed on the instance, r_prefix each prefix as its reduced int pair,
+    r_lambda_pair its unreduced int pair per parts, __repr__ its text,
+    content_product_kp its content rows, tau.tau_bkp its series per
+    (W, Wstar) and ops.tau_x_series its one-point coefficients per
+    (n_max, W) (a failed value or build is not kept).  A subclass gives its
+    repr text as `_describe()`.
     """
 
     def _r_positive(self, n):
@@ -39,18 +41,25 @@ class RSpec:
         return v
 
     def r_prefix(self, n):
-        """The telescoped product r(1) r(2) ... r(n), 1 for n <= 0.
+        """The telescoped product r(1) r(2) ... r(n), 1 for n <= 0."""
+        return Fraction(*self._prefix_pairs(n)[max(n, 0)])
 
-        The products for 0..n are kept on the spec and extended on demand;
-        once a product is 0, later ones are 0 without asking r for a value.
-        """
+    def _prefix_pairs(self, n):
+        """The prefixes r(1)...r(k), k = 0..n at least, as reduced int pairs
+        kept on the spec and extended on demand; once a product is 0, later
+        ones are (0, 1) without asking r for a value."""
         prefixes = self.__dict__.get("_prefixes")
         if prefixes is None:
-            prefixes = self.__dict__["_prefixes"] = [Fraction(1)]
+            prefixes = self.__dict__["_prefixes"] = [(1, 1)]
         while len(prefixes) <= n:
-            last = prefixes[-1]
-            prefixes.append(last * self.r_value(len(prefixes)) if last else last)
-        return prefixes[max(n, 0)]
+            num, den = prefixes[-1]
+            if num:
+                v = self.r_value(len(prefixes))
+                num, den = num * v.numerator, den * v.denominator
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            prefixes.append((num, den))
+        return prefixes
 
     def r_lambda_pair(self, lam):
         """r_lambda = prod_i r(1)...r(n_i) over the parts of a strict
@@ -58,23 +67,22 @@ class RSpec:
         the products of the prefixes' numerators and of their denominators,
         or (0, 1) when r_lambda is 0.
 
-        Kept on the spec per parts.  r_prefix is asked once, at the largest
-        part, so r is asked in the order of the prefixes; the other parts
-        read the kept prefixes.
+        Kept on the spec per parts.  The prefixes are extended once, to the
+        largest part, so r is asked in the order of the prefixes; the other
+        parts read the kept pairs.
         """
         kept = self.__dict__.get("_r_lambda")
         if kept is None:
             kept = self.__dict__["_r_lambda"] = {}
         out = kept.get(lam.parts)
         if out is None:
-            self.r_prefix(lam.parts[0] if lam.parts else 0)
-            prefixes, num, den = self._prefixes, 1, 1
+            prefixes, num, den = self._prefix_pairs(lam.parts[0] if lam.parts else 0), 1, 1
             for p in lam.parts:
-                r = prefixes[p]
-                if not r:
+                n, d = prefixes[p]
+                if not n:
                     num, den = 0, 1
                     break
-                num, den = num * r.numerator, den * r.denominator
+                num, den = num * n, den * d
             out = kept[lam.parts] = num, den
         return out
 
@@ -127,7 +135,8 @@ class RationalPS(RSpec):
     Pochhammer quotient prod (a_i)_n / prod (b_i)_n, the n-th coefficient of
     pFs times n!; tau.hyper_one_var and tau.tau_hyper_tinfty read it from
     here.  A nonpositive integer b_i, which makes a denominator factor
-    vanish at some n >= 1, is refused.
+    vanish at some n >= 1, is refused.  Each a_i or b_i = p/q is also kept as
+    (p, q), so r(n) multiplies the ints p + (n - 1) q and q into one Fraction.
     """
 
     def __init__(self, a, b):
@@ -137,15 +146,15 @@ class RationalPS(RSpec):
             # b_i + n - 1 = 0 at some n >= 1 iff b_i is a nonpositive integer
             if bi.denominator == 1 and bi <= 0:
                 raise RValueError("b parameter %s hits zero denominator" % bi)
+        self._pairs = [[(v.numerator, v.denominator) for v in vs] for vs in (self.a, self.b)]
 
     def _r_positive(self, n):
-        num = Fraction(1)
-        for ai in self.a:
-            num *= ai + n - 1
-        den = Fraction(1)
-        for bi in self.b:
-            den *= bi + n - 1
-        return num / den
+        m, (a, b), num, den = n - 1, self._pairs, 1, 1
+        for p, q in a:
+            num, den = num * (p + m * q), den * q
+        for p, q in b:
+            num, den = num * q, den * (p + m * q)
+        return Fraction(num, den)
 
     def _describe(self):
         return "RationalPS(a=[%s], b=[%s])" % (

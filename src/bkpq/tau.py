@@ -206,16 +206,18 @@ def check_symmetry_scaling(spec, a, W):
 
     Every term c f(t) f(t*) of tau_bkp has equal t- and t*-weight and is
     symmetric, so both halves hold for any r: the check pins the assembly
-    (the mirror half of _diagonal_sum, swap, substitute_scaled), not r.
-    The witness of a failure is the first monomial that breaks the symmetry.
+    (the mirror half of _diagonal_sum, substitute_scaled), not r.  The swap
+    half reads each numerator at its mirrored key; only a failure builds
+    t.swap(), to name the first monomial that breaks the symmetry.
     """
     a = Fraction(a)
     if not a:
         raise ValueError("scale must be nonzero")
     t = tau_bkp(spec, W, W)
-    rep = compare_series("symmetry-swap", {"r": repr(spec), "weight": W}, t.swap(), t)
-    if not rep.passed:
-        return rep
+    num, shift, low = t.num, t.codec.shift, t.codec.low
+    mirrored = map(num.get, [k >> shift | (k & low) << shift for k in num])
+    if list(mirrored) != list(num.values()):
+        return compare_series("symmetry-swap", {"r": repr(spec), "weight": W}, t.swap(), t)
     return compare_series(
         "symmetry-scaling",
         {"r": repr(spec), "weight": W, "a": str(a)},

@@ -119,6 +119,27 @@ MUTANTS = [
         ["tests/test_rspec.py"],
     ),
     _mutant(
+        "rspec: (n - 1) read as n in RationalPS's integer r(n)",
+        "bkpq/rspec.py",
+        "= n - 1, self._pairs,",
+        "= n, self._pairs,",
+        ["tests/test_rspec.py"],
+    ),
+    _mutant(
+        "tau: the swap check reads each key itself, not its mirror",
+        "bkpq/tau.py",
+        "[k >> shift | (k & low) << shift for k in num]",
+        "[k for k in num]",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "gseries: BiSeries.swap shifts the t part by shift, not up",
+        "bkpq/gseries.py",
+        "(k & low) << up",
+        "(k & low) << shift",
+        ["tests/test_gseries.py", "tests/test_gseries_oracle.py"],
+    ),
+    _mutant(
         "tau: the t* kernel paired with Q_lambda at the t cap, caps unequal",
         "bkpq/tau.py",
         "q if Wf == Wg else q_lambda(lam, Wg)",

@@ -310,6 +310,10 @@ def test_biseries_exp_and_swap():
     assert e.coefficient(((3, 1),), ((3, 1),)) == Fraction(3, 2)
     assert e.coefficient(((1, 2),), ((1, 2),)) == Fraction(1, 8)
     assert (e - e.swap()) == BiSeries(W, W)
+    # at unequal caps each half moves by the other half's width
+    b = BiSeries(5, 3, {(((1, 2), (5, 1)), ((3, 1),)): 7, (((3, 1),), ()): 2})
+    want = BiSeries(3, 5, {(((3, 1),), ((1, 2), (5, 1))): 7, ((), ((3, 1),)): 2})
+    assert b.swap().caps == (3, 5) and b.swap() == want and want.swap() == b
     # exp(t_1 + t*_1) at caps (1, 1) keeps t_1 t*_1, of total weight 2
     g = BiSeries(1, 1, {(((1, 1),), ()): 1, ((), ((1, 1),)): 1}).exp()
     assert g.coefficient(((1, 1),), ((1, 1),)) == 1

@@ -1,8 +1,11 @@
 """Weight-function variants, reflection symmetry, and content products."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkpq.partitions import (
     Partition,
@@ -82,6 +85,81 @@ def test_rational_ps_prefix_is_pochhammer_quotient():
         assert spec.r_prefix(n) == want
 
 
+def fraction_r(spec, n):
+    """r(n) of a RationalPS as its _r_positive built it before a and b were
+    kept as int pairs: a Fraction loop over a_i + n - 1 and b_i + n - 1, at
+    1 - n for n <= 0.  The reference that the integer r(n) is held to."""
+    if n <= 0:
+        n = 1 - n
+    num = Fraction(1)
+    for ai in spec.a:
+        num *= ai + n - 1
+    den = Fraction(1)
+    for bi in spec.b:
+        den *= bi + n - 1
+    return num / den
+
+
+# negative, non-integer and zero-hitting parameters: a = -3 makes r(4) = 0,
+# a = 0 makes r(1) = 0, b = -5/2 makes the factors b + n - 1 of r(1), r(2)
+# and r(3) negative, and symrat's alpha = 7/2 is the a = 1/2 - 7/2 = -3 of
+# r(4) = 0
+INTEGER_R_SPECS = [
+    "ratps:a=-3,1/2;b=5/4",
+    "ratps:a=0,-7/3;b=-5/2",
+    "ratps:a=-2/3,4;b=-1/3,7/2",
+    "ratps:a=;b=-9/4,3",
+    "ratps:a=-11/5;b=",
+    "symrat:alpha=7/2;beta=-4/3",
+    "symrat:alpha=-5/3,1/4;beta=1/6",
+    "symrat:alpha=;beta=2/7,-3/4",
+]
+
+
+@pytest.mark.parametrize("text", INTEGER_R_SPECS)
+def test_integer_r_value_is_the_fraction_loop(text):
+    spec = parse_rspec(text)
+    for n in range(-20, 21):
+        got = spec.r_value(n)
+        assert type(got) is Fraction and got == fraction_r(spec, n), (text, n)
+
+
+class AskedRationalPS(RationalPS):
+    """A RationalPS that records each n it is asked r(n) at."""
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        self.asked = []
+
+    def _r_positive(self, n):
+        self.asked.append(n)
+        return super()._r_positive(n)
+
+
+def test_integer_r_zero_ends_the_prefixes_without_asking_r():
+    spec = AskedRationalPS([-3, F(1, 2)], [F(5, 4)])
+    assert spec.r_prefix(12) == 0
+    assert spec.asked == [1, 2, 3, 4] and spec.r_value(4) == 0
+    assert spec._prefixes[4:] == [(0, 1)] * 9
+    assert [spec.r_prefix(n) for n in range(5)] == [_fresh_prefix(spec, n) for n in range(5)]
+    assert spec.asked == [1, 2, 3, 4]
+
+
+# rationals of small height; a b that is a nonpositive integer is refused
+_RATIONALS = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+_B_VALUES = _RATIONALS.filter(lambda v: v.denominator != 1 or v > 0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(a=st.lists(_RATIONALS, max_size=4), b=st.lists(_B_VALUES, max_size=4))
+def test_integer_r_value_matches_the_fraction_loop_on_random_parameters(a, b):
+    spec = RationalPS(a, b)
+    for n in range(-20, 21):
+        assert spec.r_value(n) == fraction_r(spec, n), n
+    for n, (num, den) in enumerate(spec._prefix_pairs(15)):
+        assert den > 0 and gcd(num, den) == 1 and F(num, den) == _fresh_prefix(spec, n), n
+
+
 def _fresh_prefix(spec, n):
     out = F(1)
     for k in range(1, n + 1):
@@ -108,6 +186,11 @@ def test_r_prefix_memo_matches_fresh_product():
             spec, oracle = make(), make()
             for n in order:
                 assert spec.r_prefix(n) == _fresh_prefix(oracle, n), (spec, n)
+        # each kept prefix is its reduced int pair, (0, 1) once it is 0
+        spec.r_prefix(15)
+        for n, (num, den) in enumerate(spec._prefixes):
+            assert den > 0 and gcd(num, den) == 1, (spec, n)
+            assert F(num, den) == _fresh_prefix(oracle, n), (spec, n)
     assert Shifted().r_prefix(3) == 6 * 7 * 8
 
 
@@ -145,6 +228,13 @@ R_LAMBDA_SPECS = [
     "prod:(ratps:a=2;b=1/3),(symrat:alpha=1/4;beta=3/5)",
 ]
 
+# a table and a tparam drawn as the spec-scan benchmark draws them at W = 14
+SCAN_SHAPED_SPECS = [
+    "table:5/3,5,5/2,3,1,2,4,5/2,1,2/5,5/4,3/5,1/4,1/2,5/3,4/5",
+    "tparam:T1=1/3,T2=5,T3=5/4,T4=3/2,T5=1,T6=3/5,T7=1/2,T8=2/3,T9=1,T10=4/5,T11=3/2,"
+    "T12=5/2,T13=4/3,T14=5/4,T15=3/5,T16=3",
+]
+
 
 def prefix_pair(spec, lam):
     """r_lambda as RSpec.r_lambda built it before the pair was kept: r_prefix
@@ -161,7 +251,7 @@ def prefix_pair(spec, lam):
     return num, den
 
 
-@pytest.mark.parametrize("text", R_LAMBDA_SPECS)
+@pytest.mark.parametrize("text", R_LAMBDA_SPECS + SCAN_SHAPED_SPECS)
 def test_r_lambda_is_the_fraction_product_of_prefixes(text):
     spec, oracle = parse_rspec(text), parse_rspec(text)
     for lam in enumerate_strict(14):
@@ -173,6 +263,9 @@ def test_r_lambda_is_the_fraction_product_of_prefixes(text):
         got = spec.r_lambda(lam)
         assert type(got) is Fraction and got == want, (text, lam)
         assert F(*spec.r_lambda_pair(lam)) == spec.r_lambda(lam) == want
+    # the pairs r_lambda_pair multiplied are the reduced prefixes
+    for n, (num, den) in enumerate(spec._prefixes):
+        assert den > 0 and gcd(num, den) == 1 and F(num, den) == oracle.r_prefix(n), (text, n)
 
 
 class AskedTParam(TParam):

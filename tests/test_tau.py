@@ -730,6 +730,18 @@ def test_check_tau_scalar_refuses_an_alphabet_at_zero(zero, monkeypatch):
     assert not check_tau_scalar(spec, 6, {1: F(1, 3)}, other).passed
 
 
+def test_passing_check_symmetry_scaling_builds_no_swapped_copy(monkeypatch):
+    # the swap half reads each value at its mirrored key; BiSeries.swap only
+    # names a failure's witness, and the series tests pin it
+    def refuse(self):
+        raise AssertionError("swap called on a passing check")
+
+    monkeypatch.setattr(BiSeries, "swap", refuse)
+    for spec in SPECS:
+        assert check_symmetry_scaling(spec, 2, 6).passed
+    assert check_symmetry_scaling(parse_rspec(SCAN_GOLDEN[3][1]), F(1, 3), 14).passed
+
+
 def test_check_symmetry_scaling_fails_a_cell_written_in_the_wrong_half():
     # the coefficient of t_1^3 t*_3 moved onto its mirror t_3 t*_1^3, as a
     # mirror written at the wrong keys would leave it: the weights still
