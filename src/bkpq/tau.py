@@ -3,16 +3,24 @@
 tau_r(t, t*) = 1 + sum over nonzero strict partitions of
 2^{-l} r_lambda Q_lambda(t/2) Q_lambda(t*/2).  Every check compares
 truncated series coefficientwise and reports the first failing monomial.
+
+The lambda and their Q_lambda come from `qschur._strict_table`, kept per cap:
+`tau_terms` walks it for every tau sum, and the r-pairing its weight blocks.
 """
 
 from fractions import Fraction
 from itertools import compress
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .gseries import BiSeries, OddSeries, _fill, bi_codec
-from .partitions import conjugate, enumerate_partitions, enumerate_strict
-from .qschur import _dual, _indexed, _miwa_reader, _numbering, _pair, q_lambda, schur_s
+from .partitions import conjugate, enumerate_partitions
+from .qschur import _indexed, _miwa_reader, _numbering, _strict_table, schur_s
 from .rspec import Ones, RationalPS, content_product_kp
+
+# Not called here.  Kept because perfbench/tests checks that its tracer
+# rebinds this name in this module too.
+from .qschur import q_lambda  # noqa: F401
 
 
 class TauReport:
@@ -66,12 +74,16 @@ def tau_terms(spec, W, max_length=None):
     denominators part by part, so factors of any prime may cancel, and every
     sum of these terms reduces once at its end.  Q_lambda is truncated at
     W.  tau_r is 1 plus the sum of these terms with Q_lambda(t*/2) as a
-    third factor.
+    third factor.  One walk of `qschur._strict_table(W)`, in
+    `enumerate_strict` order, the length filtered as it goes.
     """
-    for lam in enumerate_strict(W, max_length):
-        n, d = spec.r_lambda_pair(lam)
-        if n:
-            yield n, d << lam.length, q_lambda(lam, W)
+    r_lambda_pair = spec.r_lambda_pair
+    for entries, _, _ in _strict_table(W):
+        for lam, l, q, _ in entries:
+            if max_length is None or l <= max_length:
+                n, d = r_lambda_pair(lam)
+                if n:
+                    yield n, d << l, q
 
 
 _BLOCK_KEYS = {}  # (w, W, Wstar) -> (triangle keys, mirror keys)
@@ -188,9 +200,17 @@ def vacuum_kernel(W, Wstar):
     return BiSeries(W, Wstar, terms).exp()
 
 
-def check_cauchy(W):
-    """Vacuum tau function: the Q-sum equals exp(sum (n/2) t_n t*_n)."""
-    lhs = tau_bkp(Ones(), W, W)
+def check_cauchy(W, vacuum=None):
+    """Vacuum tau function: the Q-sum equals exp(sum (n/2) t_n t*_n).
+
+    tau_bkp is read off vacuum, an `Ones` whose build the caller's other
+    checks share, or off a new `Ones` if none is given.
+    """
+    if vacuum is None:
+        vacuum = Ones()
+    elif type(vacuum) is not Ones:
+        raise ValueError("the Cauchy check reads an Ones spec, not %r" % (vacuum,))
+    lhs = tau_bkp(vacuum, W, W)
     rhs = vacuum_kernel(W, W)
     return compare_series("cauchy", {"weight": W}, lhs, rhs)
 
@@ -275,34 +295,35 @@ def scalar_product_r_by_weight(f, g, spec):
     """The deformed pairing sum over lambda of c_lambda(f) c_lambda(g) 2^l
     r_lambda, split by partition weight: {|lambda|: sum of its terms}.
 
-    The constant terms give the entry at weight 0.  With <Q_lambda, f> =
-    a / d_a and <Q_lambda, g> = b / d_b (one `_pair` each against the
-    `_dual` of f and of g, off one Q_lambda when f and g share a cap), and
-    r_lambda = n / d from `r_lambda_pair`, the term of lambda is the int
-    pair a b n / (d_a d_b d 2^l); a lambda with r_lambda = 0 is skipped
-    before it is paired.  Each weight is summed over the lcm of its
-    denominators into one Fraction; a weight with no nonzero term may be
-    missing.
+    The constant terms give the entry at weight 0.  One walk of the weight
+    blocks of `qschur._strict_table` at the smaller cap: per block, each
+    kernel's dual is its numerators over the block's numbering at its own
+    cap times the pairing factors, and <Q_lambda, f> is the dot product of
+    lambda's row with it, over the block's D f.den.  With r_lambda = n / d
+    from `r_lambda_pair`, the term of lambda is a b n / (d 2^l) over
+    D^2 f.den g.den; a lambda with r_lambda = 0 is skipped before it is
+    paired.  Each weight is summed over the lcm of its denominators into
+    one Fraction; a weight with no nonzero term may be missing.
     """
     out = {0: f.constant_term() * g.constant_term()}
     Wf, Wg = f.truncation_weight, g.truncation_weight
-    dual_f, dual_g = _dual(f), _dual(g)
-    by_weight = {}
-    for lam in enumerate_strict(min(Wf, Wg)):
-        n, d = spec.r_lambda_pair(lam)
-        if not n:
-            continue
-        q = q_lambda(lam, Wf)
-        a, da = _pair(dual_f, q)
-        if not a:
-            continue
-        b, db = _pair(dual_g, q if Wf == Wg else q_lambda(lam, Wg))
-        if b:
-            term = (a * b * n, (da * db * d) << lam.length)
-            by_weight.setdefault(lam.weight, []).append(term)
-    for w, terms in by_weight.items():
-        L = lcm(*(d for _, d in terms))
-        out[w] = Fraction(sum(n * (L // d) for n, d in terms), L)
+    r_lambda_pair, fnum, gnum = spec.r_lambda_pair, f.num, g.num
+    for w, (entries, factors, D) in enumerate(_strict_table(min(Wf, Wg))):
+        dual_f = [fnum.get(k, 0) * c for k, c in zip(_numbering(w, Wf)[0], factors)]
+        dual_g = [gnum.get(k, 0) * c for k, c in zip(_numbering(w, Wg)[0], factors)]
+        terms = []
+        for lam, l, _, row in entries:
+            n, d = r_lambda_pair(lam)
+            if n:
+                a = sum(map(mul, row, dual_f))
+                if a:
+                    b = sum(map(mul, row, dual_g))
+                    if b:
+                        terms.append((a * b * n, d << l))
+        if terms:
+            L = lcm(*(d for _, d in terms))
+            total = sum(n * (L // d) for n, d in terms)
+            out[w] = Fraction(total, L * D * D * f.den * g.den)
     return out
 
 

@@ -107,8 +107,8 @@ MUTANTS = [
     _mutant(
         "tau: the 2^l dropped in tau_terms",
         "bkpq/tau.py",
-        "yield n, d << lam.length,",
-        "yield n, d,",
+        "yield n, d << l, q",
+        "yield n, d, q",
         ["tests/test_tau.py"],
     ),
     _mutant(
@@ -140,10 +140,24 @@ MUTANTS = [
         ["tests/test_gseries.py", "tests/test_gseries_oracle.py"],
     ),
     _mutant(
-        "tau: the t* kernel paired with Q_lambda at the t cap, caps unequal",
+        "tau: the t* kernel read off the t cap's numbering, caps unequal",
         "bkpq/tau.py",
-        "q if Wf == Wg else q_lambda(lam, Wg)",
-        "q",
+        "zip(_numbering(w, Wg)[0], factors)",
+        "zip(_numbering(w, Wf)[0], factors)",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: the t kernel's dual row shifted by one index",
+        "bkpq/tau.py",
+        "zip(_numbering(w, Wf)[0], factors)",
+        "zip(_numbering(w, Wf)[0][1:], factors)",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: check_tau_scalar's witness loop stops short of weight W",
+        "bkpq/tau.py",
+        "for w in range(W + 1):",
+        "for w in range(W - 1):",
         ["tests/test_tau.py"],
     ),
     _mutant(

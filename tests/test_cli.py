@@ -437,12 +437,26 @@ def test_help_lists_the_commands_in_order(capsys, monkeypatch):
 
 def test_failed_identity_exits_1(capsys, monkeypatch):
     fake = TauReport("cauchy", {"weight": 5}, False, ("t_1 t*_1", "1/2", "1/3"))
-    monkeypatch.setattr(cli.tau, "check_cauchy", lambda W: fake)
+    monkeypatch.setattr(cli.tau, "check_cauchy", lambda W, vacuum: fake)
     code, out, _ = run(capsys, ["verify", "--suite", "cauchy", "--weight", "5", "--json"])
     assert code == 1
     reports = json.loads(out)
     assert reports[0]["pass"] is False
     assert "witness" in reports[0]
+
+
+def test_verify_builds_the_vacuum_tau_once(monkeypatch):
+    # the Cauchy check reads tau_bkp off the Ones that the other checks share
+    built = []
+    real = cli.tau.tau_terms
+
+    def tau_terms(spec, W, max_length=None):
+        built.append((repr(spec), W, max_length))
+        return real(spec, W, max_length)
+
+    monkeypatch.setattr(cli.tau, "tau_terms", tau_terms)
+    assert all(r.passed for r in cli.run_verify_suite("all", 6))
+    assert built.count(("Ones()", 6, None)) == 1
 
 
 def test_verify_checks_share_each_shipped_spec(monkeypatch):

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from bkpq import ops, partitions, qschur, tau
+from bkpq import ops, tau
 from bkpq.gseries import OddSeries
 from bkpq.ops import apply_x_r_negD, check_linear_eq_N1, tau_x_series
 from bkpq.partitions import StrictPartition
@@ -219,25 +219,28 @@ def test_a_failed_one_point_build_is_not_kept():
 
 
 def test_a_spec_scan_op_walks_each_partition_list_once(monkeypatch):
-    # tau_bkp and the pairing of check_tau_scalar each walk the 109 strict
-    # partitions of weight <= 14; the three linear checks share one walk of
-    # the 14 one-row ones.  A walk of all 109 per linear check would make
-    # 545 items and 260 r_lambda_pair reads.
-    counts = {"items": 0, "r_lambda_pair": 0}
-    real_enumerate, real_pair = partitions.enumerate_strict, RSpec.r_lambda_pair
+    # tau_bkp and the pairing of check_tau_scalar each walk the strict table
+    # of the 109 strict partitions of weight <= 14 once; the three linear
+    # checks share one walk, which keeps the 14 one-row ones.  A walk per
+    # linear check would make 5 walks and 260 r_lambda_pair reads.
+    walks, calls, counts = [], [], {"r_lambda_pair": 0}
+    real_table, real_terms, real_pair = tau._strict_table, tau.tau_terms, RSpec.r_lambda_pair
 
-    def enumerate_strict(*args, **kwargs):
-        out = real_enumerate(*args, **kwargs)
-        counts["items"] += len(out)
-        return out
+    def strict_table(W):
+        walks.append(W)
+        return real_table(W)
+
+    def tau_terms(spec, W, max_length=None):
+        calls.append((W, max_length))
+        return real_terms(spec, W, max_length)
 
     def r_lambda_pair(self, lam):
         counts["r_lambda_pair"] += 1
         return real_pair(self, lam)
 
-    for module in (ops, partitions, qschur, tau):
-        if getattr(module, "enumerate_strict", None) is real_enumerate:
-            monkeypatch.setattr(module, "enumerate_strict", enumerate_strict)
+    monkeypatch.setattr(tau, "_strict_table", strict_table)
+    for module in (ops, tau):
+        monkeypatch.setattr(module, "tau_terms", tau_terms)
     monkeypatch.setattr(RSpec, "r_lambda_pair", r_lambda_pair)
     W = 14
     spec = RationalPS([F(1, 2), 3], [F(5, 2)])
@@ -246,7 +249,9 @@ def test_a_spec_scan_op_walks_each_partition_list_once(monkeypatch):
         assert check_linear_eq_N1(spec, m, W, W).passed, m
     t, tstar = {1: F(1, 2), 3: F(-2, 3), 5: F(3, 4)}, {1: F(-1, 3), 3: F(2, 5), 5: F(1, 7)}
     assert check_tau_scalar(spec, W, t, tstar).passed
-    assert counts == {"items": 232, "r_lambda_pair": 232}
+    assert walks == [W, W, W]
+    assert calls == [(W, None), (W, 1)]  # tau_bkp, then the linear checks' one-row walk
+    assert counts == {"r_lambda_pair": 232}
 
 
 @pytest.mark.parametrize("x", [F(1), F(-2, 3), F(5)])

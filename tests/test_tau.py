@@ -52,7 +52,7 @@ from bkpq.tau import (
     vacuum_kernel,
 )
 from test_gseries_oracle import substitute_terms
-from test_ops import one_row_route, tau_single_x_coefficients
+from test_ops import _perturbed_tau_terms, one_row_route, tau_single_x_coefficients
 from test_qschur import t_infinity
 from test_rspec import (
     R_LAMBDA_SPECS,
@@ -91,6 +91,16 @@ def test_tau_bkp_cutoff1_is_one():
 def test_cauchy_identity():
     rep = check_cauchy(8)
     assert rep.passed
+
+
+def test_cauchy_reads_the_vacuum_it_is_given():
+    vacuum = Ones()
+    assert check_cauchy(6, vacuum).passed
+    assert tau_bkp(vacuum, 6, 6) is tau_bkp(vacuum, 6, 6) == vacuum_kernel(6, 6)
+    # the identity is the vacuum's: another spec would read as a failure
+    for spec in (Cutoff(3), SymmetricRational([F(1, 3)], [])):
+        with pytest.raises(ValueError, match="reads an Ones spec"):
+            check_cauchy(6, spec)
 
 
 def test_cauchy_cross_term_cancellation():
@@ -178,6 +188,82 @@ def _fuzz_times(W):
     ).filter(lambda d: any(d.values()))
 
 
+# -- the strict table, held to the per-lambda walks it replaced ---------------
+
+
+def _walked_tau_terms(spec, W, max_length=None):
+    """tau.tau_terms as it was before it walked `qschur._strict_table`: one
+    `enumerate_strict` list and one q_lambda read per lambda."""
+    for lam in enumerate_strict(W, max_length):
+        n, d = spec.r_lambda_pair(lam)
+        if n:
+            yield n, d << lam.length, q_lambda(lam, W)
+
+
+def _per_lambda_pairing(f, g, spec):
+    """tau.scalar_product_r_by_weight as it was before it walked the weight
+    blocks of `qschur._strict_table`: per lambda of `enumerate_strict` one
+    q_lambda read at each kernel's cap, one `_pair` against each kernel's
+    `_dual`, and the int pair a b n / (d_a d_b d 2^l) summed per weight."""
+    out = {0: f.constant_term() * g.constant_term()}
+    Wf, Wg = f.truncation_weight, g.truncation_weight
+    dual_f, dual_g = _dual(f), _dual(g)
+    by_weight = {}
+    for lam in enumerate_strict(min(Wf, Wg)):
+        n, d = spec.r_lambda_pair(lam)
+        if not n:
+            continue
+        a, da = _pair(dual_f, q_lambda(lam, Wf))
+        if not a:
+            continue
+        b, db = _pair(dual_g, q_lambda(lam, Wg))
+        if b:
+            by_weight.setdefault(lam.weight, []).append((a * b * n, (da * db * d) << lam.length))
+    for w, terms in by_weight.items():
+        L = lcm(*(d for _, d in terms))
+        out[w] = Fraction(sum(n * (L // d) for n, d in terms), L)
+    return out
+
+
+# The table routes are held to these on every spec of R_LAMBDA_SPECS: the
+# shipped specs, the four spec-scan families (R_LAMBDA_SPECS[:4], shaped as
+# spec-scan draws them at W = 14), cutoff:M=3, whose r_lambda = 0 skips every
+# lambda with a part >= 3, and specs with a zero inside r.  The kernels are
+# check_tau_scalar's; the second pair leaves the t kernel only the weights
+# divisible by 3, so its other weight blocks are empty.
+TABLE_KERNELS = [
+    ({1: F(1, 2), 3: F(-2, 3), 5: F(3, 4), 9: F(1, 3)}, {1: F(-1, 3), 3: F(2, 5), 7: 2}),
+    ({3: F(2, 3), 9: F(-1, 2)}, {1: F(-1, 3), 5: 2}),
+]
+
+
+@pytest.mark.parametrize("Wf, Wg", [(14, 14), (14, 9), (9, 14), (6, 9), (9, 6), (6, 6)])
+@pytest.mark.parametrize("text", R_LAMBDA_SPECS)
+def test_r_pairing_matches_the_per_lambda_route(text, Wf, Wg):
+    # with unequal caps each kernel reads the numbering of its own cap
+    weights = set()
+    for t, tstar in TABLE_KERNELS:
+        f = _exp_kernel({m: v for m, v in t.items() if m <= Wf}, Wf)
+        g = _exp_kernel({m: v for m, v in tstar.items() if m <= Wg}, Wg)
+        got = scalar_product_r_by_weight(f, g, parse_rspec(text))
+        want = _per_lambda_pairing(f, g, parse_rspec(text))
+        assert got == want, (t, tstar)
+        assert all(type(v) is Fraction for v in got.values())
+        weights |= set(want)
+    # some lambda is paired unless every r_lambda is 0 (ratps with a = 0)
+    assert weights > {0} or not list(tau_terms(parse_rspec(text), min(Wf, Wg)))
+
+
+@pytest.mark.parametrize("max_length", [None, 1, 2, 3])
+@pytest.mark.parametrize("text", R_LAMBDA_SPECS)
+def test_tau_terms_match_the_enumerate_strict_walk(text, max_length):
+    for W in (14, 9, 0):
+        got = list(tau_terms(parse_rspec(text), W, max_length))
+        want = list(_walked_tau_terms(parse_rspec(text), W, max_length))
+        assert [(n, d) for n, d, _ in got] == [(n, d) for n, d, _ in want], W
+        assert all(p is q for (_, _, p), (_, _, q) in zip(got, want)), W
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_tau_bkp_and_scalar_route_on_random_specs(data):
@@ -240,37 +326,6 @@ def test_integer_r_pairing_matches_fraction_pairing(data):
     f = _exp_kernel(data.draw(_fuzz_times(Wf)), Wf)
     g = _exp_kernel(data.draw(_fuzz_times(Wg)), Wg)
     _assert_pairing_matches_oracle(f, g, spec)
-
-
-def _per_lambda_pairing(f, g, spec):
-    """The r-pairing as tau.scalar_product_r_by_weight summed it before one
-    Q_lambda served both kernels: per lambda two q_lambda reads, one at each
-    kernel's cap, two `_pair`s and the Fraction r_lambda, every term a
-    Fraction."""
-    out = {0: f.constant_term() * g.constant_term()}
-    Wf, Wg = f.truncation_weight, g.truncation_weight
-    dual_f, dual_g = _dual(f), _dual(g)
-    for lam in enumerate_strict(min(Wf, Wg)):
-        a = F(*_pair(dual_f, q_lambda(lam, Wf)))
-        b = F(*_pair(dual_g, q_lambda(lam, Wg)))
-        term = a * b * spec.r_lambda(lam) / 2**lam.length
-        if term:
-            out[lam.weight] = out.get(lam.weight, 0) + term
-    return out
-
-
-@pytest.mark.parametrize("Wf, Wg", [(14, 14), (14, 9), (9, 14)])
-@pytest.mark.parametrize("text", [R_LAMBDA_SPECS[k] for k in (0, 1, 3, 4, 11)])
-def test_r_pairing_matches_the_per_lambda_route(text, Wf, Wg):
-    # with unequal caps the t* kernel must pair with Q_lambda read at its cap
-    t = {1: F(1, 2), 3: F(-2, 3), 5: F(3, 4), 9: F(1, 3)}
-    tstar = {1: F(-1, 3), 3: F(2, 5), 7: 2}
-    f, g = _exp_kernel(t, Wf), _exp_kernel(tstar, Wg)
-    got = scalar_product_r_by_weight(f, g, parse_rspec(text))
-    want = _per_lambda_pairing(f, g, parse_rspec(text))
-    assert {w: v for w, v in got.items() if v} == want
-    assert all(type(v) is Fraction for v in got.values())
-    assert len(want) > 3  # weight 0 and some lambda
 
 
 @pytest.mark.parametrize("text", R_LAMBDA_SPECS)
@@ -574,6 +629,19 @@ def test_check_tau_scalar_witness_names_lowest_failing_weight(monkeypatch):
     assert label == "weight 3"
     assert rhs - lhs == F(1, 3) * F(-1, 7)
     assert rep.to_json()["witness"]["monomial"] == "weight 3"
+
+
+@pytest.mark.parametrize("W", [5, 6, 9])
+def test_check_tau_scalar_witness_at_the_top_weight(W, monkeypatch):
+    # r_(W) scaled in the series route alone: the pairing weights each lambda
+    # by r_lambda_pair itself, so the two sides differ at weight W only
+    monkeypatch.setattr(tau_module, "tau_terms", _perturbed_tau_terms(W, F(1001, 1000)))
+    tv = {1: F(1, 2), 3: F(1, 3)}
+    sv = {1: F(1, 5), 3: F(-1, 7)}
+    rep = check_tau_scalar(RationalPS([F(1, 2)], [F(3, 4)]), W, tv, sv)
+    assert not rep.passed
+    label, lhs, rhs = rep.witness
+    assert label == "weight %d" % W and lhs != rhs
 
 
 def pair_tstar_against(bi, g):
