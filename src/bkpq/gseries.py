@@ -497,28 +497,6 @@ class GradedSeries:
         )
         return Fraction(total, den)
 
-    def _scaled(self, a0, mask, shift, mask_star):
-        """The coefficient of each key k times a0^s(k), in ints, with the
-        shift s(k) = (k & mask) - (k >> shift & mask_star).
-
-        When every shift is 0, as one set comprehension over the keys shows,
-        the series is its own image and is returned as it is.  Otherwise,
-        with a0 = p/q and lo <= 0 <= hi bounding the shifts, a numerator of
-        shift s gains the multiplier p^(s - lo) q^(hi - s), made once per
-        distinct s, and the denominator p^(-lo) q^hi once; the sign of a
-        negative p^(-lo) moves into the multipliers.
-        """
-        shifts = {(k & mask) - (k >> shift & mask_star) for k in self.num}
-        if shifts <= {0}:
-            return self
-        p, q = a0.numerator, a0.denominator
-        lo, hi = min(0, *shifts), max(0, *shifts)
-        d = p ** -lo
-        sign = -1 if d < 0 else 1
-        factor = {s: sign * p ** (s - lo) * q ** (hi - s) for s in shifts}
-        num = {k: v * factor[(k & mask) - (k >> shift & mask_star)] for k, v in self.num.items()}
-        return self._like(num, self.den * abs(d) * q ** hi)
-
     def weight_component(self, w):
         """The terms whose first weight (the t weight of a BiSeries) is w."""
         grade = self.codec.grade
@@ -582,10 +560,6 @@ class OddSeries(GradedSeries):
                     num[k - step] = v * e
         return self._like(num, self.den)
 
-    def substitute_scaled(self, a0):
-        """Apply t_m -> a0^m t_m."""
-        return self._scaled(Fraction(a0), self.codec.mask, 0, 0)
-
     def to_json(self):
         decode, den = self.codec.decode, self.den
         return {
@@ -625,23 +599,6 @@ class BiSeries(GradedSeries):
 
     def coefficient(self, mono_t, mono_tstar):
         return GradedSeries.coefficient(self, (mono_t, mono_tstar))
-
-    def swap(self):
-        """Exchange the t and t* alphabets."""
-        W, Wstar = self.caps
-        codec = self.codec
-        low, shift, up = codec.low, codec.shift, codec.halves[1].shift
-        num = {k >> shift | (k & low) << up: v for k, v in self.num.items()}
-        return _fill(object.__new__(BiSeries), num, self.den, bi_codec(Wstar, W))
-
-    def substitute_scaled(self, a0):
-        """t_m -> a0^m t_m and t*_m -> a0^(-m) t*_m."""
-        a0 = Fraction(a0)
-        if not a0:
-            raise ValueError("scale must be nonzero")
-        codec = self.codec
-        t, star = codec.halves
-        return self._scaled(a0, t.mask, codec.shift, star.mask)
 
     def to_json(self):
         decode, den = self.codec.decode, self.den

@@ -122,9 +122,9 @@ def _diagonal_sum(terms, W, Wstar):
     of L and every triangle value, each nonzero value over g is written at
     its key t_i t*_j and at the mirror key t_j t*_i (a diagonal cell twice),
     over L / g, the canonical form; a cell can cancel, as every off-diagonal
-    one of Ones' tau does.  The swap half of check_symmetry_scaling pins the
-    mirror; the triangle's values are pinned by every check that compares
-    tau with another route.
+    one of Ones' tau does.  check_symmetry_scaling, which reads each value
+    at its mirrored key, pins the mirror; the triangle's values are pinned
+    by every check that compares tau with another route.
     """
     scaled = [(n, d * f.den * f.den, _indexed(f)) for n, d, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
@@ -226,24 +226,40 @@ def check_symmetry_scaling(spec, a, W):
 
     Every term c f(t) f(t*) of tau_bkp has equal t- and t*-weight and is
     symmetric, so both halves hold for any r: the check pins the assembly
-    (the mirror half of _diagonal_sum, substitute_scaled), not r.  The swap
-    half reads each numerator at its mirrored key; only a failure builds
-    t.swap(), to name the first monomial that breaks the symmetry.
+    (the mirror half of _diagonal_sum), not r.  One pass over tau's
+    numerators reads each at its mirrored key, for the swap half, and
+    flags a key of t-weight u and t*-weight v when a^(u - v) != 1, for
+    the scaling half; a passing check builds no series.  A failure of
+    either half, the swap half first, names the flagged monomial of lowest
+    total weight, then the least, with the coefficient of the swapped or
+    scaled tau there as lhs and that of tau as rhs.
     """
     a = Fraction(a)
     if not a:
         raise ValueError("scale must be nonzero")
     t = tau_bkp(spec, W, W)
-    num, shift, low = t.num, t.codec.shift, t.codec.low
-    mirrored = map(num.get, [k >> shift | (k & low) << shift for k in num])
-    if list(mirrored) != list(num.values()):
-        return compare_series("symmetry-swap", {"r": repr(spec), "weight": W}, t.swap(), t)
-    return compare_series(
-        "symmetry-scaling",
-        {"r": repr(spec), "weight": W, "a": str(a)},
-        t.substitute_scaled(a),
-        t,
-    )
+    num, codec = t.num, t.codec
+    shift, low, mask = codec.shift, codec.low, codec.halves[0].mask
+    swap, scale = {}, {}  # flagged key -> (lhs, rhs) numerators
+    for k, v in num.items():
+        m = k >> shift | (k & low) << shift
+        w = num.get(m, 0)
+        if w != v:
+            swap[k], swap[m] = (w, v), (v, w)
+        s = (k & mask) - (m & mask)  # m's t-weight is k's t*-weight
+        if s and a ** s != 1:
+            scale[k] = (v * a ** s, v)
+    params = {"r": repr(spec), "weight": W}
+    name, flagged = "symmetry-swap", swap
+    if not swap:
+        name, flagged = "symmetry-scaling", scale
+        params["a"] = str(a)
+    if not flagged:
+        return TauReport(name, params, True)
+    bad = min(flagged, key=lambda k: (sum(codec.grade(k)), codec.decode(k)))
+    lhs, rhs = flagged[bad]
+    witness = (_bi_label(codec.decode(bad)), Fraction(lhs, t.den), Fraction(rhs, t.den))
+    return TauReport(name, params, False, witness)
 
 
 def tau_at(spec, power_sum, W, max_length=None):

@@ -63,13 +63,6 @@ MUTANTS = [
         ["tests/test_gseries.py", "tests/test_qschur.py"],
     ),
     _mutant(
-        "gseries: the identity rescale taken when one shift is nonzero",
-        "bkpq/gseries.py",
-        "if shifts <= {0}:",
-        "if 0 in shifts:",
-        ["tests/test_gseries.py"],
-    ),
-    _mutant(
         "rspec: the content-product denominator dropped",
         "bkpq/rspec.py",
         "    return num, den\n",
@@ -128,16 +121,37 @@ MUTANTS = [
     _mutant(
         "tau: the swap check reads each key itself, not its mirror",
         "bkpq/tau.py",
-        "[k >> shift | (k & low) << shift for k in num]",
-        "[k for k in num]",
+        "m = k >> shift | (k & low) << shift",
+        "m = k",
         ["tests/test_tau.py"],
     ),
     _mutant(
-        "gseries: BiSeries.swap shifts the t part by shift, not up",
-        "bkpq/gseries.py",
-        "(k & low) << up",
-        "(k & low) << shift",
-        ["tests/test_gseries.py", "tests/test_gseries_oracle.py"],
+        "tau: the swap check flags a key but not its mirror",
+        "bkpq/tau.py",
+        "swap[k], swap[m] = (w, v), (v, w)",
+        "swap[k] = (w, v)",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: the scaling check compares the t-weight with itself",
+        "bkpq/tau.py",
+        "s = (k & mask) - (m & mask)",
+        "s = (k & mask) - (k & mask)",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: the scaling witness's lhs left unscaled",
+        "bkpq/tau.py",
+        "scale[k] = (v * a ** s, v)",
+        "scale[k] = (v, v)",
+        ["tests/test_tau.py"],
+    ),
+    _mutant(
+        "tau: the scaling check flags every weight gap, not a^s != 1",
+        "bkpq/tau.py",
+        "if s and a ** s != 1:",
+        "if s and s != 0:",
+        ["tests/test_tau.py"],
     ),
     _mutant(
         "tau: the t* kernel read off the t cap's numbering, caps unequal",

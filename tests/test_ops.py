@@ -57,6 +57,8 @@ def test_shift_drops_top_coefficient():
     assert all(c.is_zero() for c in apply_x_r_negD(f, Ones()))
     g = apply_x_r_negD(basis(2, 5, 4), Ones())
     assert g[3].constant_term() == 1
+    # a series of one coefficient drops it
+    assert apply_x_r_negD(basis(0, 0, 4), Ones()) == [OddSeries(4)]
 
 
 def test_operator_order_diagonal_then_shift():

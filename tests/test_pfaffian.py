@@ -70,6 +70,12 @@ def test_pfaffian_odd_dimension_rejected():
         pfaffian(SkewMatrix(3, {(0, 1): F(1)}))
 
 
+def test_multipoly_variable_refuses_an_index_it_lacks():
+    for index in (2, -1):
+        with pytest.raises(ValueError, match=r"^no variable x_%d among x_0\.\.x_1$" % index):
+            MultiPoly.variable(2, 4, index)
+
+
 def test_pfaffian_empty_matrix():
     assert pfaffian(SkewMatrix(0, {})) == 1
 

@@ -306,6 +306,13 @@ def test_square_identity_small():
         assert (lhs - rhs).is_zero()
 
 
+def test_q_lambda_and_schur_s_refuse_a_partition_over_the_cap():
+    with pytest.raises(ValueError, match="^partition weight 5 exceeds truncation 4$"):
+        q_lambda(StrictPartition((3, 2)), 4)
+    with pytest.raises(ValueError, match="^partition weight 5 exceeds truncation 4$"):
+        schur_s(Partition((3, 2)), 4)
+
+
 def test_xpoint_validation():
     with pytest.raises(ValueError):
         XPoint([F(0)])

@@ -3,6 +3,7 @@ invariances, hypergeometric reductions, and the deformed scalar product."""
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -36,6 +37,7 @@ from bkpq.rspec import (
     hook_star,
     parse_rspec,
 )
+from bkpq import gseries as gseries_module
 from bkpq import tau as tau_module
 from bkpq.tau import (
     _exp_kernel,
@@ -43,6 +45,7 @@ from bkpq.tau import (
     check_square,
     check_symmetry_scaling,
     check_tau_scalar,
+    compare_series,
     hyper_one_var,
     scalar_product_r_by_weight,
     tau_bkp,
@@ -51,7 +54,7 @@ from bkpq.tau import (
     tau_terms,
     vacuum_kernel,
 )
-from test_gseries_oracle import substitute_terms
+from test_gseries_oracle import RefSeries, _weight, substitute_terms
 from test_ops import _perturbed_tau_terms, one_row_route, tau_single_x_coefficients
 from test_qschur import t_infinity
 from test_rspec import (
@@ -441,17 +444,6 @@ def test_tau_terms_are_weight_balanced():
         assert mono_weight(mt) == mono_weight(ms)
 
 
-def test_scaling_returns_tau_itself():
-    # equal t- and t*-weight in every term: each shift of the scaling is 0,
-    # so tau is returned as it is, not copied
-    for spec in SPECS:
-        W = 8 if isinstance(spec, TParam) else 10  # the TParam supplies r up to r(8)
-        t = tau_bkp(spec, W, W)
-        for a in (2, F(-1, 3)):
-            assert t.substitute_scaled(a) == t, (spec, a)
-            assert t.substitute_scaled(a) is t, (spec, a)
-
-
 def substitute_tstar_tinfty(bi):
     """Collapse the t* alphabet of a BiSeries at t* = t_infinity, one
     Fraction per term (`substitute_terms`): the reference that
@@ -798,16 +790,20 @@ def test_check_tau_scalar_refuses_an_alphabet_at_zero(zero, monkeypatch):
     assert not check_tau_scalar(spec, 6, {1: F(1, 3)}, other).passed
 
 
-def test_passing_check_symmetry_scaling_builds_no_swapped_copy(monkeypatch):
-    # the swap half reads each value at its mirrored key; BiSeries.swap only
-    # names a failure's witness, and the series tests pin it
-    def refuse(self):
-        raise AssertionError("swap called on a passing check")
+def test_passing_check_symmetry_scaling_builds_no_series(monkeypatch):
+    # both halves read tau's numerators in one pass; only a failure's witness
+    # is built, as Fractions, and no series at all
+    def refuse(*args):
+        raise AssertionError("a series built by a passing check")
 
-    monkeypatch.setattr(BiSeries, "swap", refuse)
-    for spec in SPECS:
-        assert check_symmetry_scaling(spec, 2, 6).passed
-    assert check_symmetry_scaling(parse_rspec(SCAN_GOLDEN[3][1]), F(1, 3), 14).passed
+    cases = [(spec, a, 6) for spec in SPECS for a in (2, F(1, 3))]
+    cases.append((parse_rspec(SCAN_GOLDEN[3][1]), F(1, 3), 14))
+    for spec, _, W in cases:
+        tau_bkp(spec, W, W)
+    monkeypatch.setattr(gseries_module, "_fill", refuse)
+    monkeypatch.setattr(tau_module, "_fill", refuse)
+    for spec, a, W in cases:
+        assert check_symmetry_scaling(spec, a, W).passed, (spec, a)
 
 
 def test_check_symmetry_scaling_fails_a_cell_written_in_the_wrong_half():
@@ -847,3 +843,49 @@ def test_check_symmetry_scaling_sees_unequal_weight_and_asymmetric_terms(monkeyp
         rep = check_symmetry_scaling(Ones(), 2, 6).to_json()
         assert rep["name"] == name and not rep["pass"]
         assert rep["witness"] == {"monomial": witness, "lhs": lhs, "rhs": "1"}
+
+
+@pytest.mark.parametrize("a", [2, F(1, 3), -2, -1, 1])
+def test_check_symmetry_scaling_matches_the_fraction_reference(a):
+    # random asymmetric terms, and symmetric pairs of unequal weight, written
+    # into a spec's kept tau: the report is compare_series over the
+    # reference's swap, then over its (a^m, a^-m) scaling
+    W = 6
+    spec = SymmetricRational([F(1, 3)], [F(1, 5)])
+    base = dict(tau_bkp(spec, W, W).terms)
+    monos = sorted({mt for mt, _ in base})
+    rng = random.Random(7)
+    outcomes = set()
+    for case in range(60):
+        terms = dict(base)
+        for _ in range(rng.randint(1, 3)):
+            mt, ms = rng.choice(monos), rng.choice(monos)
+            c = F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+            # an even case adds each term with its mirror, so tau stays symmetric
+            for mono in [(mt, ms), (ms, mt)] if case % 2 == 0 else [(mt, ms)]:
+                terms[mono] = terms.get(mono, 0) + c
+        spec._tau_bkp[(W, W)] = BiSeries(W, W, terms)
+        got = check_symmetry_scaling(spec, a, W)
+        ref = RefSeries(BiSeries, (W, W), ((), ()), terms)
+        want = compare_series("symmetry-swap", {"r": repr(spec), "weight": W}, ref.swap(), ref)
+        if want.passed:
+            scaled = ref.scaled(lambda m: F(a) ** (_weight(m[0]) - _weight(m[1])))
+            params = {"r": repr(spec), "weight": W, "a": str(F(a))}
+            want = compare_series("symmetry-scaling", params, scaled, ref)
+        assert got.to_json() == want.to_json(), (case, terms)
+        gaps = {_weight(mt) - _weight(ms) for mt, ms in ref.terms}
+        if got.name == "symmetry-scaling":
+            # a^s = 1 at every weight gap s when a = 1, at the even s when a = -1
+            if a == 1:
+                assert got.passed
+            elif a == -1:
+                assert got.passed == all(s % 2 == 0 for s in gaps)
+        outcomes.add((got.name, got.passed, gaps != {0}))
+    # the draws reach each outcome this a allows
+    assert any(name == "symmetry-swap" for name, _, _ in outcomes)
+    if a != 1:
+        assert ("symmetry-scaling", False, True) in outcomes
+    if a in (1, -1):
+        assert ("symmetry-scaling", True, True) in outcomes
+    with pytest.raises(ValueError, match="nonzero"):
+        check_symmetry_scaling(spec, 0, W)
