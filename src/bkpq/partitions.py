@@ -72,25 +72,21 @@ class StrictPartition(Partition):
 ZERO_PARTITION = Partition(())
 
 
-_ENUMERATED = {}  # (strict, max_weight, max_length) -> the partitions, in graded order
+_ENUMERATED = {}  # (strict, max_weight) -> the partitions, in graded order
 
 
-def _enumerate(max_weight, strict, max_length=None):
+def _enumerate(max_weight, strict):
     """The partitions with 0 < weight <= max_weight, with distinct parts if
-    strict, and length <= max_length if given, graded by weight, then
-    lexicographically descending on parts.
+    strict, graded by weight, then lexicographically descending on parts.
 
-    Built once per (strict, max_weight, max_length); each call gets a new
-    list, which the caller may extend.
+    Built once per (strict, max_weight); each call gets a new list, which
+    the caller may extend.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
-    key = (strict, max_weight, max_length)
+    key = (strict, max_weight)
     out = _ENUMERATED.get(key)
-    if out is None and max_length is not None:
-        out = [lam for lam in _enumerate(max_weight, strict) if lam.length <= max_length]
-        _ENUMERATED[key] = out
-    elif out is None:
+    if out is None:
         # upto[w][c]: the partitions of w with parts <= c, in that order:
         # those with first part c, then those whose parts are all below c;
         # after a first part c the rest has parts <= c - 1 if strict, else <= c
@@ -108,14 +104,13 @@ def _enumerate(max_weight, strict, max_length=None):
     return list(out)
 
 
-def enumerate_strict(max_weight, max_length=None):
-    """All strict partitions with 0 < weight <= max_weight, and with at
-    most max_length parts if given.
+def enumerate_strict(max_weight):
+    """All strict partitions with 0 < weight <= max_weight.
 
     Order is graded by weight, then lexicographically descending on parts,
     so golden files stay stable.
     """
-    return _enumerate(max_weight, True, max_length)
+    return _enumerate(max_weight, True)
 
 
 def enumerate_partitions(max_weight):

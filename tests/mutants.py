@@ -1,14 +1,23 @@
 """Mutation table: each entry breaks `src/` on purpose and names the tests
-that must notice.
+that must notice.  This file also holds the one harness that runs it and
+the sampled mutants of `tests/mutation_sample.py`.
 
-For every entry the script copies `src/` to a temporary directory, replaces
-one snippet of one file there, and runs the entry's test selection with
-`pytest -x` against the copy.  A mutant is killed when pytest reports a
-failing test (exit status 1); a mutant that breaks the import or the
-collection counts as an error, not a kill.  Entries marked `survives` are
-known blind spots: the script requires them to pass, so a change that
-starts to kill one shows up here too.  Each distinct selection is first run
-on the unmodified copy, which must pass.
+The harness copies `src/` once to a temporary directory and checks that
+bkpq is imported from that copy, not from an installed package.  Each
+distinct test selection must pass on the unmutated copy.  Then, for each
+entry, it writes the mutated file into the copy, runs the entry's
+selection, and writes the original text back.
+
+The runner is `pytest -x -q -p no:cacheprovider <selection>` with bkpq
+imported from the copy and PYTHONDONTWRITEBYTECODE=1, in a process group
+of its own: each of its processes is capped at MEMORY_BYTES of address
+space, and the whole group is killed at TIMEOUT_S.  One outcome rule holds
+for both scripts: exit status 0 means the mutant survived; exit status 1
+(a failing test) or a timeout means it was killed; any other status (here,
+a mutant that breaks the import or the collection) is an error.  A mutant
+is expected to be killed unless it carries a reason to survive: here the
+`survives` text of a known blind spot, so a change that starts to kill
+one shows up too.
 
 Run it from the repository root; the name keeps it out of the tier-1
 collection:
@@ -16,17 +25,22 @@ collection:
     python tests/mutants.py
 
 It prints one row per entry and exits 1 when any outcome differs from the
-table.  It uses only the standard library and pytest.
+expected one.  It uses only the standard library and pytest.
 """
 
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 150
+MEMORY_BYTES = 2 << 30
 
 
 def _mutant(name, path, old, new, tests, survives=None):
@@ -272,20 +286,27 @@ MUTANTS = [
 ]
 
 
-def _pytest(src, tests):
-    """pytest -x on tests, with bkpq imported from src: its exit status and
-    the first failing test, if any."""
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def run_selection(src, selection):
+    """pytest -x on selection, with bkpq imported from src: (outcome,
+    seconds, first failing test)."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    run = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
-    failing = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
-    return run.returncode, failing[0] if failing else ""
-
-
-def _copy_src(tmp, name):
-    src = os.path.join(tmp, name)
-    shutil.copytree(os.path.join(ROOT, "src"), src)
-    return src
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    began = time.perf_counter()
+    run = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                           text=True, preexec_fn=_cap_memory, start_new_session=True)
+    try:
+        out = run.communicate(timeout=TIMEOUT_S)[0]
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)
+        run.communicate()
+        return "killed", TIMEOUT_S, "(timeout)"
+    outcome = {0: "survived", 1: "killed"}.get(run.returncode, "error %d" % run.returncode)
+    failing = [line.split()[1] for line in out.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return outcome, time.perf_counter() - began, failing[0] if failing else ""
 
 
 def _check_imports_from(src):
@@ -293,44 +314,56 @@ def _check_imports_from(src):
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     code = "import bkpq, sys; sys.stdout.write(bkpq.__file__)"
     where = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True)
-    if not where.stdout.decode().startswith(src):
+    if not where.stdout.decode().startswith(os.path.join(src, "")):
         sys.exit("bkpq is not imported from the copy under test: %r" % where.stdout)
 
 
-def main():
+def run_mutants(entries, prepare=None):
+    """Run each entry, a dict of name, path (under `src/`), text (the mutated
+    file), tests (the selection) and survives (a reason, or None), against
+    one copy of `src/`, handed to prepare first if given.  Print one row per
+    entry; return the outcomes and how many differ from the expected."""
     start = time.perf_counter()
-    failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        clean = _copy_src(tmp, "clean")
-        _check_imports_from(clean)
-        for tests in sorted({tuple(m["tests"]) for m in MUTANTS}):
-            if _pytest(clean, tests)[0] != 0:
-                print("unmodified source fails: %s" % " ".join(tests))
-                failed = True
-        if failed:
-            return 1
-        head = ("mutant", "expected", "outcome", "s", "first failing test")
-        print("%-64s %-9s %-9s %5s  %s" % head)
-        for i, m in enumerate(MUTANTS):
-            src = _copy_src(tmp, "mutant%d" % i)
-            path = os.path.join(src, m["path"])
-            with open(path) as f:
-                text = f.read()
-            if text.count(m["old"]) != 1:
-                sys.exit("%s: the snippet to replace is not in %s once" % (m["name"], m["path"]))
-            with open(path, "w") as f:
-                f.write(text.replace(m["old"], m["new"]))
-            began = time.perf_counter()
-            code, first = _pytest(src, m["tests"])
-            outcome = {0: "survived", 1: "killed"}.get(code, "error %d" % code)
-            expected = "survived" if m["survives"] else "killed"
-            failed |= outcome != expected
-            row = (m["name"], expected, outcome, time.perf_counter() - began, first)
-            print("%-64s %-9s %-9s %5.1f  %s" % row)
-            if m["survives"]:
-                print("    survives: %s" % m["survives"])
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src)
+        if prepare:
+            prepare(src)
+        _check_imports_from(src)
+        for tests in sorted({tuple(e["tests"]) for e in entries}):
+            if run_selection(src, tests)[0] != "survived":
+                sys.exit("the unmutated copy of src/ fails: %s" % " ".join(tests))
+        print("%-9s %-9s %6s  %s" % ("expected", "outcome", "s", "mutant"))
+        outcomes, unexpected = [], []
+        for e in entries:
+            path = Path(src, e["path"])
+            original = path.read_text()
+            path.write_text(e["text"])
+            outcome, seconds, first = run_selection(src, e["tests"])
+            path.write_text(original)
+            expected = "survived" if e["survives"] else "killed"
+            if outcome != expected:
+                unexpected.append("%s, expected %s: %s" % (outcome, expected, e["name"]))
+            outcomes.append(outcome)
+            print("%-9s %-9s %6.1f  %s" % (expected, outcome, seconds, e["name"]))
+            if first:
+                print("%27s first failing: %s" % ("", first))
+            if e["survives"]:
+                print("%27s survives: %s" % ("", e["survives"]))
     print("total %.1f s" % (time.perf_counter() - start))
-    return 1 if failed else 0
+    for line in unexpected:
+        print(line)
+    return outcomes, len(unexpected)
+
+
+def main():
+    entries = []
+    for m in MUTANTS:
+        text = Path(ROOT, "src", m["path"]).read_text()
+        if text.count(m["old"]) != 1:
+            sys.exit("%s: the snippet to replace is not in %s once" % (m["name"], m["path"]))
+        entries.append(dict(m, text=text.replace(m["old"], m["new"])))
+    return 1 if run_mutants(entries)[1] else 0
 
 
 if __name__ == "__main__":

@@ -9,26 +9,30 @@ every mutation site of `src/bkpq` (`__init__` excluded):
     == and !=, in and not in, is and is not);
   - an int constant plus 1;
   - `and` and `or` swapped.
-It draws `--count` sites with `random.Random(--seed)`, writes each mutant
-into a copy of `src/` (the mutated file rewritten by `ast.unparse`), and
-runs tier-1 against it with `pytest -x` in a process group of its own,
-killed at a timeout, with an address-space cap on each of its processes.
-A failing run (any nonzero status, a timeout included) kills the mutant.
+It draws `--count` sites with `random.Random(--seed)` and writes each mutant
+by `ast.unparse`.  The mutants run through the harness of `tests/mutants.py`:
+one copy of `src/`, every module rewritten by `ast.unparse`, bkpq checked to
+be imported from it, tier-1 passing on it unmutated, and each mutant run
+with `pytest -x --continue-on-collection-errors tests` by the one runner,
+under its timeout and memory cap.  The one outcome rule holds: exit status
+0 survives, 1 or a timeout kills (a mutant that breaks the import fails
+the collection, which is status 1 here), any other status is an error.
 
 A survivor is equivalent or a gap in the tests.  Equivalent ones are listed
 with their reasons in `tests/mutation_equivalent.json`, by the id this script
 prints: file, enclosing function, source line and the mutated expression.
 A survivor not on that list is a gap: give it a test, or put it on the
 list with a reason.  The script exits 1 when a sampled survivor is not on
-the list, or when a listed mutant it sampled is killed.
+the list, when a listed mutant it sampled is killed, or on an error.
 
 Opt-in, not a CI step; it runs one mutant at a time.  From the repository
 root, with pytest and hypothesis installed:
 
     python tests/mutation_sample.py --seed 1 --count 60
 
-The score is killed / (sampled - equivalent).  A seed, once reported,
-stays in use: the seed list may grow, but no seed is dropped.
+The score is killed / (killed + survived), the listed equivalents left out.
+A seed, once reported, stays in use: the seed list may grow, but no seed is
+dropped.
 """
 
 import argparse
@@ -36,19 +40,14 @@ import ast
 import json
 import os
 import random
-import resource
-import shutil
-import signal
-import subprocess
 import sys
-import tempfile
-import time
+from pathlib import Path
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from mutants import ROOT, run_mutants
+
 PACKAGE = os.path.join(ROOT, "src", "bkpq")
 EQUIVALENT = os.path.join(ROOT, "tests", "mutation_equivalent.json")
-TIMEOUT_S = 150
-MEMORY_BYTES = 2 << 30
+SELECTION = ["--continue-on-collection-errors", "tests"]
 
 OPERATORS = {
     ast.Add: ast.Sub,
@@ -156,40 +155,18 @@ def sites():
     return out
 
 
-def _write_mutant(src, module, index):
-    """The copy's module rewritten with the index-th mutation applied, or
-    with none when index is None."""
+def _mutant_text(module, index):
+    """The module rewritten by ast.unparse, with the index-th mutation
+    applied, or with none when index is None."""
     tree = _parse(module)[1]
     if index is not None:
         _Sites(tree).sites[index][2]()
-    with open(os.path.join(src, "bkpq", module), "w") as f:
-        f.write(ast.unparse(tree) + "\n")
+    return ast.unparse(tree) + "\n"
 
 
-def _cap_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
-
-
-def _tier1(src):
-    """Tier-1 with pytest -x on bkpq from src: (outcome, seconds, first
-    failing test)."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", "tests"]
-    began = time.perf_counter()
-    run = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                           text=True, preexec_fn=_cap_memory, start_new_session=True)
-    try:
-        out = run.communicate(timeout=TIMEOUT_S)[0]
-    except subprocess.TimeoutExpired:
-        os.killpg(run.pid, signal.SIGKILL)
-        run.communicate()
-        return "killed", TIMEOUT_S, "(timeout)"
-    seconds = time.perf_counter() - began
-    if run.returncode == 0:
-        return "survived", seconds, ""
-    failing = [line.split()[1] for line in out.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-    return "killed", seconds, failing[0] if failing else "(exit %d)" % run.returncode
+def _unparse_all(src):
+    for module in _modules():
+        Path(src, "bkpq", module).write_text(_mutant_text(module, None))
 
 
 def main(argv=None):
@@ -202,39 +179,15 @@ def main(argv=None):
     every = sites()
     sample = random.Random(args.seed).sample(every, min(args.count, len(every)))
     print("%d mutation sites; seed %d, %d sampled" % (len(every), args.seed, len(sample)))
-    start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        src = os.path.join(tmp, "src")
-        shutil.copytree(os.path.join(ROOT, "src"), src)
-        # the unmutated copy, every module rewritten by ast.unparse, must pass
-        for module in _modules():
-            _write_mutant(src, module, None)
-        if _tier1(src)[0] != "survived":
-            sys.exit("tier-1 fails on the unmutated, unparsed copy of src/")
-        counts, unexpected = {"killed": 0, "survived": 0, "equivalent": 0}, []
-        for module, index, mutant in sample:
-            _write_mutant(src, module, index)
-            outcome, seconds, first = _tier1(src)
-            _write_mutant(src, module, None)
-            if mutant in equivalent:
-                if outcome == "killed":
-                    unexpected.append("listed as equivalent, but killed: " + mutant)
-                outcome = "equivalent"
-            elif outcome == "survived":
-                unexpected.append("survived, not listed: " + mutant)
-            counts[outcome] += 1
-            print("%-10s %6.1f  %s" % (outcome, seconds, mutant))
-            if first:
-                print("%17s first failing: %s" % ("", first))
-            if outcome == "equivalent":
-                print("%17s equivalent: %s" % ("", equivalent[mutant]))
-    scored = counts["killed"] + counts["survived"]
-    print("killed %(killed)d, survived %(survived)d, equivalent %(equivalent)d" % counts)
-    print("score %d/%d = %.3f, total %.0f s" % (
-        counts["killed"], scored, counts["killed"] / scored if scored else 1.0,
-        time.perf_counter() - start))
-    for line in unexpected:
-        print(line)
+    entries = [dict(name=mutant, path="bkpq/" + module, text=_mutant_text(module, index),
+                    tests=SELECTION, survives=equivalent.get(mutant))
+               for module, index, mutant in sample]
+    outcomes, unexpected = run_mutants(entries, _unparse_all)
+    scored = [o for e, o in zip(entries, outcomes) if not e["survives"]]
+    killed, survived = scored.count("killed"), scored.count("survived")
+    print("killed %d, survived %d, equivalent %d" % (killed, survived, len(entries) - len(scored)))
+    print("score %d/%d = %.3f" % (
+        killed, killed + survived, killed / (killed + survived) if killed + survived else 1.0))
     return 1 if unexpected else 0
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import bkpq
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of each demo's stdout, recorded on Python 3.11
@@ -25,7 +27,10 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DEMO_SHA256))
 def test_demo_stdout_digest(name):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # the bkpq under test, which a mutation run puts on PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bkpq.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         cwd=ROOT,

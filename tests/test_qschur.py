@@ -311,12 +311,14 @@ def test_q_lambda_and_schur_s_refuse_a_partition_over_the_cap():
         q_lambda(StrictPartition((3, 2)), 4)
     with pytest.raises(ValueError, match="^partition weight 5 exceeds truncation 4$"):
         schur_s(Partition((3, 2)), 4)
+    with pytest.raises(ValueError, match="^h_5 exceeds truncation weight 4$"):
+        h_k(5, 4)
 
 
 def test_xpoint_validation():
     with pytest.raises(ValueError):
         XPoint([F(0)])
-    XPoint([F(1, 2), F(-1, 2)])
+    assert repr(XPoint([F(1, 2), -1])) == "XPoint([Fraction(1, 2), Fraction(-1, 1)])"
 
 
 def test_eval_at_x():

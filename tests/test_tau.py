@@ -197,9 +197,9 @@ def _fuzz_times(W):
 def _walked_tau_terms(spec, W, max_length=None):
     """tau.tau_terms as it was before it walked `qschur._strict_table`: one
     `enumerate_strict` list and one q_lambda read per lambda."""
-    for lam in enumerate_strict(W, max_length):
+    for lam in enumerate_strict(W):
         n, d = spec.r_lambda_pair(lam)
-        if n:
+        if n and (max_length is None or lam.length <= max_length):
             yield n, d << lam.length, q_lambda(lam, W)
 
 
