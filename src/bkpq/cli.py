@@ -70,7 +70,7 @@ def _random_xpoint(rng, n):
     return XPoint(vals)
 
 
-def run_verify_suite(suite, W, seed=0):
+def run_verify_suite(suite, W, seed):
     rng = random.Random(seed)
     # one instance per spec, so the checks share its tau_bkp and r values;
     # the first is the Ones that the Cauchy check reads

@@ -2,6 +2,7 @@
 
 Strict partitions (distinct parts) index every term of the BKP series;
 ordinary partitions appear on the KP side and as doubles of strict ones.
+It also counts shifted standard tableaux, g_lambda = |lambda|! / H*_lambda.
 """
 
 
@@ -127,93 +128,42 @@ def conjugate(mu):
     return Partition._trusted(tuple(sum(1 for p in parts if p > j) for j in range(parts[0])))
 
 
-def frobenius(mu):
-    """Frobenius coordinates (alpha, beta) of an ordinary partition."""
-    parts = mu.parts
-    conj = conjugate(mu).parts
-    alpha, beta = [], []
-    for i in range(len(parts)):
-        if parts[i] >= i + 1:
-            alpha.append(parts[i] - (i + 1))
-            beta.append(conj[i] - (i + 1))
-        else:
-            break
-    return tuple(alpha), tuple(beta)
-
-
-def from_frobenius(alpha, beta):
-    """Reconstruct the partition with given Frobenius arms and legs."""
-    r = len(alpha)
-    if r != len(beta):
-        raise ValueError("arm and leg lists must have equal length")
-    if r == 0:
-        return ZERO_PARTITION
-    rows = [alpha[i] + (i + 1) for i in range(r)]
-    # column j has length beta_j + j; rows below the diagonal read off from that
-    max_len = beta[0] + 1
-    parts = list(rows)
-    for i in range(r, max_len):
-        parts.append(sum(1 for b in range(r) if beta[b] + b >= i))
-    return Partition(tuple(p for p in parts if p > 0))
-
-
 def double(lam):
-    """The double of a strict partition: Frobenius arms n_i, legs n_i - 1."""
-    if lam.length == 0:
+    """The double of a strict partition: Frobenius arms n_i, legs n_i - 1.
+
+    Row i <= l is n_i + i.  Column j has length n_j + j - 1, so row i > l
+    counts the j with n_j + j > i.
+    """
+    parts = lam.parts
+    if not parts:
         raise ValueError("the zero partition has no double")
-    alpha = lam.parts
-    beta = tuple(n - 1 for n in lam.parts)
-    return from_frobenius(alpha, beta)
+    ends = tuple(p + i for i, p in enumerate(parts, start=1))
+    below = tuple(sum(1 for e in ends if e > i) for i in range(len(parts) + 1, parts[0] + 1))
+    return Partition._trusted(ends + below)
 
 
 SHIFTED_SYT_BOUND = 10
 
 
-def shifted_cells(lam):
-    """Cells of the shifted diagram: row i occupies columns i..i+n_i-1 (1-based)."""
-    out = []
-    for i, p in enumerate(lam.parts, start=1):
-        for j in range(i, i + p):
-            out.append((i, j))
-    return out
-
-
-def count_shifted_syt(lam, bound=SHIFTED_SYT_BOUND):
+def count_shifted_syt(lam):
     """Number of standard fillings of the shifted diagram of lam.
 
-    Brute force over all fillings, rows and columns strictly increasing.
-    Used as an independent oracle against the shifted hook product.
+    The largest entry sits in a corner, a part that can lose one cell and
+    stay strict, so the count sums, over the corners, the count with that
+    corner removed; the empty diagram has one filling.  Used as an
+    independent oracle against the shifted hook product.
     """
     n = lam.weight
-    if n > bound:
-        raise ValueError("weight %d above brute-force bound %d" % (n, bound))
-    if n == 0:
-        return 1
-    cells = shifted_cells(lam)
-    pos = {c: k for k, c in enumerate(cells)}
-    # predecessors that must hold a smaller entry
-    preds = []
-    for (i, j) in cells:
-        ps = []
-        if (i, j - 1) in pos:
-            ps.append(pos[(i, j - 1)])
-        if (i - 1, j) in pos:
-            ps.append(pos[(i - 1, j)])
-        preds.append(ps)
+    if n > SHIFTED_SYT_BOUND:
+        raise ValueError("weight %d above bound %d" % (n, SHIFTED_SYT_BOUND))
 
-    count = 0
-    filling = [0] * n
+    def count(parts):
+        if not parts:
+            return 1
+        total = 0
+        for i, p in enumerate(parts):
+            if i + 1 == len(parts) or p - 1 > parts[i + 1]:
+                total += count(parts[:i] + ((p - 1,) if p > 1 else ()) + parts[i + 1:])
+        return total
 
-    def place(value):
-        nonlocal count
-        if value > n:
-            count += 1
-            return
-        for k in range(n):
-            if filling[k] == 0 and all(filling[p] != 0 for p in preds[k]):
-                filling[k] = value
-                place(value + 1)
-                filling[k] = 0
-
-    place(1)
-    return count
+    return count(lam.parts)

@@ -9,12 +9,15 @@ every mutation site of `src/bkpq` (`__init__` excluded):
     == and !=, in and not in, is and is not);
   - an int constant plus 1;
   - `and` and `or` swapped.
-It draws `--count` sites with `random.Random(--seed)` and writes each mutant
-by `ast.unparse`.  The mutants run through the harness of `tests/mutants.py`:
-one copy of `src/`, every module rewritten by `ast.unparse`, bkpq checked to
-be imported from it, tier-1 passing on it unmutated, and each mutant run
-with `pytest -x --continue-on-collection-errors tests` by the one runner,
-under its timeout and memory cap.  The one outcome rule holds: exit status
+It ranks every site by the sha256 of `--seed` and the site's id, draws the
+first `--count`, and writes each mutant by `ast.unparse`.  An id is built
+from the site's own source, so a site keeps its rank, and a seed its draw,
+when sites elsewhere come or go.  The mutants run through the harness of
+`tests/mutants.py`: one copy of `src/`, every module rewritten by
+`ast.unparse`, bkpq checked to be imported from it, tier-1 passing on it
+unmutated, and each mutant run with `pytest -x
+--continue-on-collection-errors tests` by the one runner, under its
+timeout and memory cap.  The one outcome rule holds: exit status
 0 survives, 1 or a timeout kills (a mutant that breaks the import fails
 the collection, which is status 1 here), any other status is an error.
 
@@ -37,17 +40,16 @@ dropped.
 
 import argparse
 import ast
+import hashlib
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
-from mutants import ROOT, run_mutants
+from mutants import ROOT, TIER1, run_mutants
 
 PACKAGE = os.path.join(ROOT, "src", "bkpq")
 EQUIVALENT = os.path.join(ROOT, "tests", "mutation_equivalent.json")
-SELECTION = ["--continue-on-collection-errors", "tests"]
 
 OPERATORS = {
     ast.Add: ast.Sub,
@@ -155,6 +157,14 @@ def sites():
     return out
 
 
+def draw(every, seed, count):
+    """The count sites of every whose sha256 of seed and id ranks lowest."""
+    def rank(site):
+        return hashlib.sha256(("%d %s" % (seed, site[2])).encode()).digest()
+
+    return sorted(every, key=rank)[:count]
+
+
 def _mutant_text(module, index):
     """The module rewritten by ast.unparse, with the index-th mutation
     applied, or with none when index is None."""
@@ -177,10 +187,10 @@ def main(argv=None):
     with open(EQUIVALENT) as f:
         equivalent = {e["id"]: e["reason"] for e in json.load(f)}
     every = sites()
-    sample = random.Random(args.seed).sample(every, min(args.count, len(every)))
+    sample = draw(every, args.seed, args.count)
     print("%d mutation sites; seed %d, %d sampled" % (len(every), args.seed, len(sample)))
     entries = [dict(name=mutant, path="bkpq/" + module, text=_mutant_text(module, index),
-                    tests=SELECTION, survives=equivalent.get(mutant))
+                    tests=TIER1, survives=equivalent.get(mutant))
                for module, index, mutant in sample]
     outcomes, unexpected = run_mutants(entries, _unparse_all)
     scored = [o for e, o in zip(entries, outcomes) if not e["survives"]]

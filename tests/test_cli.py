@@ -455,7 +455,7 @@ def test_verify_builds_the_vacuum_tau_once(monkeypatch):
         return real(spec, W, max_length)
 
     monkeypatch.setattr(cli.tau, "tau_terms", tau_terms)
-    assert all(r.passed for r in cli.run_verify_suite("all", 6))
+    assert all(r.passed for r in cli.run_verify_suite("all", 6, 0))
     assert built.count(("Ones()", 6, None)) == 1
 
 
@@ -471,7 +471,7 @@ def test_verify_checks_share_each_shipped_spec(monkeypatch):
             return real(spec, *args)
 
         monkeypatch.setattr(cli.tau, name, record)
-    reports = cli.run_verify_suite("all", 4)
+    reports = cli.run_verify_suite("all", 4, 0)
     assert all(r.passed for r in reports)
     assert len(seen["check_square"]) == 4
     assert seen["check_square"] == seen["check_symmetry_scaling"]
@@ -480,7 +480,7 @@ def test_verify_checks_share_each_shipped_spec(monkeypatch):
 def test_verify_schedules_two_alphabet_pfaffians_only_where_r_enters():
     # below degree N(N-1)+2 both sides are the r-free leading term
     for W, want in [(1, []), (2, [1]), (3, [1]), (4, [1, 2]), (5, [1, 2])]:
-        reports = [r.to_json() for r in cli.run_verify_suite("all", W)]
+        reports = [r.to_json() for r in cli.run_verify_suite("all", W, 0)]
         ns = [r["params"]["N"] for r in reports if r["name"] == "pfaffian-two-alphabet"]
         assert ns == want * 4, W
         assert all(r["pass"] for r in reports), W

@@ -7,33 +7,7 @@ import pytest
 
 from bkpq.gseries import BiSeries, OddSeries, TruncationError
 from bkpq.pfaffian import MultiPoly
-
-
-def mono_weight(mono):
-    return sum(m * e for m, e in mono)
-
-
-def odd_product(a, b):
-    """The product of two odd-time monomials: exponents added by index."""
-    d = dict(a)
-    for m, e in b:
-        d[m] = d.get(m, 0) + e
-    return tuple(sorted(d.items()))
-
-
-# the product of two tuple monomials of each ring, computed on the tuples
-PRODUCTS = {
-    OddSeries: odd_product,
-    BiSeries: lambda a, b: (odd_product(a[0], b[0]), odd_product(a[1], b[1])),
-    MultiPoly: lambda a, b: tuple(x + y for x, y in zip(a, b)),
-}
-
-# the grade of a tuple monomial of each ring, one weight per cap
-GRADES = {
-    OddSeries: lambda mono: (mono_weight(mono),),
-    BiSeries: lambda mono: (mono_weight(mono[0]), mono_weight(mono[1])),
-    MultiPoly: lambda mono: (sum(mono),),
-}
+from test_gseries_oracle import GRADES, PRODUCTS, _weight
 
 
 def rand_series(rng, W, nterms=6):
@@ -381,7 +355,7 @@ def test_biseries_evaluation_matches_fraction_loop():
         d = {}
         for m in rng.sample([1, 3, 5, 7, 9], rng.randint(0, 3)):
             e = rng.randint(1, 3)
-            if mono_weight(tuple(d.items())) + m * e <= cap:
+            if _weight(tuple(d.items())) + m * e <= cap:
                 d[m] = e
         return tuple(sorted(d.items()))
 

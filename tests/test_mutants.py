@@ -31,6 +31,15 @@ def test_every_equivalent_id_is_a_current_site():
     assert [i for i in listed if i not in current] == []
 
 
+def test_a_seed_keeps_its_draw_of_the_sites_that_stay():
+    every = mutation_sample.sites()
+    drawn = mutation_sample.draw(every, 1, 60)
+    assert len(drawn) == 60 and drawn != mutation_sample.draw(every, 2, 60)
+    # dropping sites that were not drawn leaves the draw as it was
+    kept = [site for site in every if site in drawn or site[0] != "partitions.py"]
+    assert mutation_sample.draw(kept, 1, 60) == drawn
+
+
 def test_a_timeout_kills_the_whole_process_group(tmp_path, monkeypatch):
     (tmp_path / "test_sleeps.py").write_text("import time\n\ndef test_sleeps():\n    time.sleep(30)\n")
     started = []

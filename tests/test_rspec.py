@@ -319,6 +319,10 @@ def test_r_lambda_pair_of_a_tparam_that_runs_out_follows_the_prefix_route():
             "prod:(ones),(prod:(cutoff:M=2),(table:1/3))",
             "Product(Ones(), Product(Cutoff(M=2), Table([1/3])))",
         ),
+        (
+            "prod:(table:1,1/2),(ratps:a=1/2,3;b=5/2)",
+            "Product(Table([1,1/2]), RationalPS(a=[1/2,3], b=[5/2]))",
+        ),
     ],
 )
 def test_repr_text_of_every_spec_kind(text, want):

@@ -431,17 +431,13 @@ def test_symmetry_and_scaling_invariance():
         assert check_symmetry_scaling(spec, F(1, 3), 6).passed
 
 
-def mono_weight(mono):
-    return sum(m * e for m, e in mono)
-
-
 def test_tau_terms_are_weight_balanced():
     # every surviving monomial pairs equal weights in t and t*, which is
     # exactly why the scaling substitution leaves the series fixed
     t = tau_bkp(Cutoff(3), 6, 6)
-    assert any(mono_weight(mt) == 3 for (mt, ms) in t.terms)
+    assert any(_weight(mt) == 3 for (mt, ms) in t.terms)
     for (mt, ms) in t.terms:
-        assert mono_weight(mt) == mono_weight(ms)
+        assert _weight(mt) == _weight(ms)
 
 
 def substitute_tstar_tinfty(bi):
