@@ -32,7 +32,7 @@ for lam in enumerate_strict(6):
     print("  %-12s double -> %-12s %s" % (lam.parts, double(lam).parts, status))
 
 print()
-print("Shifted tableaux: brute-force count * hook product = |lambda|!")
+print("Shifted tableaux: corner-removal count * hook product = |lambda|!")
 for parts in ([3, 1], [4, 2], [5, 2, 1]):
     lam = StrictPartition(parts)
     g = count_shifted_syt(lam)

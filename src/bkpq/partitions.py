@@ -73,36 +73,30 @@ class StrictPartition(Partition):
 ZERO_PARTITION = Partition(())
 
 
-_ENUMERATED = {}  # (strict, max_weight) -> the partitions, in graded order
-
-
 def _enumerate(max_weight, strict):
     """The partitions with 0 < weight <= max_weight, with distinct parts if
     strict, graded by weight, then lexicographically descending on parts.
 
-    Built once per (strict, max_weight); each call gets a new list, which
-    the caller may extend.
+    Built anew on each call, as a list the caller may extend; the callers
+    that re-read one keep it (qschur._strict_table per cap, tau's conjugate
+    pairs per bound).
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
-    key = (strict, max_weight)
-    out = _ENUMERATED.get(key)
-    if out is None:
-        # upto[w][c]: the partitions of w with parts <= c, in that order:
-        # those with first part c, then those whose parts are all below c;
-        # after a first part c the rest has parts <= c - 1 if strict, else <= c
-        cls, below = (StrictPartition, 1) if strict else (Partition, 0)
-        upto = [[[()]] * (max_weight + 1)]
-        out = []
-        for w in range(1, max_weight + 1):
-            row = [[]]
-            for c in range(1, w + 1):
-                row.append([(c,) + rest for rest in upto[w - c][c - below]] + row[c - 1])
-            row += [row[w]] * (max_weight - w)
-            upto.append(row)
-            out.extend(map(cls._trusted, row[w]))
-        _ENUMERATED[key] = out
-    return list(out)
+    # upto[w][c]: the partitions of w with parts <= c, in that order:
+    # those with first part c, then those whose parts are all below c;
+    # after a first part c the rest has parts <= c - 1 if strict, else <= c
+    cls, below = (StrictPartition, 1) if strict else (Partition, 0)
+    upto = [[[()]] * (max_weight + 1)]
+    out = []
+    for w in range(1, max_weight + 1):
+        row = [[]]
+        for c in range(1, w + 1):
+            row.append([(c,) + rest for rest in upto[w - c][c - below]] + row[c - 1])
+        row += [row[w]] * (max_weight - w)
+        upto.append(row)
+        out.extend(map(cls._trusted, row[w]))
+    return out
 
 
 def enumerate_strict(max_weight):

@@ -164,8 +164,8 @@ def _strict_table(W):
     """
     codec = odd_codec(W)
     by_weight = [[] for _ in range(W + 1)]
-    # the kept list that enumerate_strict(W) copies, read untraced: one build
-    # per cap is set-up, and perfbench's spans count enumerate_strict per op
+    # enumerate_strict's list, read untraced: one build per cap is set-up,
+    # and perfbench's spans count enumerate_strict per op
     for lam in _enumerate(W, True):
         by_weight[lam.weight].append((lam, _euler(lam.parts, W, _bars)))
     blocks = []

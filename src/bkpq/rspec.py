@@ -18,11 +18,10 @@ class RSpec:
 
     A spec must not be changed once built: r_value keeps the values it has
     computed on the instance, r_prefix each prefix as its reduced int pair,
-    r_lambda_pair its unreduced int pair per parts, __repr__ its text,
     content_product_kp its content rows, tau.tau_bkp its series per
     (W, Wstar) and ops.tau_x_series its one-point coefficients per
-    (n_max, W) (a failed value or build is not kept).  A subclass gives its
-    repr text as `_describe()`.
+    (n_max, W) (a failed value or build is not kept).  r_lambda_pair
+    multiplies the kept prefixes on each call.
     """
 
     def _r_positive(self, n):
@@ -67,46 +66,27 @@ class RSpec:
         the products of the prefixes' numerators and of their denominators,
         or (0, 1) when r_lambda is 0.
 
-        Kept on the spec per parts.  The prefixes are extended once, to the
-        largest part, so r is asked in the order of the prefixes; the other
-        parts read the kept pairs.
+        The prefixes are extended once, to the largest part, so r is asked
+        in the order of the prefixes; the other parts read the kept pairs.
         """
-        kept = self.__dict__.get("_r_lambda")
-        if kept is None:
-            kept = self.__dict__["_r_lambda"] = {}
-        out = kept.get(lam.parts)
-        if out is None:
-            prefixes, num, den = self._prefix_pairs(lam.parts[0] if lam.parts else 0), 1, 1
-            for p in lam.parts:
-                n, d = prefixes[p]
-                if not n:
-                    num, den = 0, 1
-                    break
-                num, den = num * n, den * d
-            out = kept[lam.parts] = num, den
-        return out
+        prefixes, num, den = self._prefix_pairs(lam.parts[0] if lam.parts else 0), 1, 1
+        for p in lam.parts:
+            n, d = prefixes[p]
+            if not n:
+                return 0, 1
+            num, den = num * n, den * d
+        return num, den
 
     def r_lambda(self, lam):
         """r_lambda as one Fraction, from `r_lambda_pair`."""
         return Fraction(*self.r_lambda_pair(lam))
-
-    def __repr__(self):
-        """The spec's `_describe()` text, kept on the spec; a subclass with
-        no `_describe` reads as `object.__repr__`."""
-        text = self.__dict__.get("_repr")
-        if text is None:
-            text = self.__dict__["_repr"] = self._describe()
-        return text
-
-    def _describe(self):
-        return object.__repr__(self)
 
 
 class Ones(RSpec):
     def _r_positive(self, n):
         return Fraction(1)
 
-    def _describe(self):
+    def __repr__(self):
         return "Ones()"
 
 
@@ -124,7 +104,7 @@ class Cutoff(RSpec):
     def _r_positive(self, n):
         return Fraction(1) if n < self.M else Fraction(0)
 
-    def _describe(self):
+    def __repr__(self):
         return "Cutoff(M=%d)" % self.M
 
 
@@ -156,7 +136,7 @@ class RationalPS(RSpec):
             num, den = num * q, den * (p + m * q)
         return Fraction(num, den)
 
-    def _describe(self):
+    def __repr__(self):
         return "RationalPS(a=[%s], b=[%s])" % (
             ",".join(map(str, self.a)),
             ",".join(map(str, self.b)),
@@ -183,7 +163,7 @@ class SymmetricRational(RationalPS):
             *([half + s * c for c in cs for s in (1, -1)] for cs in (self.alpha, self.beta))
         )
 
-    def _describe(self):
+    def __repr__(self):
         return "SymmetricRational(alpha=[%s], beta=[%s])" % (
             ",".join(map(str, self.alpha)),
             ",".join(map(str, self.beta)),
@@ -220,7 +200,7 @@ class TParam(RSpec):
     def _r_positive(self, n):
         return self._u(n - 1) / self._u(n)
 
-    def _describe(self):
+    def __repr__(self):
         return "TParam(%s)" % (", ".join("e^T%d=%s" % (n, v) for n, v in sorted(self.u.items())),)
 
 
@@ -235,7 +215,7 @@ class Table(RSpec):
             raise RValueError("r(%d) outside tabulated range" % n)
         return self.values[n - 1]
 
-    def _describe(self):
+    def __repr__(self):
         return "Table([%s])" % (",".join(map(str, self.values)),)
 
 
@@ -249,7 +229,7 @@ class Product(RSpec):
     def _r_positive(self, n):
         return self.left.r_value(n) * self.right.r_value(n)
 
-    def _describe(self):
+    def __repr__(self):
         return "Product(%r, %r)" % (self.left, self.right)
 
 

@@ -82,8 +82,8 @@ MUTANTS = [
     _mutant(
         "rspec: the content-product denominator dropped",
         "bkpq/rspec.py",
-        "    return num, den\n",
-        "    return num, 1\n",
+        "den * row[1]\n    return num, den\n",
+        "den * row[1]\n    return num, 1\n",
         ["tests/test_rspec.py", "tests/test_tau.py"],
     ),
     _mutant(

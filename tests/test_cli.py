@@ -478,11 +478,14 @@ def test_verify_checks_share_each_shipped_spec(monkeypatch):
 
 
 def test_verify_schedules_two_alphabet_pfaffians_only_where_r_enters():
-    # below degree N(N-1)+2 both sides are the r-free leading term
+    # below degree N(N-1)+2 both sides are the r-free leading term; the
+    # linear check runs at each m = 1, 3, 5 up to the weight
     for W, want in [(1, []), (2, [1]), (3, [1]), (4, [1, 2]), (5, [1, 2])]:
         reports = [r.to_json() for r in cli.run_verify_suite("all", W, 0)]
         ns = [r["params"]["N"] for r in reports if r["name"] == "pfaffian-two-alphabet"]
         assert ns == want * 4, W
+        ms = [r["params"]["m"] for r in reports if r["name"] == "linear-eq-N1"]
+        assert ms == [m for m in (1, 3, 5) if m <= W] * 4, W
         assert all(r["pass"] for r in reports), W
 
 

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of each demo's stdout, recorded on Python 3.11
 DEMO_SHA256 = {
-    "01_q_functions.py": "cfbd2b3c15b7ee8781bd8bb8fb0fc9cc3617fa3ff5c7f8a71ffd0b4a5ec830e2",
+    "01_q_functions.py": "c71a23f1ff02c72f170765d19a0830b7675c3c32956de30fb804e575b48e332f",
     "02_tau_identities.py": "2a9291594110af37b1c87d982a96384da48cf5bec2a7ea89ffd17900260cbc7a",
     "03_pfaffians.py": "a7eb214c3858f112624401b8b113239d3ecdb4933d45c63d85ce03582bfadf96",
     "04_operators_and_cli.py": "65a067c005b62f0fa0c6fb55b571a53435e1635b0bfc751c039fc3d5e1b2d76a",

@@ -7,7 +7,7 @@ import pytest
 
 from bkpq.gseries import BiSeries, OddSeries, TruncationError
 from bkpq.pfaffian import MultiPoly
-from test_gseries_oracle import GRADES, PRODUCTS, _weight
+from test_gseries_oracle import GRADES, PRODUCTS, _weight, substitute_terms
 
 
 def rand_series(rng, W, nterms=6):
@@ -331,19 +331,6 @@ def test_substitute_is_a_ring_map():
         assert sa != 0 and sb != 0
 
 
-def _fraction_bi_eval(f, t, tstar):
-    """f at t_m = t.get(m, 0) and t*_m = tstar.get(m, 0), one Fraction
-    operation per factor: the reference for substitute into numbers."""
-    total = Fraction(0)
-    for (mt, ms), c in f.terms.items():
-        for m, e in mt:
-            c *= Fraction(t.get(m, 0)) ** e
-        for m, e in ms:
-            c *= Fraction(tstar.get(m, 0)) ** e
-        total += c
-    return total
-
-
 def test_biseries_evaluation_matches_fraction_loop():
     from bkpq.rspec import RationalPS, SymmetricRational
     from bkpq.tau import tau_bkp
@@ -391,18 +378,12 @@ def test_biseries_evaluation_matches_fraction_loop():
         )
     for f in series:
         for t, ts in times:
-            got = f.substitute(lambda v: (t, ts)[v[0]].get(v[1], 0))
-            assert type(got) is Fraction and got == _fraction_bi_eval(f, t, ts), (f, t, ts)
 
+            def image(v):
+                return (t, ts)[v[0]].get(v[1], 0)
 
-def _fraction_dense_eval(f, x):
-    """A MultiPoly at x_i = x[i], one Fraction operation per factor."""
-    total = Fraction(0)
-    for mono, c in f.terms.items():
-        for v, e in zip(x, mono):
-            c *= Fraction(v) ** e
-        total += c
-    return total
+            got = f.substitute(image)
+            assert type(got) is Fraction and got == substitute_terms(f, image, F(1)), (f, t, ts)
 
 
 def test_multipoly_evaluation_matches_fraction_loop():
@@ -421,8 +402,8 @@ def test_multipoly_evaluation_matches_fraction_loop():
     ]
     for f in series:
         for x in points:
-            got = f.substitute(lambda v: x[v])
-            assert type(got) is Fraction and got == _fraction_dense_eval(f, x), (f, x)
+            got, want = f.substitute(x.__getitem__), substitute_terms(f, x.__getitem__, Fraction(1))
+            assert type(got) is Fraction and got == want, (f, x)
 
 
 def _mixed_biseries(W, Wstar, seed):
@@ -446,8 +427,11 @@ def test_evaluation_with_zero_times_in_one_alphabet():
     half = {1: Fraction(3, 5), 3: 0, 5: Fraction(-1, 2), 7: 0, 9: 0}
     for f in [_mixed_biseries(W, W, 61), _mixed_biseries(W, 6, 67)]:
         for t, tstar in [(ts, half), (ts, zero), (zero, ts), (zero, zero), (half, ts)]:
-            got = f.substitute(lambda v: (t, tstar)[v[0]].get(v[1], 0))
-            assert got == _fraction_bi_eval(f, t, tstar), (f, t, tstar)
+
+            def image(v):
+                return (t, tstar)[v[0]].get(v[1], 0)
+
+            assert f.substitute(image) == substitute_terms(f, image, Fraction(1)), (f, t, tstar)
         # with the t alphabet at zero only the t-free terms count
         t_free = BiSeries(W, f.caps[1], {m: c for m, c in f.terms.items() if not m[0]})
         assert f.substitute(lambda v: (zero, half)[v[0]].get(v[1], 0)) == (

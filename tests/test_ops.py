@@ -263,11 +263,13 @@ def test_one_row_q_at_one_point_is_twice_the_power(x):
         assert eval_at_x(q_lambda(StrictPartition([n]), 14), XPoint([x])) == 2 * x**n, n
 
 
-def _perturbed_tau_terms(n, factor):
-    """tau.tau_terms with the coefficient of lambda = (n) times factor."""
+def _perturbed_tau_terms(parts, factor):
+    """tau.tau_terms with the coefficient of the strict lambda of these
+    parts times factor."""
+    lam = StrictPartition(parts)
 
     def terms(spec, W, max_length=None):
-        target = q_lambda(StrictPartition([n]), W) if n <= W else None
+        target = q_lambda(lam, W) if lam.weight <= W else None
         for num, den, q in tau_terms(spec, W, max_length):
             if q == target:
                 num, den = num * factor.numerator, den * factor.denominator
@@ -287,7 +289,7 @@ def _perturbed_tau_terms(n, factor):
 def test_linear_check_reads_tau_terms(make, monkeypatch):
     assert check_linear_eq_N1(make(), 1, 8, 8).passed
     for n in range(1, 9):
-        monkeypatch.setattr(ops, "tau_terms", _perturbed_tau_terms(n, F(1001, 1000)))
+        monkeypatch.setattr(ops, "tau_terms", _perturbed_tau_terms([n], F(1001, 1000)))
         assert not check_linear_eq_N1(make(), 1, 8, 8).passed, n
         # at m = 5 and order 8 the coefficient of x^4 meets d/dt*_5 h_4 = 0
         # on the left and nothing on the right: that window is blind
@@ -321,7 +323,7 @@ def test_linear_equation_fails_without_reflection():
     rep = check_linear_eq_N1(spec, 1, 6, 6)
     # the override is asked, not a value kept by the base class
     assert [spec.r_value(n) for n in (-1, 2, -1)] == [4, 7, 4]
-    # a spec with no _describe reads as object.__repr__, as before the text was kept
+    # a spec kind with no __repr__ of its own reads as object.__repr__
     assert repr(spec) == object.__repr__(spec) == rep.params["r"]
     assert not rep.passed
     assert rep.witness is not None

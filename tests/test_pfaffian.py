@@ -11,6 +11,8 @@ import pytest
 
 import bkpq
 from bkpq import pfaffian as pfaffian_module
+from bkpq import tau as tau_module
+from bkpq.cli import _random_xpoint
 from bkpq.gseries import OddSeries
 from bkpq.partitions import StrictPartition, enumerate_strict
 from bkpq.pfaffian import (
@@ -215,7 +217,7 @@ def test_two_alphabet_check_reads_tau_to_degree_d_minus_n_n_minus_1(monkeypatch)
     full = pfaffian_module.tau_as_multipoly
     for N, D in CUT_SIZES:
         for n in range(1, D // 2 + 1):
-            monkeypatch.setattr(pfaffian_module, "tau_terms", _perturbed_tau_terms(n, F(1001, 1000)))
+            monkeypatch.setattr(pfaffian_module, "tau_terms", _perturbed_tau_terms([n], F(1001, 1000)))
             rep = check_two_alphabet_pfaffian(spec, N, D)
             assert rep.passed == (2 * n > D - N * (N - 1)), (N, D, n)
             if not rep.passed:
@@ -374,6 +376,23 @@ def test_xpoint_pfaffian_representation():
         for n, x in points.items():
             rep = check_xpoint_pfaffian(spec, x, W)
             assert rep.passed, rep.to_json()
+
+
+def test_xpoint_check_is_blind_to_r_at_two_points_and_in_windows_at_three(monkeypatch):
+    # r_lambda x 1001/1000 in tau_terms, which both sides read, at the
+    # points `verify` draws for seeds 0 and 3: at N=2, as `verify` runs it,
+    # the check passes for each of the 42 lambda; at N=3 for nine, the one
+    # with more parts than points and eight of length <= 2 and weight >= 8
+    spec, W = SymmetricRational([F(1, 3)], []), 10
+    blind = {(8,), (9,), (8, 1), (10,), (9, 1), (8, 2), (7, 3), (6, 4), (4, 3, 2, 1)}
+    for seed in (0, 3):
+        for N in (2, 3):
+            x = _random_xpoint(random.Random(seed), N)
+            for lam in enumerate_strict(W):
+                perturbed = _perturbed_tau_terms(lam.parts, F(1001, 1000))
+                monkeypatch.setattr(tau_module, "tau_terms", perturbed)
+                rep = check_xpoint_pfaffian(spec, x, W)
+                assert rep.passed == (N == 2 or lam.parts in blind), (seed, N, lam)
 
 
 def test_xpoint_pfaffian_explicit():

@@ -34,6 +34,7 @@ from bkpq.qschur import (
     schur_s,
 )
 from bkpq.rspec import hook_star
+from test_gseries_oracle import substitute_terms
 
 F = Fraction
 
@@ -427,16 +428,6 @@ def _fraction_scalar_product(f, g):
     return total
 
 
-def _fraction_eval(f, value):
-    """f at t_m = value(m), one Fraction operation per factor."""
-    total = Fraction(0)
-    for mono, c in f.terms.items():
-        for m, e in mono:
-            c *= Fraction(value(m)) ** e
-        total += c
-    return total
-
-
 def _exp_kernels(W):
     """exp(sum (m/2) v_m t_m) at negative, zero and mixed times."""
     rng = random.Random(17)
@@ -495,7 +486,7 @@ def test_evaluation_matches_fraction_loop():
     ]
     for f in series:
         for x in points:
-            want = _fraction_eval(f, lambda m: F(2, m) * sum(v ** m for v in x.values))
+            want = substitute_terms(f, lambda m: F(2, m) * sum(v ** m for v in x.values), F(1))
             assert eval_at_x(f, x) == want
-        assert eval_at_tinfty(f) == _fraction_eval(f, lambda m: F(m == 1))
+        assert eval_at_tinfty(f) == substitute_terms(f, lambda m: F(m == 1), F(1))
     assert type(eval_at_x(OddSeries(W), points[0])) is Fraction

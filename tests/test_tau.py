@@ -623,7 +623,7 @@ def test_check_tau_scalar_witness_names_lowest_failing_weight(monkeypatch):
 def test_check_tau_scalar_witness_at_the_top_weight(W, monkeypatch):
     # r_(W) scaled in the series route alone: the pairing weights each lambda
     # by r_lambda_pair itself, so the two sides differ at weight W only
-    monkeypatch.setattr(tau_module, "tau_terms", _perturbed_tau_terms(W, F(1001, 1000)))
+    monkeypatch.setattr(tau_module, "tau_terms", _perturbed_tau_terms([W], F(1001, 1000)))
     tv = {1: F(1, 2), 3: F(1, 3)}
     sv = {1: F(1, 5), 3: F(-1, 7)}
     rep = check_tau_scalar(RationalPS([F(1, 2)], [F(3, 4)]), W, tv, sv)
