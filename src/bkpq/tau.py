@@ -13,7 +13,7 @@ from itertools import compress
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .gseries import BiSeries, OddSeries, _fill, bi_codec
+from .gseries import BiSeries, OddSeries, _fill, bi_codec, odd_codec
 from .partitions import conjugate, enumerate_partitions
 from .qschur import _indexed, _miwa_reader, _numbering, _strict_table, schur_s
 from .rspec import Ones, RationalPS, content_product_kp
@@ -90,16 +90,18 @@ _BLOCK_KEYS = {}  # (w, W, Wstar) -> (triangle keys, mirror keys)
 
 
 def _block_keys(w, W, Wstar):
-    """The (t, t*) keys of the cells i <= j of the weight-w block, row by
-    row, and of their mirror cells (j, i).  Cell (i, j) pairs the i-th
-    monomial of `_numbering(w, W)` with the j-th of `_numbering(w, Wstar)`:
-    both number the monomials of weight w in one order."""
+    """The (t, t*) keys of the cells i <= j of the weight-w block, in the
+    order `_diagonal_sum` fills them: column by column, j = 0, 1, ..., and
+    each column's cells i = 0..j; and the keys of their mirror cells (j, i).
+    Cell (i, j) pairs the i-th monomial of `_numbering(w, W)` with the j-th
+    of `_numbering(w, Wstar)`: both number the monomials of weight w in one
+    order."""
     keys = _BLOCK_KEYS.get((w, W, Wstar))
     if keys is None:
         shift = bi_codec(W, Wstar).shift
         t = _numbering(w, W)[0]
         star = [k << shift for k in _numbering(w, Wstar)[0]]
-        cells = [(i, j) for i in range(len(t)) for j in range(i, len(t))]
+        cells = [(i, j) for j in range(len(t)) for i in range(j + 1)]
         keys = _BLOCK_KEYS[(w, W, Wstar)] = (
             [t[i] + star[j] for i, j in cells],
             [t[j] + star[i] for i, j in cells],
@@ -118,11 +120,14 @@ def _diagonal_sum(terms, W, Wstar):
     lies within the caps.  A block is the Gram matrix sum k a a^T of its f,
     so it is symmetric: each f comes as sorted (index, numerator) pairs over
     its weight's one numbering (`_indexed`), and k a_i a_j is added into the
-    cells i <= j only.  The sum is reduced on the triangles: with g the gcd
-    of L and every triangle value, each nonzero value over g is written at
-    its key t_i t*_j and at the mirror key t_j t*_i (a diagonal cell twice),
-    over L / g, the canonical form; a cell can cancel, as every off-diagonal
-    one of Ones' tau does.  check_symmetry_scaling, which reads each value
+    cells i <= j only.  One walk of the pairs keeps those already seen: pair
+    (j, b) adds k a b into the cell (i, j) of each seen (i, a), itself
+    included, so column j of the triangle is one row of the table.  The sum
+    is reduced on the triangles: with g the gcd of L and every triangle
+    value, each nonzero value over g is written at its key t_i t*_j and at
+    the mirror key t_j t*_i (a diagonal cell twice), over L / g, the
+    canonical form; a cell can cancel, as every off-diagonal one of Ones'
+    tau does.  check_symmetry_scaling, which reads each value
     at its mirrored key, pins the mirror; the triangle's values are pinned
     by every check that compares tau with another route.
     """
@@ -134,13 +139,15 @@ def _diagonal_sum(terms, W, Wstar):
     g, cells = L, []  # cells: (triangle keys, mirror keys, values) per block
     for w, fs in blocks.items():
         n = len(_numbering(w, min(W, Wstar))[0])
-        table = [[0] * n for _ in range(n)]
+        table = [[0] * (j + 1) for j in range(n)]  # table[j][i]: cell (i, j)
         for k, pairs in fs:
-            for p, (i, a) in enumerate(pairs):
-                ka, row = k * a, table[i]
-                for j, b in pairs[p:]:
-                    row[j] += ka * b
-        values = [v for i, row in enumerate(table) for v in row[i:]]
+            seen = []
+            for j, b in pairs:
+                seen.append((j, b))
+                kb, column = k * b, table[j]
+                for i, a in seen:
+                    column[i] += kb * a
+        values = [v for column in table for v in column]
         g = gcd(g, *values)
         cells.append((*_block_keys(w, W, Wstar), values))
     out = {0: L // g}  # the constant 1
@@ -344,13 +351,36 @@ def scalar_product_r_by_weight(f, g, spec):
 
 
 def _exp_kernel(t_values, W):
-    """exp(sum (m/2) t_m gamma_m) as an OddSeries in gamma, t_m as rationals."""
-    terms = {}
+    """exp(sum (m/2) t_m gamma_m) as an OddSeries in gamma, t_m as rationals.
+
+    In closed form: the coefficient of gamma^e is prod_m c_m^{e_m} / e_m!
+    with c_m = (m/2) t_m.  Each monomial of `_numbering(w, W)`, w = 1..W, is
+    read off its key less its largest gamma_m, times c_m / e_m, as an int
+    pair: one product per monomial, as in `qschur._miwa_reader`.  A monomial
+    with a zero time is not kept, nor one built on it.  The pairs are summed
+    over the lcm of their denominators.  A nonzero time at an index that is
+    not an odd positive integer raises ValueError, and one at an odd index
+    over W is dropped, as `OddSeries` reads its terms.
+    """
+    codec = odd_codec(W)
+    c = {}  # m -> (step, numerator, denominator) of c_m, for c_m != 0
     for m, v in t_values.items():
         v = Fraction(v)
         if v:
-            terms[((m, 1),)] = Fraction(m, 2) * v
-    return OddSeries(W, terms).exp()
+            v *= Fraction(m, 2)
+            if codec.encode(((m, 1),)) is not None:
+                c[m] = (codec.variable(m), v.numerator, v.denominator)
+    at = {0: (1, 1)}  # key -> (numerator, denominator) of its coefficient
+    for w in range(1, W + 1):
+        for key in _numbering(w, W)[0]:
+            m, e = codec.decode(key)[-1]
+            if m in c:
+                step, a, b = c[m]
+                below = at.get(key - step)
+                if below is not None:
+                    at[key] = (below[0] * a, below[1] * b * e)
+    L = lcm(*(q for _, q in at.values()))
+    return OddSeries(W)._like({k: p * (L // q) for k, (p, q) in at.items()}, L)
 
 
 def check_tau_scalar(spec, W, t_values, tstar_values):

@@ -110,9 +110,16 @@ MUTANTS = [
     _mutant(
         "tau: the diagonal cell left out of _diagonal_sum",
         "bkpq/tau.py",
-        "for j, b in pairs[p:]:",
-        "for j, b in pairs[p + 1:]:",
+        "for i, a in seen:",
+        "for i, a in seen[:-1]:",
         ["tests/test_tau.py::test_tau_bkp_ones_is_vacuum_kernel"],
+    ),
+    _mutant(
+        "tau: the e_m divisor dropped from _exp_kernel's closed form",
+        "bkpq/tau.py",
+        "(below[0] * a, below[1] * b * e)",
+        "(below[0] * a, below[1] * b)",
+        ["tests/test_tau.py::test_exp_kernel_closed_form_matches_the_euler_exp"],
     ),
     _mutant(
         "tau: the 2^l dropped in tau_terms",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkpq.cli import _shipped_specs
 from bkpq.gseries import BiSeries, OddSeries
 from bkpq.partitions import StrictPartition, enumerate_partitions, enumerate_strict
 from bkpq.ops import check_linear_eq_N1, tau_x_series
@@ -765,6 +766,72 @@ def test_integer_r_pairing_matches_fraction_pairing_at_scan_weight(text, t, tsta
     W = 14
     f, g = (_exp_kernel({m: F(v) for m, v in d.items()}, W) for d in (t, tstar))
     _assert_pairing_matches_oracle(f, g, parse_rspec(text))
+
+
+# tau_bkp at the spec-scan weight and tau_kp at the verify weight, both as
+# those workloads build them: the integer Gram walk held to the Fraction sum
+# past MAX_FUZZ_WEIGHT, field for field.
+@pytest.mark.parametrize(
+    "text, W, Wstar",
+    [(text, 14, 14) for text, _, _ in SCAN_FAMILIES_AT_14]
+    + [(SCAN_FAMILIES_AT_14[2][0], 14, 9), (SCAN_FAMILIES_AT_14[2][0], 9, 14)],
+)
+def test_tau_bkp_matches_the_fraction_sum_at_scan_weight(text, W, Wstar):
+    got = tau_bkp(parse_rspec(text), W, Wstar)
+    want = _fraction_diagonal_sum(tau_terms(parse_rspec(text), min(W, Wstar)), W, Wstar)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("index", range(len(_shipped_specs())))
+def test_tau_kp_matches_the_fraction_sum_at_verify_weight(index):
+    W = 10
+    got = tau_kp(_shipped_specs()[index], W, W)
+    want = _fraction_diagonal_sum(_kp_terms(_shipped_specs()[index], W), W, W)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def _euler_exp_kernel(t_values, W):
+    """tau._exp_kernel as it was before its closed form: one term
+    (m/2) t_m gamma_m per nonzero time, through the Euler-recurrence exp."""
+    terms = {}
+    for m, v in t_values.items():
+        if F(v):
+            terms[((m, 1),)] = F(m, 2) * F(v)
+    return OddSeries(W, terms).exp()
+
+
+def _kernel_times(rng, W):
+    """Seeded rational times at W: random ones with zeros and negatives, some
+    at odd indices over W; one at the top odd index alone; one at every odd
+    index; and zeros around a single nonzero time."""
+    def value():
+        return F(rng.randint(-6, 6), rng.randint(1, 9))
+
+    odd = range(1, W + 1, 2)
+    times = [{m: value() for m in range(1, W + 4, 2) if rng.random() < 0.6} for _ in range(4)]
+    times.append({m: value() or F(-1, 3) for m in odd})
+    if W:
+        times.append({odd[-1]: value() or F(2, 7)})
+        times.append({m: F(0) for m in odd} | {odd[len(odd) // 2]: F(-5, 4)})
+    return times
+
+
+def test_exp_kernel_closed_form_matches_the_euler_exp():
+    rng = random.Random(7)
+    for W in range(17):
+        for t in _kernel_times(rng, W):
+            got, want = _exp_kernel(t, W), _euler_exp_kernel(t, W)
+            assert (got.num, got.den) == (want.num, want.den), (W, t)
+    # a time at an odd index over W is dropped, as OddSeries drops its term
+    assert _exp_kernel({1: F(1, 2), 7: F(3)}, 5) == _exp_kernel({1: F(1, 2)}, 5)
+    assert _exp_kernel({3: F(2)}, 2) == OddSeries.constant(2)
+    # a nonzero time at an even or nonpositive index, over W or not, is
+    # refused by both routes; a zero time there is read by neither
+    for m in (2, 4, 8, 0, -1, -3):
+        for kernel in (_exp_kernel, _euler_exp_kernel):
+            with pytest.raises(ValueError):
+                kernel({1: F(1, 3), m: F(1, 2)}, 6)
+            assert kernel({1: F(1, 3), m: 0}, 6) == kernel({1: F(1, 3)}, 6)
 
 
 @pytest.mark.parametrize("zero", [{}, {1: 0, 3: 0}])
