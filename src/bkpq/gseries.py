@@ -29,16 +29,15 @@ odd-time tuple with a zero exponent, a repeated index or indices out of
 order among them).  Its masks `low` and `shift` split a key into one part
 per alphabet, and `variables` and `name` give the variables of a part.
 
-`exp` runs the Euler recurrence n E_n = sum_j j S_j E_{n-j} over total
-grade, in ints, with no series power and no sum of series.  `substitute`
-values a series at numbers, summed in ints.  Where the odd times go to
-another ring, as in `pfaffian.tau_as_multipoly`, `qschur._miwa_reader`
-reads each Q_lambda off a table of monomials instead.
+`exp` is the truncated sum of S^k / k!, by the ring's own product and
+sum.  `substitute` values a series at numbers, summed in ints.  Where the
+odd times go to another ring, as in `pfaffian.tau_as_multipoly`,
+`qschur._miwa_reader` reads each Q_lambda off a table of monomials instead.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 
 class TruncationError(ValueError):
@@ -360,26 +359,6 @@ class GradedSeries:
         self._check_match(other)
         return other
 
-    def _product(self, left, right, num=None, scale=1):
-        """{key: numerator} of scale times the product of two grade
-        groupings, truncated: a pair of grades over a cap is skipped whole.
-        The terms are added into num when it is given, else into a new dict.
-        """
-        caps = self.caps
-        right = right.items()
-        if num is None:
-            num = {}
-        for ga, left_terms in left.items():
-            for gb, right_terms in right:
-                if any(a + b > cap for a, b, cap in zip(ga, gb, caps)):
-                    continue
-                for ka, va in left_terms:
-                    va *= scale
-                    for kb, vb in right_terms:
-                        key = ka + kb
-                        num[key] = num.get(key, 0) + va * vb
-        return num
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
@@ -415,48 +394,33 @@ class GradedSeries:
                 {m: v * p for m, v in self.num.items()}, self.den * other.denominator
             )
         self._check_match(other)
-        grade = self.codec.grade
-        num = self._product(_grouped(grade, self.num), _grouped(grade, other.num))
+        grade, caps = self.codec.grade, self.caps
+        right = _grouped(grade, other.num).items()
+        num = {}
+        for ga, left_terms in _grouped(grade, self.num).items():
+            for gb, right_terms in right:
+                # truncated: a pair of grades over a cap is skipped whole
+                if any(a + b > cap for a, b, cap in zip(ga, gb, caps)):
+                    continue
+                for ka, va in left_terms:
+                    for kb, vb in right_terms:
+                        key = ka + kb
+                        num[key] = num.get(key, 0) + va * vb
         return self._like(num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def exp(self):
-        """exp of a series S with zero constant term, truncated.
-
-        With S_j the terms of S of total grade j, the part E_n of exp(S) of
-        total grade n satisfies n E_n = sum_{j=1..n} j S_j E_{n-j} (scale
-        each grade-j term by z^j and differentiate in z).  With d = S.den,
-        F_n = n! d^n E_n is an integer series:
-        F_n = sum_j (n-1)!/(n-j)! d^(j-1) (j d S_j) F_{n-j}, each product
-        added into F_n's numerators as `_product` makes it.
-        """
+        """exp of a series S with zero constant term, truncated: the sum of
+        S^k / k! for k <= sum(caps), since every monomial of S^k has total
+        grade >= k.  Built with the ring's own product and sum."""
         if 0 in self.num:
             raise ValueError("exp requires zero constant term")
-        grade, d = self.codec.grade, self.den
-        S = {}  # j -> grade groups of j d S_j
-        for g, terms in _grouped(grade, self.num).items():
-            j = sum(g)
-            S.setdefault(j, {})[g] = [(k, j * v) for k, v in terms]
-        F = [_grouped(grade, {0: 1})]  # n -> grade groups of F_n
-        # every monomial but the constant has total grade >= 1
-        for n in range(1, sum(self.caps) + 1):
-            Fn = {}
-            c = 1
-            for j in range(1, n + 1):
-                if j in S and F[n - j]:
-                    self._product(S[j], F[n - j], Fn, c)
-                c *= (n - j) * d
-            F.append(_grouped(grade, Fn))
-        # exp(S) = sum_n F_n (top!/n!) d^(top-n) / (top! d^top)
-        top = max(n for n, Fn in enumerate(F) if Fn)
-        num = {}
-        scale = 1
-        for n in range(top, -1, -1):
-            for terms in F[n].values():
-                num.update((k, v * scale) for k, v in terms)
-            scale *= n * d
-        return self._like(num, factorial(top) * d ** top)
+        result = power = self._coerce(1)
+        for k in range(sum(self.caps)):
+            power = power * self * Fraction(1, k + 1)  # S^(k+1) / (k+1)!
+            result = result + power
+        return result
 
     def substitute(self, image):
         """The series at the numbers image(v), as one Fraction.

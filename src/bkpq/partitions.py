@@ -49,9 +49,6 @@ class Partition:
     def __hash__(self):
         return hash((type(self).__name__, self.parts))
 
-    def __lt__(self, other):
-        return (self.weight, self.parts) < (other.weight, other.parts)
-
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, list(self.parts))
 

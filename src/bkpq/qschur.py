@@ -257,56 +257,34 @@ def delta(x):
     return out
 
 
-def _dual(f):
-    """f's pairing weights (w, D): <g, f> = sum_k g.num[k] w[k] / (g.den D).
-
-    On a monomial prod t_m^e_m the pairing is prod_m e_m! (2/m)^e_m.  With L
-    the lcm of the prod m^e_m over f, w[k] is f.num[k] prod e_m! 2^e_m times
-    L / prod m^e_m, and D = L f.den.
-    """
-    decode = f.codec.decode
-    terms = []
-    for key, a in f.num.items():
-        up, down = _pairing_factor(decode(key))
-        terms.append((key, a * up, down))
-    L = lcm(1, *(d for _, _, d in terms))
-    return {key: a * (L // d) for key, a, d in terms}, L * f.den
-
-
-def _pair(dual, g):
-    """<g, f> from f's `_dual`, as (numerator, denominator) ints."""
-    w, D = dual
-    total = 0
-    for key, v in g.num.items():
-        x = w.get(key)
-        if x:
-            total += v * x
-    return total, D * g.den
-
-
 def scalar_product(f, g):
     """<f, g> = f applied as differential operators (t_m -> (2/m) d/dt_m) to g at 0.
 
-    One int dot product of g's numerators with f's `_dual` weights.
+    The monomials t^e are orthogonal with <t^e, t^e> = prod_m e_m! (2/m)^e_m,
+    so <f, g> is the sum of f_e g_e times that over the monomials f and g
+    share.
     """
     if f.truncation_weight != g.truncation_weight:
         raise ValueError("truncation mismatch")
-    return Fraction(*_pair(_dual(f), g))
+    total = Fraction(0)
+    for key in f.num.keys() & g.num.keys():
+        term = Fraction(f.num[key] * g.num[key], f.den * g.den)
+        for m, e in f.codec.decode(key):
+            term *= factorial(e) * Fraction(2, m) ** e
+        total += term
+    return total
 
 
 def q_expand(f):
     """Expand f over the Q_lambda basis: c_lambda = 2^{-l} <Q_lambda, f>.
 
-    f's pairing weights are computed once (`_dual`), so each c_lambda is one
-    int dot product with Q_lambda's numerators.  Returns only the nonzero
-    coefficients on nonzero strict partitions; the constant term of f is
-    the coefficient of Q_0 = 1.
+    Returns only the nonzero coefficients on nonzero strict partitions; the
+    constant term of f is the coefficient of Q_0 = 1.
     """
     W = f.truncation_weight
-    dual = _dual(f)
     out = {}
     for lam in enumerate_strict(W):
-        n, d = _pair(dual, q_lambda(lam, W))
-        if n:
-            out[lam] = Fraction(n, d << lam.length)
+        c = scalar_product(q_lambda(lam, W), f) / 2**lam.length
+        if c:
+            out[lam] = c
     return out

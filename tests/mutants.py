@@ -119,7 +119,7 @@ MUTANTS = [
         "bkpq/tau.py",
         "(below[0] * a, below[1] * b * e)",
         "(below[0] * a, below[1] * b)",
-        ["tests/test_tau.py::test_exp_kernel_closed_form_matches_the_euler_exp"],
+        ["tests/test_tau.py::test_exp_kernel_closed_form_matches_the_series_exp"],
     ),
     _mutant(
         "tau: the 2^l dropped in tau_terms",

@@ -414,8 +414,9 @@ def test_q_expand_frozen_and_round_trip():
 
 
 def _fraction_scalar_product(f, g):
-    """The pairing with one Fraction operation per monomial, as scalar_product
-    computed it before it summed in integers: the reference it is held to."""
+    """The pairing with one Fraction operation per monomial, read through the
+    `terms` view by tuple monomial: the reference scalar_product, which reads
+    keys and numerators, is held to."""
     total = Fraction(0)
     for mono, a in f.terms.items():
         b = g.terms.get(mono)
@@ -457,8 +458,8 @@ def test_scalar_product_matches_fraction_pairing():
 
 
 def test_q_expand_matches_fraction_pairing():
-    """Each c_lambda from f's one dual vector against the Fraction pairing,
-    on kernels with times at m = 1, 3, 5, one of them zero."""
+    """Each c_lambda against the Fraction pairing, on kernels with times at
+    m = 1, 3, 5, one of them zero."""
     W = 14
     rng = random.Random(41)
     lams = enumerate_strict(W)

@@ -150,7 +150,7 @@ _RATIONALS = st.fractions(min_value=-7, max_value=7, max_denominator=6)
 _B_VALUES = _RATIONALS.filter(lambda v: v.denominator != 1 or v > 0)
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(a=st.lists(_RATIONALS, max_size=4), b=st.lists(_B_VALUES, max_size=4))
 def test_integer_r_value_matches_the_fraction_loop_on_random_parameters(a, b):
     spec = RationalPS(a, b)
