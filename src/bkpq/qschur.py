@@ -120,12 +120,13 @@ def _numbering(w, W):
     return keys, {k: i for i, k in enumerate(keys)}
 
 
-_INDEXED = {}  # id(f) -> (f, weight, pairs)
+_INDEXED = {}  # id(f) -> (f, weight, pairs, bit length)
 
 
 def _indexed(f):
     """A weight-homogeneous f as (w, [(index, numerator)]) sorted by index,
-    with each key's index in `_numbering(w, W)`.
+    with each key's index in `_numbering(w, W)`, and the bit length of its
+    largest |numerator| (0 for a zero f), which sizes `_diagonal_sum`'s slots.
 
     Made once per series and kept beside `_euler`'s cache, for the Q_lambda
     and s_mu it returns.  The memo holds f, so no other series takes its id.
@@ -135,8 +136,9 @@ def _indexed(f):
         w = f.codec.grade(next(iter(f.num), 0))[0]
         index = _numbering(w, f.truncation_weight)[1]
         pairs = sorted((index[k], a) for k, a in f.num.items())
-        hit = _INDEXED[id(f)] = (f, w, pairs)
-    return hit[1], hit[2]
+        bits = max(map(abs, f.num.values()), default=0).bit_length()
+        hit = _INDEXED[id(f)] = (f, w, pairs, bits)
+    return hit[1:]
 
 
 def _pairing_factor(parts):
@@ -232,7 +234,7 @@ def _miwa_reader(power_sum, W, one=1):
         rows.append(([at[k][0] * (D // at[k][1]) for k in keys], D))
 
     def read(f):
-        w, pairs = _indexed(f)
+        w, pairs, _ = _indexed(f)
         row, D = rows[w]
         return sum(a * row[i] for i, a in pairs), f.den * D
 

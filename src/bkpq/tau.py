@@ -119,11 +119,18 @@ def _diagonal_sum(terms, W, Wstar):
     min(W, Wstar), so a term touches one weight block and every product
     lies within the caps.  A block is the Gram matrix sum k a a^T of its f,
     so it is symmetric: each f comes as sorted (index, numerator) pairs over
-    its weight's one numbering (`_indexed`), and k a_i a_j is added into the
-    cells i <= j only.  One walk of the pairs keeps those already seen: pair
-    (j, b) adds k a b into the cell (i, j) of each seen (i, a), itself
-    included, so column j of the triangle is one row of the table.  The sum
-    is reduced on the triangles: with g the gcd of L and every triangle
+    its weight's one numbering (`_indexed`), and only the cells i <= j are
+    summed, each column j packed in one int of s-bit slots, cell (i, j) in
+    slot i (Kronecker substitution).  s is the sum of the bit lengths of
+    the block's largest |k|, of its largest |numerator| twice, and of its
+    number of terms, plus 1, so every cell lies in (-2^{s-1}, 2^{s-1}).  One
+    walk of a term's pairs keeps `seen`, the packed k a of those already
+    seen: pair (j, b) adds its own slot to it, then b times it into column
+    j, so one big-int multiply-add per nonzero pair fills the cells (i, j)
+    of every seen (i, a), itself included.  A column's j + 1 slots are read
+    from low to high as signed s-bit values, a negative one borrowing 1 from
+    the slot above, so nothing is left after slot j.  The sum is reduced on
+    the triangles: with g the gcd of L and every triangle
     value, each nonzero value over g is written at its key t_i t*_j and at
     the mirror key t_j t*_i (a diagonal cell twice), over L / g, the
     canonical form; a cell can cancel, as every off-diagonal one of Ones'
@@ -133,21 +140,27 @@ def _diagonal_sum(terms, W, Wstar):
     """
     scaled = [(n, d * f.den * f.den, _indexed(f)) for n, d, f in terms]
     L = lcm(1, *(d for _, d, _ in scaled))
-    blocks = {}  # weight -> [(k, pairs)]
-    for k, d, (w, pairs) in scaled:
-        blocks.setdefault(w, []).append((k * (L // d), pairs))
+    blocks = {}  # weight -> [(k, pairs, bit length of the largest |numerator|)]
+    for k, d, (w, pairs, bits) in scaled:
+        blocks.setdefault(w, []).append((k * (L // d), pairs, bits))
     g, cells = L, []  # cells: (triangle keys, mirror keys, values) per block
     for w, fs in blocks.items():
-        n = len(_numbering(w, min(W, Wstar))[0])
-        table = [[0] * (j + 1) for j in range(n)]  # table[j][i]: cell (i, j)
-        for k, pairs in fs:
-            seen = []
+        s = max(abs(k) for k, _, _ in fs).bit_length() + 2 * max(b for _, _, b in fs)
+        s += len(fs).bit_length() + 1
+        cols = [0] * len(_numbering(w, min(W, Wstar))[0])
+        for k, pairs, _ in fs:
+            seen = 0
             for j, b in pairs:
-                seen.append((j, b))
-                kb, column = k * b, table[j]
-                for i, a in seen:
-                    column[i] += kb * a
-        values = [v for column in table for v in column]
+                seen += k * b << s * j
+                cols[j] += b * seen
+        mask, half, values = (1 << s) - 1, 1 << (s - 1), []
+        for j, c in enumerate(cols):
+            for _ in range(j + 1):
+                v = c & mask
+                if v >= half:
+                    v -= 1 << s
+                values.append(v)
+                c = (c - v) >> s
         g = gcd(g, *values)
         cells.append((*_block_keys(w, W, Wstar), values))
     out = {0: L // g}  # the constant 1

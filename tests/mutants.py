@@ -110,9 +110,23 @@ MUTANTS = [
     _mutant(
         "tau: the diagonal cell left out of _diagonal_sum",
         "bkpq/tau.py",
-        "for i, a in seen:",
-        "for i, a in seen[:-1]:",
+        "seen += k * b << s * j\n                cols[j] += b * seen",
+        "cols[j] += b * seen\n                seen += k * b << s * j",
         ["tests/test_tau.py::test_tau_bkp_ones_is_vacuum_kernel"],
+    ),
+    _mutant(
+        "tau: sign borrow dropped in the column decode",
+        "bkpq/tau.py",
+        "                if v >= half:\n                    v -= 1 << s\n",
+        "",
+        ["tests/test_tau.py::test_diagonal_sum_edge_cases_match_the_fraction_sum"],
+    ),
+    _mutant(
+        "tau: _diagonal_sum's slot one bit short",
+        "bkpq/tau.py",
+        "s += len(fs).bit_length() + 1",
+        "s += len(fs).bit_length()",
+        ["tests/test_tau.py::test_diagonal_sum_edge_cases_match_the_fraction_sum"],
     ),
     _mutant(
         "tau: the e_m divisor dropped from _exp_kernel's closed form",

@@ -372,6 +372,64 @@ def test_diagonal_sum_is_canonical(W, Wstar):
     assert all(mt == ms for mt, ms in tau_bkp(Ones(), W, Wstar).terms)
 
 
+# The weight-5 monomials t1^5, t1^2 t3 and t5: one 3 x 3 block.
+WEIGHT_5 = [((1, 5),), ((1, 2), (3, 1)), ((5, 1),)]
+# k and |numerator| whose three terms fill _diagonal_sum's slots: every cell
+# is 3 K A^2 in magnitude, and s = bits(K) + 2 bits(A) + bits(3) + 1
+K_TIGHT, A_TIGHT = 2**40 - 1, 2**30 - 1
+
+
+def _diagonal_edge_cases(bound):
+    f = OddSeries(bound, dict(zip(WEIGHT_5, [3, -7, 2])))
+    g = OddSeries(bound, dict(zip(WEIGHT_5, [-5, 4, -1])))
+    tight = OddSeries(bound, dict(zip(WEIGHT_5, [A_TIGHT, -A_TIGHT, A_TIGHT])))
+    q31, q5 = (q_lambda(StrictPartition(parts), bound) for parts in ([3, 1], [5]))
+    zero = OddSeries(bound, {})
+    return {
+        "negative k and numerators": [(-7, 3, f), (5, 2, g), (-1, 6, q31), (-4, 9, q5)],
+        "a zero f among the terms": [(3, 4, q31), (-11, 5, zero), (2, 7, f), (-13, 1, zero)],
+        "one term per block": [(-3, 5, g), (2, 3, q31)],
+        # alone, so the lcm of the denominators is 1 and k is K_TIGHT
+        "cells near the slot bound": [(K_TIGHT, 1, tight)] * 3,
+    }
+
+
+@pytest.mark.parametrize("W, Wstar", [(8, 8), (8, 5), (5, 8)])
+@pytest.mark.parametrize("case", list(_diagonal_edge_cases(5)))
+def test_diagonal_sum_edge_cases_match_the_fraction_sum(case, W, Wstar):
+    terms = _diagonal_edge_cases(min(W, Wstar))[case]
+    got = tau_module._diagonal_sum(terms, W, Wstar)
+    want = _fraction_diagonal_sum(terms, W, Wstar)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.to_json() == want.to_json()
+
+
+def test_the_tight_case_fills_its_slots_to_within_a_factor_2():
+    # so a slot one bit narrower than _diagonal_sum's holds none of its cells
+    s = K_TIGHT.bit_length() + 2 * A_TIGHT.bit_length() + (3).bit_length() + 1
+    terms = _diagonal_edge_cases(5)["cells near the slot bound"]
+    tau = _fraction_diagonal_sum(terms, 5, 5)
+    block = [c for mono, c in tau.terms.items() if mono != ((), ())]
+    assert tau.den == 1 and {abs(c) for c in block} == {3 * K_TIGHT * A_TIGHT**2} and min(block) < 0
+    assert 2 ** (s - 2) <= 3 * K_TIGHT * A_TIGHT**2 < 2 ** (s - 1)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_diagonal_sum_matches_the_fraction_sum_on_random_signed_terms(data):
+    W = data.draw(st.integers(1, MAX_FUZZ_WEIGHT))
+    Wstar = data.draw(st.integers(1, MAX_FUZZ_WEIGHT))
+    bound = min(W, Wstar)
+    shapes = [q_lambda(lam, bound) for lam in enumerate_strict(bound)]
+    shapes += [schur_s(mu, bound) for mu in enumerate_partitions(bound)]
+    term = st.tuples(st.integers(-(2**80), 2**80), st.integers(1, 2**40), st.sampled_from(shapes))
+    terms = data.draw(st.lists(term, max_size=12))
+    got = tau_module._diagonal_sum(terms, W, Wstar)
+    want = _fraction_diagonal_sum(terms, W, Wstar)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.to_json() == want.to_json()
+
+
 def test_tau_kp_ones_is_kp_cauchy_kernel():
     W = 6
     ker = BiSeries(W, W)
