@@ -1,8 +1,10 @@
 """Pfaffian representations of the tau series.
 
-Shows the generic Pfaffian machinery (Pf^2 = det), then both matrix
-representations: the two-alphabet identity with cleared denominators and
-the x-point matrix whose Pfaffian reproduces the restricted tau series.
+Shows the generic Pfaffian kernel, which reads a skew matrix's upper
+triangle as a dict (Pf^2 = det against dense rows laid out from it), then
+both matrix representations: the two-alphabet identity with cleared
+denominators and the x-point matrix whose Pfaffian reproduces the
+restricted tau series.
 """
 
 import random
@@ -10,7 +12,6 @@ from fractions import Fraction
 
 from bkpq import Cutoff, Ones, RationalPS
 from bkpq.pfaffian import (
-    SkewMatrix,
     check_two_alphabet_pfaffian,
     check_xpoint_pfaffian,
     det_fraction_free,
@@ -22,10 +23,10 @@ rng = random.Random(1)
 dim = 6
 upper = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
          for i in range(dim) for j in range(i + 1, dim)}
-A = SkewMatrix(dim, upper)
-rows = [[A.entry(i, j) for j in range(dim)] for i in range(dim)]
-print("Random 6x6 skew matrix:  Pf =", pfaffian(A),
-      "  Pf^2 =", pfaffian(A) ** 2, "  det =", det_fraction_free(rows))
+rows = [[upper.get((i, j), 0) - upper.get((j, i), 0) for j in range(dim)]
+        for i in range(dim)]
+print("Random 6x6 skew matrix:  Pf =", pfaffian(upper, dim),
+      "  Pf^2 =", pfaffian(upper, dim) ** 2, "  det =", det_fraction_free(rows))
 print()
 
 print("Two-alphabet identity Pf(S) = tau(x, y) * Vandermonde product,")

@@ -1,15 +1,16 @@
 """Exact Pfaffian kernel and the Pfaffian representations of the tau function.
 
 One kernel, `pfaffian`, serves both representations over any commutative
-ring (Fraction, OddSeries, MultiPoly); the two-alphabet check passes it the
-denominators its entries owe.  The matrix builders encode the corrected
-normalization: entries are twice the pairwise expectation values, which
-makes Pfaff(S) equal tau * Delta(x) Delta(y) on the nose (the power of two
-absorbed by Pfaff(2M) = 2^K Pfaff(M)); that choice is certified against the
-series oracle, not assumed.
+ring (Fraction, OddSeries, MultiPoly), reading the upper triangle each
+builder makes; the two-alphabet check passes it what those entries owe.
+The builders encode the corrected normalization: entries are twice the
+pairwise expectation values, which makes Pfaff(S) equal tau * Delta(x)
+Delta(y) on the nose (the power of two absorbed by Pfaff(2M) = 2^K
+Pfaff(M)); that choice is certified against the series oracle, not assumed.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .gseries import GradedSeries, OddSeries, dense_codec
@@ -22,48 +23,30 @@ from .qschur import q_lambda  # noqa: F401
 from .tau import tau_bkp  # noqa: F401
 
 
-class SkewMatrix:
-    """Even-dimensional skew-symmetric matrix; upper triangle given."""
+def pfaffian(upper, dim, one=Fraction(1), owed=None):
+    """Pfaffian by recursive expansion along the first remaining row.
 
-    def __init__(self, dim, upper, zero=Fraction(0)):
-        """upper maps (i, j) with i < j to a ring element."""
-        self.dim = dim
-        self.zero = zero
-        self.upper = dict(upper)
-
-    def entry(self, i, j):
-        if i == j:
-            return self.zero
-        if i < j:
-            return self.upper.get((i, j), self.zero)
-        return -self.upper.get((j, i), self.zero)
-
-
-def pfaffian(A, one=Fraction(1), owed=None):
-    """Pfaffian via recursive expansion along the first remaining row.
-
-    Pfaff(A)^2 = det(A).  Sub-Pfaffians are memoized per call, keyed by
-    the surviving index subset.  `owed` maps a pair (i, j), i < j, to the
-    denominator A's (i, j) entry is held without; the result is Pfaff times
-    every owed factor.  Matching `first` with j leaves (first, k) and
+    `upper` maps every (i, j), i < j < dim, to its entry in the dim x dim
+    skew matrix A.  Pfaff(A)^2 = det(A).  Sub-Pfaffians are memoized per
+    call, keyed by the surviving index subset.  `owed` maps a pair (i, j),
+    i < j, to the denominator its entry is held without; the result is Pfaff
+    times every owed factor.  Matching `first` with j leaves (first, k) and
     (j, k) unmatched for each k in rest, so their factors are paid there.
     """
-    if A.dim % 2 != 0:
+    if dim % 2 != 0:
         raise ValueError("Pfaffian requires even dimension")
     owed = owed or {}
-    memo = {}
 
+    @cache
     def pf(idx):
         if not idx:
             return one
-        if idx in memo:
-            return memo[idx]
         first = idx[0]
         acc = None
         for pos in range(1, len(idx)):
             j = idx[pos]
             rest = idx[1:pos] + idx[pos + 1 :]
-            term = A.entry(first, j) * pf(rest)
+            term = upper[first, j] * pf(rest)
             for k in rest:
                 for pair in ((first, k), (min(j, k), max(j, k))):
                     if pair in owed:
@@ -71,10 +54,9 @@ def pfaffian(A, one=Fraction(1), owed=None):
             if pos % 2 == 0:
                 term = -term
             acc = term if acc is None else acc + term
-        memo[idx] = acc
         return acc
 
-    return pf(tuple(range(A.dim)))
+    return pf(tuple(range(dim)))
 
 
 # Not called here: the tests' brute-force reference, and perfbench's tracer
@@ -164,7 +146,7 @@ def _sum_power_series(spec, xk, ym, nvars, D):
 
 
 def build_S(spec, N, D):
-    """The 2N x 2N two-alphabet pair-correlation matrix, and what it owes.
+    """The 2N x 2N two-alphabet matrix's upper triangle, and what it owes.
 
     Variables are the symbolic alphabets x_1..x_N, y_1..y_N in that order,
     and entries are polynomials to total degree D.  A diagonal-block entry
@@ -192,7 +174,7 @@ def build_S(spec, N, D):
     for k in range(N):
         for m in range(N):
             upper[(k, N + m)] = _sum_power_series(spec, xv(k), N + m, nvars, D)
-    return SkewMatrix(2 * N, upper, MultiPoly(nvars, D)), owed
+    return upper, owed
 
 
 def _vandermonde_numerator(N, nvars, cutoff, offset):
@@ -276,7 +258,7 @@ def check_two_alphabet_pfaffian(spec, N, D):
     """
     nvars = 2 * N
     S, owed = build_S(spec, N, D)
-    lhs = pfaffian(S, MultiPoly.constant(nvars, D), owed)
+    lhs = pfaffian(S, 2 * N, MultiPoly.constant(nvars, D), owed)
 
     rhs = tau_as_multipoly(spec, N, D, D - N * (N - 1)) * _vandermonde_xy(N, D)
 
@@ -291,30 +273,29 @@ def tau_at_xpoint(spec, x, W):
 
 
 def build_R(x, spec, W):
-    """Pair-correlation matrix of the one-alphabet Pfaffian formula.
+    """Upper triangle of the one-alphabet Pfaffian formula's matrix R.
 
     R_ik = (x_i - x_k)/(x_i + x_k) tau_r(t(x_i, x_k), t*) as OddSeries in t*;
-    odd N gets a border row/column of one-point tau functions.
+    odd N gets a border column N of one-point tau functions.
     """
     delta(x)  # refuses a vanishing x_i + x_k, named by its indices in x
     N = len(x)
     vals = x.values
-    dim = N if N % 2 == 0 else N + 1
     upper = {}
     for i in range(N):
         for k in range(i + 1, N):
             pair = XPoint([vals[i], vals[k]])
             upper[(i, k)] = tau_at_xpoint(spec, pair, W) * delta(pair)
-    if dim == N + 1:
+    if N % 2:
         for i in range(N):
             upper[(i, N)] = tau_at_xpoint(spec, XPoint([vals[i]]), W)
-    return SkewMatrix(dim, upper, OddSeries(W))
+    return upper
 
 
 def check_xpoint_pfaffian(spec, x, W):
     """Pfaff(R)/Delta(x) against the series with t specialized at all of x."""
     R = build_R(x, spec, W)
-    lhs = pfaffian(R, one=OddSeries.constant(W)) * (1 / delta(x))
+    lhs = pfaffian(R, len(x) + len(x) % 2, OddSeries.constant(W)) * (1 / delta(x))
     rhs = tau_at_xpoint(spec, x, W)
     params = {
         "r": repr(spec),

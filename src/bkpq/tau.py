@@ -163,11 +163,14 @@ def _diagonal_sum(terms, W, Wstar):
                 c = (c - v) >> s
         g = gcd(g, *values)
         cells.append((*_block_keys(w, W, Wstar), values))
-    out = {0: L // g}  # the constant 1
+    out = {0: 0}  # a constant f's cell, then the constant 1 added below
     for triangle, mirror, values in cells:
         kept = [v // g for v in compress(values, values)]
         out.update(zip(compress(triangle, values), kept))
         out.update(zip(compress(mirror, values), kept))
+    out[0] += L // g
+    if not out[0]:  # a constant f cancelled the 1
+        del out[0]
     return _fill(object.__new__(BiSeries), out, L // g, bi_codec(W, Wstar))
 
 

@@ -18,7 +18,7 @@ from bkpq.partitions import (
     enumerate_partitions,
     enumerate_strict,
 )
-from bkpq.pfaffian import SkewMatrix, pfaffian
+from bkpq.pfaffian import pfaffian
 from bkpq.qschur import (
     XPoint,
     _bars,
@@ -116,7 +116,7 @@ def _q_pfaffian_reference(W):
         padded = parts + (0,) * (len(parts) % 2)
         k = len(padded)
         upper = {(i, j): two_row(padded[i], padded[j]) for i in range(k) for j in range(i + 1, k)}
-        return pfaffian(SkewMatrix(k, upper, OddSeries(W)), one=OddSeries.constant(W))
+        return pfaffian(upper, k, one=OddSeries.constant(W))
 
     return q
 

@@ -385,12 +385,18 @@ def _diagonal_edge_cases(bound):
     tight = OddSeries(bound, dict(zip(WEIGHT_5, [A_TIGHT, -A_TIGHT, A_TIGHT])))
     q31, q5 = (q_lambda(StrictPartition(parts), bound) for parts in ([3, 1], [5]))
     zero = OddSeries(bound, {})
+    one = OddSeries(bound, {(): 1})
+    q1 = q_lambda(StrictPartition([1]), bound)
     return {
         "negative k and numerators": [(-7, 3, f), (5, 2, g), (-1, 6, q31), (-4, 9, q5)],
         "a zero f among the terms": [(3, 4, q31), (-11, 5, zero), (2, 7, f), (-13, 1, zero)],
         "one term per block": [(-3, 5, g), (2, 3, q31)],
         # alone, so the lcm of the denominators is 1 and k is K_TIGHT
         "cells near the slot bound": [(K_TIGHT, 1, tight)] * 3,
+        # the weight-0 cell adds to tau's constant 1, or cancels it
+        "a constant f alone": [(3, 1, one)],
+        "a constant f beside Q_(1)": [(2, 5, one), (-7, 3, q1)],
+        "a constant f cancelling the 1": [(-1, 1, one)],
     }
 
 
